@@ -1,16 +1,20 @@
 """Shared helpers for the benchmark harness.
 
-Every bench regenerates one table or figure of the paper: it prints the
-rows (visible with ``pytest benchmarks/ -s``) and also writes them to
-``benchmarks/results/<name>.txt`` so EXPERIMENTS.md can cite stable
-artifacts.
+Every paper bench regenerates one table or figure of the paper: it
+prints the rows (visible with ``pytest benchmarks/ -s``) and also
+writes them to ``benchmarks/results/<name>.txt`` so EXPERIMENTS.md can
+cite stable artifacts.  Those outputs are deterministic, so a rerun
+rewrites them byte for byte.
 
-The microbenches additionally emit machine-readable ``BENCH_<name>.json``
-files.  The committed copies under ``benchmarks/results/`` are the
-regression baselines the CI ``bench-track`` job compares fresh runs
-against (see :mod:`benchmarks.compare_baseline`); set ``BENCH_JSON_DIR``
-to redirect a fresh run's JSON somewhere else so it does not overwrite
-the baseline it is being compared to.
+The microbenches emit machine-dependent timings instead: a
+``microbench_<name>.txt`` table and a machine-readable
+``BENCH_<name>.json``.  They go to ``$BENCH_JSON_DIR`` when it is set
+and to the gitignored ``bench-out/`` at the repository root otherwise,
+never to ``benchmarks/results/``: the committed ``BENCH_*.json`` copies
+there are the regression baselines the CI ``bench-track`` job compares
+fresh runs against (see :mod:`benchmarks.compare_baseline`), so a plain
+test run must not overwrite them.  Refresh a baseline on purpose with
+``BENCH_JSON_DIR=benchmarks/results``.
 """
 
 from __future__ import annotations
@@ -22,11 +26,30 @@ from pathlib import Path
 #: Directory where rendered tables/figures are persisted.
 RESULTS_DIR = Path(__file__).parent / "results"
 
+#: Default home of fresh microbench outputs (gitignored).
+BENCH_OUT_DIR = Path(__file__).parent.parent / "bench-out"
+
+
+def bench_output_dir() -> Path:
+    """Where microbench outputs go: ``$BENCH_JSON_DIR`` or ``bench-out/``."""
+    directory = Path(os.environ.get("BENCH_JSON_DIR") or BENCH_OUT_DIR)
+    directory.mkdir(parents=True, exist_ok=True)
+    return directory
+
 
 def save_artifact(name: str, text: str) -> Path:
     """Print a rendered table and persist it under ``results/``."""
     RESULTS_DIR.mkdir(exist_ok=True)
     path = RESULTS_DIR / f"{name}.txt"
+    path.write_text(text + "\n", encoding="utf-8")
+    print(f"\n=== {name} ===\n{text}\n")
+    return path
+
+
+def save_bench_text(name: str, text: str) -> Path:
+    """Print a microbench table and persist it as ``<name>.txt`` in
+    :func:`bench_output_dir`."""
+    path = bench_output_dir() / f"{name}.txt"
     path.write_text(text + "\n", encoding="utf-8")
     print(f"\n=== {name} ===\n{text}\n")
     return path
@@ -42,9 +65,7 @@ def save_bench_json(name: str, metrics: dict) -> Path:
     the baseline).  Deterministic, machine-independent metrics are the
     ones worth gating.
     """
-    directory = Path(os.environ.get("BENCH_JSON_DIR") or RESULTS_DIR)
-    directory.mkdir(parents=True, exist_ok=True)
-    path = directory / f"BENCH_{name}.json"
+    path = bench_output_dir() / f"BENCH_{name}.json"
     payload = {"bench": name, "metrics": metrics}
     path.write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n", encoding="utf-8")
     return path

@@ -12,9 +12,10 @@ disconnected family fixture (:mod:`repro.datasets.incremental`), a
 * score-equal to the cold run within 1e-9.
 
 All three are asserted here (the equality also independently in
-``tests/test_warm_start.py``); the measured curve is recorded under
-``benchmarks/results/microbench_incremental.txt`` and the deterministic
-metrics in ``BENCH_incremental.json`` for the CI regression gate.
+``tests/test_warm_start.py``); the measured curve is recorded in
+``microbench_incremental.txt`` and the deterministic metrics in
+``BENCH_incremental.json`` for the CI regression gate (both under
+``$BENCH_JSON_DIR`` or ``bench-out/``, see ``helpers.py``).
 
 The speedup and pairs-touched assertions are algorithmic (work skipped,
 not cores used), so they hold on any machine; the fixture is sized to
@@ -25,7 +26,7 @@ from __future__ import annotations
 
 import time
 
-from helpers import save_artifact, save_bench_json
+from helpers import save_bench_json, save_bench_text
 from repro.core.aligner import align
 from repro.core.config import ParisConfig
 from repro.datasets.incremental import family_addition, family_pair
@@ -104,7 +105,7 @@ def test_incremental_delta_vs_cold_realign():
         f"({pairs_ratio:.1f}x fewer, worst of {pairs_touched_rounds})",
         f"max score diff:     {difference:.3e} (tolerance {SCORE_TOLERANCE:.0e})",
     ]
-    save_artifact("microbench_incremental", "\n".join(rows))
+    save_bench_text("microbench_incremental", "\n".join(rows))
     save_bench_json(
         "incremental",
         {

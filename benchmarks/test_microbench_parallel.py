@@ -25,19 +25,17 @@ for CI (`pytest benchmarks/test_microbench_parallel.py -k smoke`).
 
 from __future__ import annotations
 
-import multiprocessing
 import os
 import time
 
 import pytest
 
-from helpers import save_artifact, save_bench_json
+from helpers import save_bench_json, save_bench_text
 from repro import ParisConfig, align
 from repro.core.equivalence import instance_equivalence_pass
 from repro.core.functionality import FunctionalityOracle
 from repro.core.literal_index import LiteralIndex
 from repro.core.matrix import SubsumptionMatrix
-from repro.core.parallel import parallel_instance_equivalence_pass
 from repro.core.store import EquivalenceStore
 from repro.core.subrelations import subrelation_pass
 from repro.core.vectorized import HAVE_NUMPY, VectorizedKernel
@@ -64,14 +62,13 @@ KERNEL_FLOOR = 4.0
 SCALE = (3000, 1500)
 
 
-def _pass_inputs(num_persons, num_works, seed, second_iteration=False):
-    """Inputs for one instance pass over a synthetic KB pair.
+def _second_pass_inputs(num_persons, num_works, seed):
+    """Inputs for a second-iteration instance pass over a synthetic KB pair.
 
-    With ``second_iteration`` the pass runs against a filled
-    previous-iteration view and computed relation matrices — the
-    compute-dominated shape of every iteration after the bootstrap, and
-    the realistic target of the parallel engine (a bootstrap pass over
-    an empty store is too cheap for process overhead to amortize).
+    The pass runs against a filled previous-iteration view and computed
+    relation matrices — the compute-dominated shape of every iteration
+    after the bootstrap (a bootstrap pass over an empty store is too
+    cheap to say much about the kernel).
     """
     pair = yago_dbpedia_pair(num_persons=num_persons, num_works=num_works, seed=seed)
     similarity = IdentitySimilarity()
@@ -82,20 +79,19 @@ def _pass_inputs(num_persons, num_works, seed, second_iteration=False):
     view = EquivalenceView(EquivalenceStore(), literals2, literals1)
     rel12 = SubsumptionMatrix.bootstrap(0.1)
     rel21 = SubsumptionMatrix.bootstrap(0.1)
-    if second_iteration:
-        bootstrap = instance_equivalence_pass(
-            pair.ontology1, pair.ontology2, view, fun1, fun2, rel12, rel21, 0.1
-        )
-        view = EquivalenceView(bootstrap.restricted_to_maximal(), literals2, literals1)
-        rel12 = subrelation_pass(
-            pair.ontology1, pair.ontology2, view,
-            truncation_threshold=0.1, max_pairs=10_000, bootstrap_theta=0.1,
-        )
-        rel21 = subrelation_pass(
-            pair.ontology2, pair.ontology1, view,
-            truncation_threshold=0.1, max_pairs=10_000, reverse=True,
-            bootstrap_theta=0.1,
-        )
+    bootstrap = instance_equivalence_pass(
+        pair.ontology1, pair.ontology2, view, fun1, fun2, rel12, rel21, 0.1
+    )
+    view = EquivalenceView(bootstrap.restricted_to_maximal(), literals2, literals1)
+    rel12 = subrelation_pass(
+        pair.ontology1, pair.ontology2, view,
+        truncation_threshold=0.1, max_pairs=10_000, bootstrap_theta=0.1,
+    )
+    rel21 = subrelation_pass(
+        pair.ontology2, pair.ontology1, view,
+        truncation_threshold=0.1, max_pairs=10_000, reverse=True,
+        bootstrap_theta=0.1,
+    )
     return (
         pair.ontology1,
         pair.ontology2,
@@ -110,16 +106,6 @@ def _pass_inputs(num_persons, num_works, seed, second_iteration=False):
 
 def _scores(store):
     return {(left, right): p for left, right, p in store.items()}
-
-
-def _assert_scores_match(actual, expected):
-    """Bit-exact under fork; ≈1 ulp under spawn (see repro.core.parallel)."""
-    if "fork" in multiprocessing.get_all_start_methods():
-        assert actual == expected
-        return
-    assert actual.keys() == expected.keys()
-    for key, probability in expected.items():
-        assert abs(actual[key] - probability) <= 1e-12, key
 
 
 def _result_scores(result):
@@ -142,7 +128,7 @@ def test_stage_profile():
     array scoring itself, and the merge back into an
     `EquivalenceStore`.
     """
-    inputs = _pass_inputs(*SCALE, seed=11, second_iteration=True)
+    inputs = _second_pass_inputs(*SCALE, seed=11)
     ontology1, ontology2, view, fun1, fun2, rel12, rel21, theta = inputs
 
     def measure():
@@ -189,7 +175,7 @@ def test_stage_profile():
         f"{'kernel merge':>16}  {merge_seconds:>8.3f}",
         f"kernel vs dict: {kernel_speedup:.1f}x (prepare+score+merge)",
     ]
-    save_artifact("microbench_parallel_stages", "\n".join(rows))
+    save_bench_text("microbench_parallel_stages", "\n".join(rows))
 
     test_stage_profile.metrics = {
         "dict_pass_seconds": {
@@ -230,22 +216,18 @@ def test_parallel_speedup_curve():
     speedups = {}
     for workers in WORKER_COUNTS:
         started = time.perf_counter()
-        result = align(
-            pair.ontology1,
-            pair.ontology2,
-            ParisConfig(workers=workers, parallel_backend="process"),
-        )
+        result = align(pair.ontology1, pair.ontology2, ParisConfig(workers=workers))
         seconds = time.perf_counter() - started
         got = _result_scores(result)
         for surface, scores in expected.items():
-            _assert_scores_match(got[surface], scores)
+            assert got[surface] == scores, surface
         speedups[workers] = sequential_seconds / seconds
         rows.append(f"{workers:>7}  {seconds:>8.3f}  {speedups[workers]:>7.2f}")
 
     cores = os.cpu_count() or 1
     floored = cores >= MIN_CORES_FOR_SPEEDUP
     rows.append(f"(cpu cores: {cores}; speedup floor {'on' if floored else 'off'})")
-    save_artifact("microbench_parallel", "\n".join(rows))
+    save_bench_text("microbench_parallel", "\n".join(rows))
     save_bench_json(
         "parallel",
         {
@@ -297,14 +279,13 @@ def test_parallel_speedup_curve():
 
 
 def test_parallel_smoke_two_workers():
-    """CI smoke: 2 process workers, exact equality, modest workload.
-
-    Exercises the *legacy* per-pass executor (kept as the reference
-    engine and the spawn-platform fallback); the persistent pool's
-    exactness smoke lives in tests/test_vectorized.py.
-    """
-    inputs = _pass_inputs(num_persons=300, num_works=150, seed=11)
-    sequential = instance_equivalence_pass(*inputs)
-    parallel = parallel_instance_equivalence_pass(*inputs, workers=2, backend="process")
-    _assert_scores_match(_scores(parallel), _scores(sequential))
-    assert len(parallel) > 0
+    """CI smoke: a full align on the 2-worker pool, exact against
+    ``workers=1`` on every scored surface, modest workload."""
+    pair = yago_dbpedia_pair(num_persons=300, num_works=150, seed=11)
+    sequential = align(pair.ontology1, pair.ontology2, ParisConfig(workers=1))
+    pooled = align(pair.ontology1, pair.ontology2, ParisConfig(workers=2))
+    expected = _result_scores(sequential)
+    got = _result_scores(pooled)
+    for surface, scores in expected.items():
+        assert got[surface] == scores, surface
+    assert expected["instances"]

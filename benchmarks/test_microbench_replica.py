@@ -56,7 +56,7 @@ from pathlib import Path
 
 import pytest
 
-from helpers import save_artifact, save_bench_json
+from helpers import save_bench_json, save_bench_text
 from repro.datasets.incremental import family_addition, family_pair
 from repro.rdf import ntriples
 from repro.service import Delta
@@ -381,7 +381,7 @@ def test_replica_read_throughput_vs_single_node(tmp_path):
             for shape, shape_rate in shape_rates.items()
         ),
     ]
-    save_artifact("microbench_replica", "\n".join(rows))
+    save_bench_text("microbench_replica", "\n".join(rows))
     save_bench_json(
         "replica",
         {

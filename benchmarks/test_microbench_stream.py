@@ -34,7 +34,7 @@ from __future__ import annotations
 import os
 import time
 
-from helpers import save_artifact, save_bench_json
+from helpers import save_bench_json, save_bench_text
 from repro.core.aligner import align
 from repro.core.config import ParisConfig
 from repro.datasets.incremental import family_addition, family_pair
@@ -139,7 +139,7 @@ def test_batcher_throughput_vs_one_post_per_delta(tmp_path):
         f"{ROUNDS * BURST} batched deltas)",
         f"max score diff:     {difference:.3e} (tolerance {SCORE_TOLERANCE:.0e})",
     ]
-    save_artifact("microbench_stream", "\n".join(rows))
+    save_bench_text("microbench_stream", "\n".join(rows))
     save_bench_json(
         "stream",
         {

@@ -59,7 +59,6 @@ from typing import List, Optional, Tuple
 from . import __version__
 from .core.aligner import align
 from .core.config import ParisConfig
-from .core.parallel import BACKENDS
 from .io.alignment_io import save_result, write_sameas_links
 from .obs import get_event_logger
 from .obs.logging import LOG_FORMATS, LOG_LEVELS, setup_logging
@@ -117,8 +116,6 @@ def _build_config(args: argparse.Namespace) -> ParisConfig:
         use_negative_evidence=args.negative_evidence,
         use_name_prior=args.name_prior,
         workers=args.workers,
-        shard_size=args.shard_size,
-        parallel_backend=args.parallel_backend,
     )
 
 
@@ -138,7 +135,7 @@ def cmd_align(args: argparse.Namespace) -> int:
     _log.info("result written", path=str(out_dir), sameas_links=links)
     if args.print_pairs:
         # Total order: probability ties sort by name, so the output does
-        # not depend on store insertion order (sequential vs. sharded).
+        # not depend on store insertion order (sequential vs. pooled).
         for entity, counterpart, probability in sorted(
             result.instance_pairs(args.threshold),
             key=lambda p: (-p[2], str(p[0]), str(p[1])),
@@ -294,8 +291,6 @@ def cmd_demo(args: argparse.Namespace) -> int:
         max_iterations=4,
         convergence_threshold=0.0,
         workers=args.workers,
-        shard_size=args.shard_size,
-        parallel_backend=args.parallel_backend,
     )
     result = align(pair.ontology1, pair.ontology2, config)
     print(render_iteration_table(result, pair.gold))
@@ -325,13 +320,8 @@ def cmd_serve(args: argparse.Namespace) -> int:
         state = load_state(state_dir)
         # Model knobs (theta, similarity, ...) are part of the snapshot
         # and must not drift under a resumed state; the runtime-only
-        # parallel knobs follow the command line, as for a cold start.
-        state.config = replace(
-            state.config,
-            workers=args.workers,
-            shard_size=args.shard_size,
-            parallel_backend=args.parallel_backend,
-        )
+        # worker count follows the command line, as for a cold start.
+        state.config = replace(state.config, workers=args.workers)
         _log.info(
             "resumed alignment state (model settings come from the snapshot)",
             version=state.version,
@@ -478,18 +468,13 @@ def cmd_replica(args: argparse.Namespace) -> int:
     from .service.replica import ReplicaNode
     from .service.server import build_server
 
-    overrides = {
-        "workers": args.workers,
-        "shard_size": args.shard_size,
-        "parallel_backend": args.parallel_backend,
-    }
     replica = ReplicaNode(
         args.source,
         state_dir=args.state_dir,
         poll_interval=args.poll_ms / 1000.0,
         batch=args.replica_batch,
         snapshot_every=args.snapshot_every,
-        config_overrides=overrides,
+        config_overrides={"workers": args.workers},
     )
     _log.info(
         "replica bootstrapped",
@@ -992,18 +977,13 @@ def cmd_wal_compact(args: argparse.Namespace) -> int:
 
 
 def add_parallel_options(subparser: argparse.ArgumentParser) -> None:
-    """Knobs of the sharded instance-pass engine (repro.core.parallel).
+    """``--workers``: size of the fork-once worker pool (repro.core.parallel).
 
-    The engine guarantees scores equal to the sequential path, so these
-    only trade wall-clock for processes/threads.
+    Pooled passes are bit-identical to the sequential ones, so the flag
+    only trades wall-clock for processes.
     """
     subparser.add_argument("--workers", type=int, default=1,
-                           help="instance-pass workers (default 1: sequential)")
-    subparser.add_argument("--shard-size", type=int, default=None,
-                           help="instances per shard (default: derived)")
-    subparser.add_argument("--parallel-backend", choices=list(BACKENDS),
-                           default="process",
-                           help="executor backend for --workers > 1")
+                           help="pass worker processes (default 1: sequential)")
 
 
 def build_parser() -> argparse.ArgumentParser:

@@ -13,15 +13,15 @@ Convergence is declared when fewer than ``convergence_threshold`` of
 the instances change their maximal assignment (Section 6.1).  After the
 fixpoint, class inclusions are computed once (Eq. 17, Section 4.3).
 
-Both passes can run sharded across workers (``ParisConfig.workers`` /
-``shard_size`` / ``parallel_backend``), mirroring the paper's "in
-parallel on all available processors" (Section 5.1/6.2).  The parallel
-engine (:mod:`repro.core.parallel`) guarantees scores equal to the
-sequential passes: instances (and relations) are scored independently
-against frozen previous-iteration views and merged in deterministic
-shard order, and ``workers=1`` short-circuits to the bit-identical
-sequential code paths.  The guarantee is enforced by
-``tests/test_parallel.py`` and ``tests/test_parallel_properties.py``.
+With ``ParisConfig.workers >= 2`` every pass runs on the persistent
+fork-once worker pool (:mod:`repro.core.parallel`), mirroring the
+paper's "in parallel on all available processors" (Section 5.1/6.2).
+Rows are scored independently against frozen previous-iteration views
+and merged in task order, so pooled scores are bit-identical to the
+sequential passes.  Passes the pool does not cover run sequentially:
+negative evidence, ``scoring="dict"`` and platforms without ``fork``.
+The guarantee is enforced by ``tests/test_parallel.py``,
+``tests/test_parallel_properties.py`` and ``tests/test_vectorized.py``.
 
 Incremental service mode
 ------------------------
@@ -48,7 +48,7 @@ from ..obs.trace import Span, root_span, span
 from ..rdf.ontology import Ontology
 from ..rdf.terms import Node, Relation, Resource
 from .config import ParisConfig
-from .equivalence import ordered_instances
+from .equivalence import instance_equivalence_pass, ordered_instances, score_instances
 from .functionality import FunctionalityOracle
 from .incremental import (
     IncrementalRelationPass,
@@ -57,19 +57,10 @@ from .incremental import (
 )
 from .literal_index import LiteralIndex
 from .matrix import SubsumptionMatrix
-from .parallel import (
-    SHARDS_PER_WORKER,
-    WorkerPool,
-    even_ranges,
-    parallel_instance_equivalence_pass,
-    parallel_score_instances,
-    parallel_subclass_pass,
-    parallel_subrelation_pass,
-)
+from .parallel import SHARDS_PER_WORKER, WorkerPool, even_ranges, parallel_subrelation_pass
 from .result import AlignmentResult, IterationSnapshot
 from .store import EquivalenceStore
 from .subclasses import IncrementalClassPass, subclass_pass
-from .subrelations import apply_relation_scores
 from .vectorized import HAVE_NUMPY, VectorizedKernel
 from .view import EquivalenceView
 
@@ -191,13 +182,13 @@ class ParisAligner:
     def _ensure_pool(self, kernel: VectorizedKernel) -> Optional[WorkerPool]:
         """The persistent pool for this run, forked against ``kernel``.
 
-        Returns ``None`` when the configuration does not call for
-        process parallelism (or ``fork`` is unavailable); an existing
+        Returns ``None`` for ``workers < 2`` or without ``fork``
+        (the passes then run sequentially); an existing
         pool is reused only while its fork image matches the kernel's
         ontology versions — anything staler is closed and re-forked.
         """
         config = self.config
-        if config.workers < 2 or config.parallel_backend != "process":
+        if config.workers < 2:
             return None
         import multiprocessing
 
@@ -214,6 +205,18 @@ class ParisAligner:
         )
         self._pool = pool
         return pool
+
+    def _live_pool(self) -> Tuple[Optional[VectorizedKernel], Optional[WorkerPool]]:
+        """``(kernel, pool)`` for a relation or class pass.
+
+        Those passes reuse a fresh kernel but never build one, so the
+        pool (``None`` when there is none) runs only after an instance
+        pass built the kernel for the current ontology versions.
+        """
+        kernel = self._kernel
+        if kernel is None or not kernel.fresh():
+            return None, None
+        return kernel, self._ensure_pool(kernel)
 
     def _close_pool(self) -> None:
         pool = self._pool
@@ -250,15 +253,15 @@ class ParisAligner:
 
         With the vectorized kernel available the scores come from
         :meth:`VectorizedKernel.score_ids` — in-process, or sharded
-        over the persistent pool for ``workers > 1`` with the process
-        backend.  Both fill the store in the sequential emission order,
-        so every route is bit-identical to the dict reference pass
-        (which remains the fallback).
+        over the persistent pool for ``workers > 1``.  Both fill the
+        store in the sequential emission order, so every route is
+        bit-identical to the dict reference pass (which remains the
+        fallback).
         """
         config = self.config
         kernel = self._kernel_for()
         if kernel is None:
-            return parallel_instance_equivalence_pass(
+            return instance_equivalence_pass(
                 self.ontology1,
                 self.ontology2,
                 view,
@@ -266,11 +269,8 @@ class ParisAligner:
                 self.fun2,
                 rel12,
                 rel21,
-                truncation_threshold=config.theta,
-                use_negative_evidence=config.use_negative_evidence,
-                workers=config.workers,
-                shard_size=config.shard_size,
-                backend=config.parallel_backend,
+                config.theta,
+                config.use_negative_evidence,
             )
         with span("kernel.prepare"):
             prepared = kernel.prepare_pass(view.store, rel12, rel21)
@@ -305,40 +305,14 @@ class ParisAligner:
     def _relation_pass(
         self, view: EquivalenceView, reverse: bool = False
     ) -> SubsumptionMatrix[Relation]:
-        """One direction of the relation pass, sharded like the
-        instance pass when ``config.workers > 1`` — over the persistent
-        pool when it is live (workers rebuild the view from shipped id
-        arrays instead of re-pickling the ontologies)."""
+        """One direction of the relation pass, over the persistent pool
+        when it is live (workers rebuild the view from shipped id arrays
+        instead of re-pickling the ontologies), sequential otherwise."""
         config = self.config
         first, second = (
             (self.ontology2, self.ontology1) if reverse else (self.ontology1, self.ontology2)
         )
-        kernel = self._kernel
-        if kernel is not None and kernel.fresh():
-            pool = self._ensure_pool(kernel)
-            if pool is not None:
-                lowered = kernel.lower_store(view.store)
-                if lowered is not None:
-                    relations = first.relations(include_inverses=True)
-                    matrix: SubsumptionMatrix[Relation] = SubsumptionMatrix()
-                    payload = {
-                        "kind": "relations",
-                        "store": lowered,
-                        "threshold": view.store.truncation_threshold,
-                        "reverse": reverse,
-                        "max_pairs": config.max_pairs_per_relation,
-                    }
-                    tasks = even_ranges(
-                        len(relations), config.workers * SHARDS_PER_WORKER
-                    )
-                    for scored in pool.run_pass(payload, tasks):
-                        apply_relation_scores(
-                            matrix,
-                            [(relations[index], row) for index, row in scored],
-                            config.theta,
-                            config.theta,
-                        )
-                    return matrix
+        kernel, pool = self._live_pool()
         return parallel_subrelation_pass(
             first,
             second,
@@ -347,55 +321,41 @@ class ParisAligner:
             max_pairs=config.max_pairs_per_relation,
             reverse=reverse,
             bootstrap_theta=config.theta,
-            workers=config.workers,
-            backend=config.parallel_backend,
+            pool=pool,
+            kernel=kernel,
         )
 
     def _class_pass(
         self, view: EquivalenceView, reverse: bool = False
     ) -> SubsumptionMatrix[Resource]:
-        """One direction of the Eq. 17 class pass, parallelized like
-        the other passes (pool for the process backend, sharded threads
-        otherwise).  Classes traverse in set order on every route, so
-        the matrix insertion order matches the sequential pass."""
+        """One direction of the Eq. 17 class pass, over the pool like
+        the relation pass.  Classes traverse in set order on both
+        routes, so the matrix insertion order matches the sequential
+        pass."""
         config = self.config
         theta = config.theta
         first, second = (
             (self.ontology2, self.ontology1) if reverse else (self.ontology1, self.ontology2)
         )
-        kernel = self._kernel
-        if kernel is not None and kernel.fresh() and config.workers > 1:
-            pool = self._ensure_pool(kernel)
-            if pool is not None:
-                lowered = kernel.lower_store(view.store)
-                if lowered is not None:
-                    classes = list(first.classes)
-                    matrix: SubsumptionMatrix[Resource] = SubsumptionMatrix()
-                    payload = {
-                        "kind": "classes",
-                        "store": lowered,
-                        "threshold": view.store.truncation_threshold,
-                        "reverse": reverse,
-                        "max_instances": config.max_pairs_per_relation,
-                    }
-                    tasks = even_ranges(len(classes), config.workers * SHARDS_PER_WORKER)
-                    for scored in pool.run_pass(payload, tasks):
-                        for cls, scores in scored:
-                            for cls2, score in scores.items():
-                                if score >= theta:
-                                    matrix.set(cls, cls2, score)
-                    return matrix
-        if config.workers > 1 and config.parallel_backend == "thread":
-            return parallel_subclass_pass(
-                first,
-                second,
-                view,
-                truncation_threshold=theta,
-                max_instances=config.max_pairs_per_relation,
-                reverse=reverse,
-                workers=config.workers,
-                shard_size=config.shard_size,
-            )
+        kernel, pool = self._live_pool()
+        lowered = kernel.lower_store(view.store) if pool is not None else None
+        if lowered is not None:
+            classes = list(first.classes)
+            matrix: SubsumptionMatrix[Resource] = SubsumptionMatrix()
+            payload = {
+                "kind": "classes",
+                "store": lowered,
+                "threshold": view.store.truncation_threshold,
+                "reverse": reverse,
+                "max_instances": config.max_pairs_per_relation,
+            }
+            tasks = even_ranges(len(classes), config.workers * SHARDS_PER_WORKER)
+            for scored in pool.run_pass(payload, tasks):
+                for cls, scores in scored:
+                    for cls2, score in scores.items():
+                        if score >= theta:
+                            matrix.set(cls, cls2, score)
+            return matrix
         return subclass_pass(
             first,
             second,
@@ -416,12 +376,13 @@ class ParisAligner:
 
         Routes to the kernel when it is fresh (or worth rebuilding),
         through the pool only for frontiers big enough to amortize the
-        fork; the dict path covers everything else bit-identically.
+        fork; the sequential dict path covers everything else
+        bit-identically.
         """
         config = self.config
         kernel = self._warm_kernel(len(ordered_dirty))
         if kernel is None:
-            return parallel_score_instances(
+            return score_instances(
                 ordered_dirty,
                 self.ontology1,
                 self.ontology2,
@@ -432,9 +393,6 @@ class ParisAligner:
                 rel21,
                 config.theta,
                 config.use_negative_evidence,
-                workers=config.workers,
-                shard_size=config.shard_size,
-                backend=config.parallel_backend,
             )
         with span("kernel.prepare"):
             prepared = kernel.prepare_pass(view.store, rel12, rel21)

@@ -6,13 +6,15 @@ tuning parameters**: the only knobs are the bootstrap/truncation value
 similarity function (application-dependent; the identity function is
 the paper's default and works well).  Everything else in this class
 exposes the fixed implementation choices of Section 5 so that the
-Section 6.3 / Appendix A ablations can toggle them.
+Section 6.3 / Appendix A ablations can toggle them, plus two engine
+knobs that trade speed but never change a score: ``workers`` (the
+sequential passes or the fork-once worker pool) and ``scoring`` (the
+dict reference or the vectorized kernel).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Optional
 
 from ..literals import IdentitySimilarity, LiteralSimilarity
 from .functionality import FunctionalityDefinition
@@ -82,20 +84,14 @@ class ParisConfig:
         per-iteration evaluation (costs memory proportional to the
         number of matched instances per iteration).
     workers:
-        Worker count for the instance pass (Section 5.1 runs it "in
-        parallel on all available processors").  ``1`` (default) keeps
-        the bit-identical sequential path; larger values shard the
-        instances across workers via :mod:`repro.core.parallel`, with
-        scores guaranteed equal to the sequential engine (see that
-        module's docstring for the exactness guarantee).
-    shard_size:
-        Instances per shard for the parallel engine; ``None`` derives a
-        size from the worker count.  Setting it with ``workers=1``
-        exercises the shard/merge pipeline in-process.
-    parallel_backend:
-        ``"process"`` (default; real multi-core speedup through the
-        persistent fork-once worker pool) or ``"thread"`` (shared
-        memory, GIL-bound — useful for testing and small inputs).
+        Worker processes for the passes (Section 5.1 runs them "in
+        parallel on all available processors").  ``1`` (default) runs
+        the sequential passes; larger values run every pass the
+        vectorized kernel covers on the persistent fork-once worker
+        pool of :mod:`repro.core.parallel`, with scores bit-identical
+        to the sequential passes.  Negative evidence,
+        ``scoring="dict"`` and platforms without ``fork`` run
+        sequentially whatever the worker count.
     scoring:
         Which Eq. 13 scoring engine the aligner uses.  ``"auto"``
         (default) picks the interned-ID vectorized kernel
@@ -145,8 +141,6 @@ class ParisConfig:
     detect_cycles: bool = True
     keep_snapshots: bool = True
     workers: int = 1
-    shard_size: Optional[int] = None
-    parallel_backend: str = "process"
     scoring: str = "auto"
     score_stationarity: bool = False
     warm_tolerance: float = 1e-12
@@ -155,7 +149,6 @@ class ParisConfig:
 
     def __post_init__(self) -> None:
         self.validate()
-
     def validate(self) -> None:
         """Raise ``ValueError`` on out-of-range settings."""
         if not 0.0 < self.theta < 1.0:
@@ -176,8 +169,6 @@ class ParisConfig:
             raise TypeError("functionality must be a FunctionalityDefinition")
         if self.workers < 1:
             raise ValueError(f"workers must be >= 1, got {self.workers}")
-        if self.shard_size is not None and self.shard_size < 1:
-            raise ValueError(f"shard_size must be >= 1, got {self.shard_size}")
         if not 0.0 <= self.warm_tolerance < 1.0:
             raise ValueError(f"warm_tolerance must be in [0, 1), got {self.warm_tolerance}")
         if not 0.0 < self.warm_full_pass_fraction <= 1.0:
@@ -187,13 +178,6 @@ class ParisConfig:
             )
         if self.warm_max_iterations < 1:
             raise ValueError("warm_max_iterations must be >= 1")
-        from .parallel import BACKENDS
-
-        if self.parallel_backend not in BACKENDS:
-            raise ValueError(
-                f"parallel_backend must be one of {BACKENDS}, "
-                f"got {self.parallel_backend!r}"
-            )
         if self.scoring not in SCORING_MODES:
             raise ValueError(
                 f"scoring must be one of {SCORING_MODES}, got {self.scoring!r}"

@@ -31,11 +31,11 @@ _MIN_FACTOR = 1e-12
 def ordered_instances(instances: Iterable[Resource]) -> List[Resource]:
     """Instances in the canonical traversal order (sorted by name).
 
-    Both the sequential pass and the parallel engine's partitioner MUST
-    use this one ordering: later-iteration passes accumulate floats over
-    store dict order, so bit-identity between sequential and sharded
-    runs holds only while they fill the store in the same insertion
-    order.
+    The sequential pass and the vectorized kernel (in process or over
+    the worker pool) MUST use this one ordering: later-iteration passes
+    accumulate floats over store dict order, so bit-identity between
+    the engines holds only while they fill the store in the same
+    insertion order.
     """
     return sorted(instances, key=lambda instance: instance.name)
 
@@ -136,14 +136,12 @@ def score_instances(
     truncation_threshold: float,
     use_negative_evidence: bool = False,
 ) -> List[Tuple[Resource, Resource, float]]:
-    """Score a batch of instances; the shard unit of the parallel engine.
+    """Score a batch of instances (a warm pass scores its frontier).
 
     Each instance's scores depend only on the frozen inputs (ontologies,
     previous-iteration view, functionalities, relation matrices), never
-    on other instances of the batch, so any partition of
-    ``ontology1.instances`` into batches yields the same entries — this
-    is what makes the sharded engine in :mod:`repro.core.parallel`
-    exactly equivalent to the sequential pass.
+    on other instances of the batch, so any subset of
+    ``ontology1.instances`` scores exactly as it would in a full pass.
     """
     entries: List[Tuple[Resource, Resource, float]] = []
     for x in instances:
@@ -176,11 +174,10 @@ def instance_equivalence_pass(
     side), so a single sweep fills the store for both directions.
     """
     store = EquivalenceStore(truncation_threshold)
-    # Canonical traversal order shared with the parallel partitioner
-    # (see ordered_instances).  One instance per batch streams entries
-    # into the store instead of materializing the whole pass result as
-    # one list (the shard-sized lists are for the parallel engine,
-    # which must ship them between workers anyway).
+    # Canonical traversal order shared with the kernel (see
+    # ordered_instances).  One instance per batch streams entries into
+    # the store instead of materializing the whole pass result as one
+    # list.
     for x in ordered_instances(ontology1.instances):
         store.update(
             score_instances(

@@ -1,17 +1,18 @@
-"""Sharded parallel engines for the PARIS passes (Section 5.1).
+"""Process parallelism for the PARIS passes (Section 5.1).
 
-Two engines exploit the passes' iteration-level independence: the
-per-pass executor functions (reference implementation; deterministic
-contiguous shards on a thread/process executor) and the persistent
-fork-once :class:`WorkerPool` (production; copy-on-write inheritance,
-``(lo, hi)`` task ranges, compact score arrays — nothing re-pickles
-an ontology).  Sequential and parallel runs fill the store in the
-same insertion order, so results are bit-identical; the pool refuses
-to run without ``fork``.  The full design rationale and the
-bit-identity argument live in ``docs/architecture.md`` (section "The
-core: one pass, three engines"); the guarantee is enforced by
-``tests/test_parallel.py`` / ``tests/test_parallel_properties.py`` /
-``tests/test_vectorized.py``.
+Every pass has two routes.  The sequential reference code — the dict
+passes, or the in-process vectorized kernel for Eq. 13 — runs by
+default.  With ``ParisConfig.workers >= 2`` on a platform that can
+``fork``, the persistent fork-once :class:`WorkerPool` runs the pass
+instead: workers inherit the ontologies and the kernel through
+copy-on-write memory, tasks are bare ``(lo, hi)`` index ranges and
+results come back as compact score arrays, so nothing re-pickles an
+ontology.  Pooled results merge in task order, which fills the store
+in the sequential insertion order, so both routes are bit-identical.
+The design rationale and the bit-identity argument live in
+``docs/architecture.md`` (section "The core: one pass, three
+engines"); the guarantee is enforced by ``tests/test_parallel.py`` /
+``tests/test_parallel_properties.py`` / ``tests/test_vectorized.py``.
 """
 
 from __future__ import annotations
@@ -20,266 +21,20 @@ import math
 import multiprocessing
 import queue as queue_module
 import traceback
-from concurrent.futures import ProcessPoolExecutor, ThreadPoolExecutor
-from typing import Iterable, List, Optional, Sequence, Tuple, TypeVar
+from typing import List, Optional, Sequence, Tuple
 
 from ..rdf.ontology import Ontology
-from ..rdf.terms import Relation, Resource
-from .equivalence import (
-    instance_equivalence_pass,
-    ordered_instances,
-    score_instances,
-)
-from .functionality import FunctionalityOracle
+from ..rdf.terms import Relation
 from .matrix import SubsumptionMatrix
-from .store import EquivalenceStore
-from .subclasses import closed_classes_of, score_classes, subclass_pass
-from .subrelations import apply_relation_scores, score_relations, subrelation_pass
+from .subclasses import closed_classes_of, score_classes
+from .subrelations import apply_relation_scores, subrelation_pass
+from .vectorized import VectorizedKernel
 from .view import EquivalenceView
 
-T = TypeVar("T")
-
-#: Executor backends selectable via ``ParisConfig.parallel_backend``.
-BACKENDS = ("thread", "process")
-
-#: Default shards per worker.  Several small shards per worker smooth
-#: out skew (a shard of hub instances with many statements costs more
-#: than one of leaves) without drowning the pass in task overhead.
+#: Pool tasks per worker.  Several small tasks per worker smooth out
+#: skew (a range of hub instances with many statements costs more than
+#: one of leaves) without drowning the pass in task overhead.
 SHARDS_PER_WORKER = 4
-
-#: One shard's scores: ``(x, x', Pr(x ≡ x'))`` tuples in scoring order.
-ShardEntries = List[Tuple[Resource, Resource, float]]
-
-
-def partition_ordered(
-    items: Sequence[T],
-    workers: int,
-    shard_size: Optional[int] = None,
-) -> List[List[T]]:
-    """Cut an already-ordered sequence into contiguous shards.
-
-    The order-preserving core of :func:`partition_instances`, reused by
-    the relation pass (whose canonical order is the ontology's relation
-    registration order, not a sort) and by the warm-start fixpoint
-    (whose dirty frontier is pre-sorted).
-    """
-    if workers < 1:
-        raise ValueError(f"workers must be >= 1, got {workers}")
-    if shard_size is not None and shard_size < 1:
-        raise ValueError(f"shard_size must be >= 1, got {shard_size}")
-    if not items:
-        return []
-    if shard_size is None:
-        shard_size = math.ceil(len(items) / (workers * SHARDS_PER_WORKER))
-    return [list(items[i : i + shard_size]) for i in range(0, len(items), shard_size)]
-
-
-def partition_instances(
-    instances: Iterable[Resource],
-    workers: int,
-    shard_size: Optional[int] = None,
-) -> List[List[Resource]]:
-    """Cut ``instances`` into deterministic contiguous shards.
-
-    Instances are put in the canonical sorted order first (the same
-    :func:`ordered_instances` traversal the sequential pass uses), so
-    the same input set always produces the same shards in the same
-    order — the anchor of the engine's determinism guarantee.
-
-    Parameters
-    ----------
-    instances:
-        The instances of the first ontology (any iterable; typically a
-        set).
-    workers:
-        Intended worker count; used to derive a default shard size of
-        ``ceil(n / (workers * SHARDS_PER_WORKER))``.
-    shard_size:
-        Explicit shard size; overrides the derived default.
-    """
-    return partition_ordered(ordered_instances(instances), workers, shard_size)
-
-
-# ----------------------------------------------------------------------
-# worker plumbing
-# ----------------------------------------------------------------------
-
-#: Frozen per-pass state, installed once per process worker by the
-#: executor initializer so shard tasks only ship the shard itself.
-_WORKER_STATE: Optional[tuple] = None
-
-
-def _init_worker(state: tuple) -> None:
-    global _WORKER_STATE
-    _WORKER_STATE = state
-
-
-def _score_shard(shard: List[Resource]) -> ShardEntries:
-    assert _WORKER_STATE is not None, "worker initializer did not run"
-    return score_instances(shard, *_WORKER_STATE)
-
-
-def _score_relation_shard(shard: List[Relation]):
-    assert _WORKER_STATE is not None, "worker initializer did not run"
-    return score_relations(shard, *_WORKER_STATE)
-
-
-def _process_context():
-    """Prefer ``fork``: workers inherit the parent's hash seed, keeping
-    set-iteration (and hence float-accumulation) order identical to the
-    sequential pass."""
-    if "fork" in multiprocessing.get_all_start_methods():
-        return multiprocessing.get_context("fork")
-    return multiprocessing.get_context()
-
-
-# ----------------------------------------------------------------------
-# the parallel pass
-# ----------------------------------------------------------------------
-
-
-def parallel_instance_equivalence_pass(
-    ontology1: Ontology,
-    ontology2: Ontology,
-    view: EquivalenceView,
-    fun1: FunctionalityOracle,
-    fun2: FunctionalityOracle,
-    rel12: SubsumptionMatrix[Relation],
-    rel21: SubsumptionMatrix[Relation],
-    truncation_threshold: float,
-    use_negative_evidence: bool = False,
-    workers: int = 1,
-    shard_size: Optional[int] = None,
-    backend: str = "process",
-) -> EquivalenceStore:
-    """Sharded, parallel drop-in for :func:`instance_equivalence_pass`.
-
-    Parameters beyond the sequential pass:
-
-    workers:
-        Worker count.  ``1`` with the default shard size falls back to
-        the sequential pass (bit-identical by construction); ``1`` with
-        an explicit ``shard_size`` runs the shard/merge pipeline
-        in-process, which exercises merge determinism without an
-        executor.
-    shard_size:
-        Instances per shard (default: spread over
-        ``workers * SHARDS_PER_WORKER`` shards).
-    backend:
-        ``"process"`` (default) or ``"thread"``.  See the module
-        docstring for the exactness/throughput trade-off.
-    """
-    if backend not in BACKENDS:
-        raise ValueError(f"backend must be one of {BACKENDS}, got {backend!r}")
-    if workers < 1:
-        raise ValueError(f"workers must be >= 1, got {workers}")
-    common = (
-        ontology1,
-        ontology2,
-        view,
-        fun1,
-        fun2,
-        rel12,
-        rel21,
-        truncation_threshold,
-        use_negative_evidence,
-    )
-    if workers == 1 and shard_size is None:
-        return instance_equivalence_pass(*common)
-    shards = partition_instances(ontology1.instances, workers, shard_size)
-    store = EquivalenceStore(truncation_threshold)
-    if not shards:
-        return store
-    if workers == 1:
-        for shard in shards:
-            store.update(score_instances(shard, *common))
-        return store
-    if backend == "thread":
-        with ThreadPoolExecutor(max_workers=workers) as executor:
-            # executor.map preserves shard order however workers finish.
-            for entries in executor.map(
-                lambda shard: score_instances(shard, *common), shards
-            ):
-                store.update(entries)
-        return store
-    with ProcessPoolExecutor(
-        max_workers=workers,
-        mp_context=_process_context(),
-        initializer=_init_worker,
-        initargs=(common,),
-    ) as executor:
-        for entries in executor.map(_score_shard, shards):
-            store.update(entries)
-    return store
-
-
-# ----------------------------------------------------------------------
-# scored subsets (warm-start fixpoint)
-# ----------------------------------------------------------------------
-
-
-def parallel_score_instances(
-    instances: Sequence[Resource],
-    ontology1: Ontology,
-    ontology2: Ontology,
-    view: EquivalenceView,
-    fun1: FunctionalityOracle,
-    fun2: FunctionalityOracle,
-    rel12: SubsumptionMatrix[Relation],
-    rel21: SubsumptionMatrix[Relation],
-    truncation_threshold: float,
-    use_negative_evidence: bool = False,
-    workers: int = 1,
-    shard_size: Optional[int] = None,
-    backend: str = "process",
-) -> ShardEntries:
-    """Score an explicit (pre-ordered) instance subset, possibly sharded.
-
-    The warm-start fixpoint re-scores only its dirty frontier per pass;
-    this routes that subset through the same shard executor as the full
-    pass, so warm passes are parallel and deterministic too (entries
-    come back concatenated in shard order, i.e. input order).
-    """
-    if backend not in BACKENDS:
-        raise ValueError(f"backend must be one of {BACKENDS}, got {backend!r}")
-    common = (
-        ontology1,
-        ontology2,
-        view,
-        fun1,
-        fun2,
-        rel12,
-        rel21,
-        truncation_threshold,
-        use_negative_evidence,
-    )
-    if workers == 1:
-        return score_instances(instances, *common)
-    shards = partition_ordered(instances, workers, shard_size)
-    entries: ShardEntries = []
-    if not shards:
-        return entries
-    if backend == "thread":
-        with ThreadPoolExecutor(max_workers=workers) as executor:
-            for shard_entries in executor.map(
-                lambda shard: score_instances(shard, *common), shards
-            ):
-                entries.extend(shard_entries)
-        return entries
-    with ProcessPoolExecutor(
-        max_workers=workers,
-        mp_context=_process_context(),
-        initializer=_init_worker,
-        initargs=(common,),
-    ) as executor:
-        for shard_entries in executor.map(_score_shard, shards):
-            entries.extend(shard_entries)
-    return entries
-
-
-# ----------------------------------------------------------------------
-# the parallel relation pass
-# ----------------------------------------------------------------------
 
 
 def parallel_subrelation_pass(
@@ -290,25 +45,22 @@ def parallel_subrelation_pass(
     max_pairs: int,
     reverse: bool = False,
     bootstrap_theta: float = 0.0,
-    workers: int = 1,
-    shard_size: Optional[int] = None,
-    backend: str = "process",
+    pool: Optional["WorkerPool"] = None,
+    kernel: Optional[VectorizedKernel] = None,
 ) -> SubsumptionMatrix[Relation]:
-    """Sharded, parallel drop-in for :func:`.subrelations.subrelation_pass`.
+    """One direction of the Eq. 12 relation pass, over ``pool`` when given.
 
-    The same determinism recipe as the instance pass: each relation's
-    row is computed independently against the frozen view by the exact
-    sequential code (:func:`.subrelations.score_relations`), shards cut
-    the relation list *in its canonical order* (the ontology's relation
-    registration order, which is what the sequential pass traverses),
-    and rows merge in shard order — so any worker count/backend fills
-    the matrix in the same insertion order as ``workers=1``.
+    ``pool`` must have been forked against ``kernel``, the vectorized
+    kernel that lowers ``view.store`` to the id arrays the workers
+    rebuild their view from.  Each worker scores relation rows with the
+    exact sequential code, and rows merge in relation registration
+    order (the order :func:`.subrelations.subrelation_pass` traverses),
+    so the matrix fills in the same insertion order as the sequential
+    pass, which runs whenever there is no pool or the store cannot be
+    lowered.
     """
-    if backend not in BACKENDS:
-        raise ValueError(f"backend must be one of {BACKENDS}, got {backend!r}")
-    if workers < 1:
-        raise ValueError(f"workers must be >= 1, got {workers}")
-    if workers == 1 and shard_size is None:
+    lowered = kernel.lower_store(view.store) if pool is not None else None
+    if lowered is None:
         return subrelation_pass(
             ontology1,
             ontology2,
@@ -320,96 +72,21 @@ def parallel_subrelation_pass(
         )
     relations = ontology1.relations(include_inverses=True)
     matrix: SubsumptionMatrix[Relation] = SubsumptionMatrix()
-    shards = partition_ordered(relations, workers, shard_size)
-    if not shards:
-        return matrix
-    common = (ontology1, ontology2, view, max_pairs, reverse)
-    if workers == 1:
-        for shard in shards:
-            apply_relation_scores(
-                matrix,
-                score_relations(shard, *common),
-                truncation_threshold,
-                bootstrap_theta,
-            )
-        return matrix
-    if backend == "thread":
-        with ThreadPoolExecutor(max_workers=workers) as executor:
-            for scored in executor.map(
-                lambda shard: score_relations(shard, *common), shards
-            ):
-                apply_relation_scores(matrix, scored, truncation_threshold, bootstrap_theta)
-        return matrix
-    with ProcessPoolExecutor(
-        max_workers=workers,
-        mp_context=_process_context(),
-        initializer=_init_worker,
-        initargs=(common,),
-    ) as executor:
-        for scored in executor.map(_score_relation_shard, shards):
-            apply_relation_scores(matrix, scored, truncation_threshold, bootstrap_theta)
-    return matrix
-
-
-# ----------------------------------------------------------------------
-# the parallel class pass
-# ----------------------------------------------------------------------
-
-
-def parallel_subclass_pass(
-    ontology1: Ontology,
-    ontology2: Ontology,
-    view: EquivalenceView,
-    truncation_threshold: float,
-    max_instances: int,
-    reverse: bool = False,
-    workers: int = 1,
-    shard_size: Optional[int] = None,
-    backend: str = "thread",
-) -> SubsumptionMatrix[Resource]:
-    """Sharded drop-in for :func:`.subclasses.subclass_pass` (Eq. 17).
-
-    Classes shard in the *set iteration order* the sequential pass
-    traverses (``ontology1.classes`` — deliberately not sorted, so the
-    matrix fills in the same insertion order and probability ties in
-    downstream reports keep breaking identically), rows merge in shard
-    order.  Only the ``thread`` backend is offered: the process analogue
-    lives on the persistent :class:`WorkerPool`, where workers inherit
-    the class closure inputs by fork instead of pickling them per pass.
-    """
-    if backend != "thread":
-        raise ValueError(f"backend must be 'thread', got {backend!r}")
-    if workers < 1:
-        raise ValueError(f"workers must be >= 1, got {workers}")
-    if workers == 1 and shard_size is None:
-        return subclass_pass(
-            ontology1,
-            ontology2,
-            view,
+    payload = {
+        "kind": "relations",
+        "store": lowered,
+        "threshold": view.store.truncation_threshold,
+        "reverse": reverse,
+        "max_pairs": max_pairs,
+    }
+    tasks = even_ranges(len(relations), pool.workers * SHARDS_PER_WORKER)
+    for scored in pool.run_pass(payload, tasks):
+        apply_relation_scores(
+            matrix,
+            [(relations[index], row) for index, row in scored],
             truncation_threshold,
-            max_instances,
-            reverse=reverse,
+            bootstrap_theta,
         )
-    matrix: SubsumptionMatrix[Resource] = SubsumptionMatrix()
-    shards = partition_ordered(list(ontology1.classes), workers, shard_size)
-    if not shards:
-        return matrix
-    classes_of_right = closed_classes_of(ontology2)
-    common = (ontology1, view, classes_of_right, max_instances, reverse)
-
-    def apply(scored) -> None:
-        for cls, scores in scored:
-            for cls2, score in scores.items():
-                if score >= truncation_threshold:
-                    matrix.set(cls, cls2, score)
-
-    if workers == 1:
-        for shard in shards:
-            apply(score_classes(shard, *common))
-        return matrix
-    with ThreadPoolExecutor(max_workers=workers) as executor:
-        for scored in executor.map(lambda shard: score_classes(shard, *common), shards):
-            apply(scored)
     return matrix
 
 

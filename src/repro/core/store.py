@@ -9,7 +9,7 @@ probabilities, truncated at ``θ``, in both directions.
 The *maximal assignment* (Section 4.2) maps each instance to the single
 equivalent with the highest score; exact ties break deterministically
 on the counterpart name, so the assignment never depends on insertion
-order (in particular not on the parallel engine's shard-merge order).
+order (in particular not on the worker pool's task-merge order).
 
 Copy-on-write overlays
 ----------------------
@@ -139,8 +139,8 @@ class EquivalenceStore:
     def update(self, entries: Iterable[Tuple[Resource, Resource, float]]) -> None:
         """Bulk-:meth:`set` ``(left, right, probability)`` entries in order.
 
-        This is the merge step of the sharded parallel engine
-        (:mod:`repro.core.parallel`): shard results are applied in shard
+        This is the merge step of the worker pool
+        (:mod:`repro.core.parallel`): task results are applied in task
         order, so the stored values — and therefore the maximal
         assignment, whose exact ties additionally break on the
         counterpart name — do not depend on worker scheduling.

@@ -78,7 +78,7 @@ class Resource(Term):
     def __reduce__(self):
         # Slotted immutables reject the default __setstate__; rebuild
         # through the constructor so terms can cross process boundaries
-        # (the sharded parallel engine ships them to worker processes).
+        # (worker-pool relation and class tasks return them to the parent).
         return (Resource, (self.name,))
 
     def __eq__(self, other: object) -> bool:

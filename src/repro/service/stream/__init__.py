@@ -58,7 +58,14 @@ from .sources import (
     decode_stream_line,
     make_source,
 )
-from .wal import WalCorruptionError, WalGapError, WalRecord, WriteAheadLog, replay_wal
+from .wal import (
+    WalCorruptionError,
+    WalFailedError,
+    WalGapError,
+    WalRecord,
+    WriteAheadLog,
+    replay_wal,
+)
 
 
 @dataclass
@@ -104,6 +111,7 @@ __all__ = [
     "make_source",
     "StreamStack",
     "WalCorruptionError",
+    "WalFailedError",
     "WalGapError",
     "WalRecord",
     "WriteAheadLog",

@@ -71,6 +71,17 @@ their records, and a single fsync makes the whole group durable.  The
 per-delta semantics are unchanged (no append is acknowledged before an
 fsync covered it); only the fsync *count* is amortized.
 
+The first flush or fsync error *latches* the log as failed: the call
+that hit it raises the ``OSError``, and every later :meth:`append`,
+:meth:`sync` and rotation raises :class:`WalFailedError` without
+touching the file again; :attr:`durable_offset` stays where the last
+successful fsync left it.  Retrying instead would be unsafe: on Linux
+a failed fsync may drop the dirty pages and a retried one report
+success for data that never reached the disk (PostgreSQL's 2018
+"fsyncgate"), so a later writer could be acknowledged for records that
+are not durable.  Recovery is a restart, which replays exactly what
+the disk holds.
+
 A *torn* trailing record (crash mid-append) is detected on open and
 truncated away — its delta was never acknowledged, so dropping it is
 correct; torn tails can only occur in the active segment, because
@@ -143,6 +154,11 @@ FSYNC_SECONDS = REGISTRY.histogram(
 
 class WalCorruptionError(ValueError):
     """A WAL record before the tail cannot be decoded."""
+
+
+class WalFailedError(RuntimeError):
+    """An earlier flush or fsync of this log failed; the log refuses all
+    further writes (see "Durability contract" in the module docstring)."""
 
 
 class WalGapError(ValueError):
@@ -284,6 +300,8 @@ class WriteAheadLog:
         self._syncing = False
         self._sync_waiters = 0
         self.fsyncs = 0
+        #: The flush/fsync error that latched this log as failed.
+        self._failure: Optional[OSError] = None
         #: Optional :class:`repro.obs.provenance.ProvenanceRing` — when
         #: set (the serving stack wires the engine's ring in), every
         #: fsync stamps ``durable`` on the offsets it covered.
@@ -597,6 +615,7 @@ class WriteAheadLog:
         if self.read_only:
             raise RuntimeError(f"{self.path} was opened read-only")
         with self._write_lock:
+            self._raise_if_failed()
             if (
                 self.segment_bytes
                 and self._active_bytes >= self.segment_bytes
@@ -648,6 +667,7 @@ class WriteAheadLog:
         try:
             while True:
                 with self._commit:
+                    self._raise_if_failed()
                     if self._durable_offset >= offset:
                         return
                     if self._syncing:
@@ -662,13 +682,11 @@ class WriteAheadLog:
                         # buffer their records so one fsync covers all.
                         time.sleep(self.group_commit)
                     with self._write_lock:
+                        self._raise_if_failed()
                         target = self._offset
                         if self._stream is not None:
                             fsync_started = time.perf_counter()
-                            self._stream.flush()
-                            os.fsync(self._stream.fileno())
-                            self.fsyncs += 1
-                            WAL_FSYNCS.inc()
+                            self._flush_and_fsync()
                             FSYNC_SECONDS.observe(time.perf_counter() - fsync_started)
                         # Only reached when the fsync (if any was
                         # needed) succeeded; a stream-less log has
@@ -689,14 +707,34 @@ class WriteAheadLog:
             with self._commit:
                 self._sync_waiters -= 1
 
+    def _raise_if_failed(self) -> None:
+        failure = self._failure
+        if failure is not None:
+            raise WalFailedError(
+                f"{self.path} refuses writes after a failed flush/fsync "
+                f"({failure}); restart to recover from what is on disk"
+            ) from failure
+
+    def _flush_and_fsync(self) -> None:
+        """Flush and fsync the active segment; the first error latches
+        the log as failed (never retried).  Caller holds ``_write_lock``."""
+        try:
+            self._stream.flush()
+            os.fsync(self._stream.fileno())
+        except OSError as error:
+            self._failure = error
+            _log.error(
+                "wal flush/fsync failed; log latched", path=str(self.path), error=repr(error)
+            )
+            raise
+        self.fsyncs += 1
+        WAL_FSYNCS.inc()
+
     def _rotate_locked(self) -> None:
         """Seal the active segment (fsync, rename) and start a new one.
         Caller holds ``_write_lock``."""
         if self._stream is not None:
-            self._stream.flush()
-            os.fsync(self._stream.fileno())
-            self.fsyncs += 1
-            WAL_FSYNCS.inc()
+            self._flush_and_fsync()
             self._stream.close()
             self._stream = None
         sealed = self._sealed_name(self._active_base)
@@ -877,11 +915,17 @@ class WriteAheadLog:
     def close(self) -> None:
         if self._stream is not None:
             with self._write_lock:
+                if self._stream is not None and self._failure is not None:
+                    # Nothing after the failure can be made durable;
+                    # release the handle without another fsync.
+                    try:
+                        self._stream.close()
+                    except OSError:
+                        pass
+                    self._stream = None
+                    return
                 if self._stream is not None:
-                    self._stream.flush()
-                    os.fsync(self._stream.fileno())
-                    self.fsyncs += 1
-                    WAL_FSYNCS.inc()
+                    self._flush_and_fsync()
                     self._stream.close()
                     self._stream = None
                     self._publish_durable(self._offset)

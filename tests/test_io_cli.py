@@ -119,11 +119,8 @@ class TestCli:
         assert back.read_text()
 
     def test_workers_flag_output_byte_identical(self, nt_files, tmp_path, capsys):
-        """`align --workers 4` writes byte-identical output to `--workers 1`."""
-        import multiprocessing
-
-        if "fork" not in multiprocessing.get_all_start_methods():
-            pytest.skip("byte-identity of the process backend requires fork")
+        """`align --workers 4` writes byte-identical output to `--workers 1`
+        (without ``fork`` both run the sequential route)."""
         left, right = nt_files
         outputs = {}
         for workers in (1, 4):
@@ -142,17 +139,6 @@ class TestCli:
         for name, blob in outputs[1][0].items():
             assert outputs[4][0][name] == blob, f"{name} differs between 1/4 workers"
         assert outputs[1][1] == outputs[4][1]  # printed pairs identical too
-
-    def test_workers_flag_thread_backend(self, nt_files, tmp_path):
-        left, right = nt_files
-        out = tmp_path / "alignment-threads"
-        code = main([
-            "align", left, right, "--out", str(out),
-            "--workers", "2", "--parallel-backend", "thread",
-            "--shard-size", "1",
-        ])
-        assert code == 0
-        assert (out / "instances.tsv").read_text()
 
     def test_missing_file_errors(self, tmp_path):
         with pytest.raises(SystemExit):
@@ -188,24 +174,21 @@ class TestParallelOptionsWiring:
         from repro.cli import build_parser
 
         parser = build_parser()
-        args = parser.parse_args(
-            argv + ["--workers", "3", "--shard-size", "7", "--parallel-backend", "thread"]
-        )
+        args = parser.parse_args(argv + ["--workers", "3"])
         assert args.workers == 3
-        assert args.shard_size == 7
-        assert args.parallel_backend == "thread"
 
     def test_parallel_defaults_are_sequential(self):
         from repro.cli import build_parser
 
         args = build_parser().parse_args(["demo", "kb"])
         assert args.workers == 1
-        assert args.shard_size is None
-        assert args.parallel_backend == "process"
+        # The pool is the one parallel route: no shard or backend knobs.
+        for retired in ("--shard-size", "--parallel-backend"):
+            with pytest.raises(SystemExit):
+                build_parser().parse_args(["align", "l.nt", "r.nt", retired, "1"])
 
     def test_demo_runs_with_workers(self, capsys):
-        assert main(["demo", "person", "--workers", "2",
-                     "--parallel-backend", "thread"]) == 0
+        assert main(["demo", "person", "--workers", "2"]) == 0
         captured = capsys.readouterr()
         assert "instances:" in captured.out
 

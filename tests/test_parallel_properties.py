@@ -1,7 +1,7 @@
-"""Property-based equivalence tests for the parallel engine.
+"""Property-based equivalence tests for the worker-pool route.
 
-For randomly generated small ontology pairs, the sharded engine must
-produce scores equal to the sequential engine — within 1e-12, for
+For randomly generated small ontology pairs, the pooled passes must
+produce scores equal to the sequential passes — within 1e-12, for
 workers ∈ {1, 2, 4}, read through *both* directions of the store.
 Hypothesis drives a seeded-random ontology generator, so every failure
 shrinks to a reproducible seed.
@@ -15,12 +15,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro import OntologyBuilder, ParisConfig, align
+from repro import OntologyBuilder, ParisAligner, ParisConfig, align
 from repro.core.equivalence import instance_equivalence_pass
 from repro.core.functionality import FunctionalityOracle
 from repro.core.literal_index import LiteralIndex
 from repro.core.matrix import SubsumptionMatrix
-from repro.core.parallel import parallel_instance_equivalence_pass
 from repro.core.store import EquivalenceStore
 from repro.core.view import EquivalenceView
 from repro.literals import IdentitySimilarity
@@ -89,16 +88,24 @@ def assert_scores_close(parallel_store, sequential_store):
         assert abs(backward[left] - expected) <= TOLERANCE, (left, right)
 
 
+def pooled_instance_pass(inputs, workers):
+    """One instance pass through the aligner's routing (the pool for
+    ``workers >= 2``, the in-process kernel for ``workers=1``)."""
+    left, right, view, _fun1, _fun2, rel12, rel21, _theta = inputs
+    aligner = ParisAligner(left, right, ParisConfig(workers=workers))
+    try:
+        return aligner._instance_pass(view, rel12, rel21)
+    finally:
+        aligner.close()
+
+
 @given(seed=st.integers(min_value=0, max_value=10**9))
 @settings(max_examples=30, deadline=None)
 def test_random_ontologies_parallel_equals_sequential(seed):
     inputs = pass_inputs(random_pair(seed))
     sequential = instance_equivalence_pass(*inputs)
     for workers in (1, 2, 4):
-        parallel = parallel_instance_equivalence_pass(
-            *inputs, workers=workers, backend="thread"
-        )
-        assert_scores_close(parallel, sequential)
+        assert_scores_close(pooled_instance_pass(inputs, workers), sequential)
 
 
 @given(seed=st.integers(min_value=0, max_value=10**9))
@@ -106,11 +113,7 @@ def test_random_ontologies_parallel_equals_sequential(seed):
 def test_random_ontologies_full_align_equal(seed):
     left, right = random_pair(seed)
     sequential = align(left, right, ParisConfig(max_iterations=3))
-    parallel = align(
-        left,
-        right,
-        ParisConfig(max_iterations=3, workers=4, parallel_backend="thread"),
-    )
+    parallel = align(left, right, ParisConfig(max_iterations=3, workers=4))
     assert_scores_close(parallel.instances, sequential.instances)
     assert parallel.assignment12 == sequential.assignment12
     assert parallel.assignment21 == sequential.assignment21
@@ -118,10 +121,9 @@ def test_random_ontologies_full_align_equal(seed):
 
 @pytest.mark.parametrize("seed", [0, 7, 2011])
 def test_random_ontologies_process_backend(seed):
-    """A few seeds through real worker processes (slower than threads)."""
+    """Fixed seeds through the worker pool's processes, bit-exact: the
+    pooled store holds the sequential entries in the same order."""
     inputs = pass_inputs(random_pair(seed))
     sequential = instance_equivalence_pass(*inputs)
-    parallel = parallel_instance_equivalence_pass(
-        *inputs, workers=2, backend="process"
-    )
-    assert_scores_close(parallel, sequential)
+    pooled = pooled_instance_pass(inputs, workers=2)
+    assert list(pooled.items()) == list(sequential.items())

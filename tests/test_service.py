@@ -263,6 +263,33 @@ class TestStateStore:
         assert report.converged and report.version == 1
         assert resumed.pair("p4a", "q4a")["probability"] > 0.9
 
+    def test_snapshot_with_retired_engine_knobs_still_loads(self):
+        """Snapshots written while ``ParisConfig`` still had
+        ``shard_size``/``parallel_backend`` pickle those keys in the
+        config's ``__dict__``; they must load, resume, serve deltas and
+        survive the ``replace(config, workers=...)`` that resume and
+        replica bootstrap apply."""
+        import pickle
+        from dataclasses import replace
+
+        from repro.service.state import STATE_FORMAT, load_state_bytes
+
+        left, right = family_pair(4)
+        state = AlignmentService.cold_start(left, right, ParisConfig()).state
+        state.config.__dict__.update(shard_size=None, parallel_backend="process")
+        old_bytes = pickle.dumps({"format": STATE_FORMAT, "state": state})
+
+        loaded = load_state_bytes(old_bytes)
+        assert loaded.config.__dict__["parallel_backend"] == "process"
+        reconfigured = replace(loaded.config, workers=2)
+        assert reconfigured.workers == 2
+        assert "shard_size" not in reconfigured.__dict__
+        resumed = AlignmentService.from_state(loaded)
+        add1, add2 = family_addition(4, 1)
+        report = resumed.apply_delta(Delta(add1=tuple(add1), add2=tuple(add2)))
+        assert report.converged and report.version == 1
+        assert resumed.pair("p4a", "q4a")["probability"] > 0.9
+
     def test_resnapshot_same_version_is_atomic_replace(self, tmp_path):
         """The shutdown snapshot re-saves the current version over an
         existing file; it must go through write-then-rename so a crash

@@ -37,6 +37,7 @@ from repro.service.stream import (
     SpoolDirectorySource,
     StreamStack,
     WalCorruptionError,
+    WalFailedError,
     WalGapError,
     WriteAheadLog,
     make_source,
@@ -451,6 +452,60 @@ class TestWalSegments:
         # if a leader finishes before the last waiter arrives, but the
         # whole point is fsyncs << records).
         assert wal.fsyncs - before < len(offsets) / 2
+        wal.close()
+
+    @staticmethod
+    def fsync_fails_once(monkeypatch):
+        """Make the WAL module's ``os.fsync`` raise EIO once, then succeed
+        (the Linux behaviour that makes a retried fsync lie)."""
+        import errno
+
+        from repro.service.stream import wal as wal_module
+
+        real_fsync = wal_module.os.fsync
+        calls = []
+
+        def fsync(fd):
+            calls.append(fd)
+            if len(calls) == 1:
+                raise OSError(errno.EIO, "injected EIO")
+            real_fsync(fd)
+
+        monkeypatch.setattr(wal_module.os, "fsync", fsync)
+        return calls
+
+    def test_failed_fsync_latches_the_log(self, tmp_path, monkeypatch):
+        """A failed fsync is never retried: the next writer's sync
+        raises instead of being acked, and its record stays non-durable."""
+        wal = WriteAheadLog(tmp_path / "wal.ndjson")
+        wal.append(family_delta(0), "s", 1)
+        durable = wal.durable_offset
+        calls = self.fsync_fails_once(monkeypatch)
+        first = wal.append(family_delta(1), "a", 1, sync=False)
+        second = wal.append(family_delta(2), "b", 1, sync=False)
+        with pytest.raises(OSError):
+            wal.sync(first)
+        with pytest.raises(WalFailedError):
+            wal.sync(second)
+        with pytest.raises(WalFailedError):
+            wal.append(family_delta(3), "c", 1)
+        assert wal.durable_offset == durable < second
+        wal.close()
+        assert wal.durable_offset == durable
+        assert len(calls) == 1  # the failed fsync was never retried
+
+    def test_failed_rotation_fsync_latches_the_log(self, tmp_path, monkeypatch):
+        wal = WriteAheadLog(tmp_path / "wal.ndjson", segment_bytes=200)
+        offset = wal.append(family_delta(0), "s", 1)
+        calls = self.fsync_fails_once(monkeypatch)
+        # The active segment is over segment_bytes: this append seals it.
+        with pytest.raises(OSError):
+            wal.append(family_delta(1), "s", 2)
+        with pytest.raises(WalFailedError):
+            wal.sync()
+        assert wal.durable_offset == offset
+        assert wal.sealed_segments() == []
+        assert len(calls) == 1
         wal.close()
 
 

@@ -110,7 +110,7 @@ class TestEngineSelection:
 
 class TestWorkerPoolPath:
     def test_pool_align_matches_sequential(self, monkeypatch):
-        """The persistent-pool engine (process backend) must be exact.
+        """The persistent-pool engine must be exact.
 
         The gates that keep the pool away from tiny inputs are lowered
         so these small fixtures actually exercise the fork/dispatch/
@@ -121,11 +121,7 @@ class TestWorkerPoolPath:
         for seed in (0, 5, 9):
             left, right = random_pair(seed)
             reference = align(left, right, ParisConfig(scoring="dict"))
-            pooled = align(
-                left,
-                right,
-                ParisConfig(workers=2, parallel_backend="process"),
-            )
+            pooled = align(left, right, ParisConfig(workers=2))
             assert result_snapshot(pooled) == result_snapshot(reference)
 
     def test_pool_align_with_classes_matches_sequential(self, monkeypatch):
@@ -136,6 +132,6 @@ class TestWorkerPoolPath:
         monkeypatch.setattr(aligner_module, "KERNEL_REBUILD_MIN_FRONTIER", 0)
         left, right = family_pair(4, with_classes=True)
         reference = align(left, right, ParisConfig(scoring="dict"))
-        pooled = align(left, right, ParisConfig(workers=2, parallel_backend="process"))
+        pooled = align(left, right, ParisConfig(workers=2))
         assert result_snapshot(pooled) == result_snapshot(reference)
         assert result_snapshot(pooled)[3]  # classes12 actually non-empty
