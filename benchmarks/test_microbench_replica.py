@@ -43,23 +43,20 @@ the original single-pair numbers.
 
 from __future__ import annotations
 
-import json
 import os
-import signal
 import subprocess
-import sys
 import threading
 import time
-import urllib.error
-import urllib.request
 from pathlib import Path
 
 import pytest
 
 from helpers import save_bench_json, save_bench_text
+from repro.client import request
 from repro.datasets.incremental import family_addition, family_pair
 from repro.rdf import ntriples
 from repro.service import Delta
+from repro.testing import fetch_json, spawn, stop, wait_ready
 
 #: Families in the base corpus (3 instances, 8 facts each).
 BASE_FAMILIES = 150
@@ -91,54 +88,6 @@ MIN_CORES_FOR_SPEEDUP = REPLICAS + 1
 #: Required score equality of every replica against the primary.
 SCORE_TOLERANCE = 1e-9
 
-#: First listen port; the bench uses PORT .. PORT+1+REPLICAS.
-PORT = int(os.environ.get("REPLICA_BENCH_PORT", "18790"))
-
-
-def get_json(url: str, timeout: float = 30.0):
-    with urllib.request.urlopen(url, timeout=timeout) as response:
-        return json.load(response)
-
-
-def wait_for(url: str, seconds: float = 120.0):
-    deadline = time.monotonic() + seconds
-    while True:
-        try:
-            return get_json(url, timeout=2)
-        except (urllib.error.URLError, ConnectionError, OSError):
-            if time.monotonic() > deadline:
-                raise
-            time.sleep(0.2)
-
-
-def post_json(url: str, payload: dict, timeout: float = 300.0):
-    request = urllib.request.Request(
-        url,
-        data=json.dumps(payload).encode("utf-8"),
-        headers={"Content-Type": "application/json"},
-    )
-    with urllib.request.urlopen(request, timeout=timeout) as response:
-        return json.load(response)
-
-
-def spawn(argv: list) -> subprocess.Popen:
-    return subprocess.Popen(
-        [sys.executable, "-m", "repro", *argv],
-        env=os.environ.copy(),
-        stderr=subprocess.DEVNULL,
-    )
-
-
-def terminate(process: subprocess.Popen) -> None:
-    if process.poll() is None:
-        process.send_signal(signal.SIGTERM)
-        try:
-            process.wait(timeout=60)
-        except subprocess.TimeoutExpired:  # pragma: no cover - hung child
-            process.kill()
-            process.wait(timeout=10)
-
-
 def round_deltas(round_index: int) -> list:
     """The same write workload for both paths of one round."""
     deltas = []
@@ -153,7 +102,7 @@ def measure_round(primary_url: str, read_urls: list, deltas: list) -> float:
     """POST the deltas back-to-back while reader threads hammer
     ``GET /pair`` on ``read_urls``; returns aggregate reads/second
     during the write window."""
-    stop = threading.Event()
+    finished = threading.Event()
     go = threading.Barrier(len(read_urls) + 1)
     counts = [0] * len(read_urls)
 
@@ -161,12 +110,10 @@ def measure_round(primary_url: str, read_urls: list, deltas: list) -> float:
         target = url + "/pair/p0a/q0a"
         go.wait()
         reads = 0
-        while not stop.is_set():
+        while not finished.is_set():
             try:
-                with urllib.request.urlopen(target, timeout=30) as response:
-                    response.read()
-                reads += 1
-            except (urllib.error.URLError, OSError):  # pragma: no cover
+                reads += request(target)[0] == 200
+            except OSError:  # pragma: no cover
                 pass  # mid-window hiccups just cost the round reads
         counts[index] = reads
 
@@ -179,26 +126,26 @@ def measure_round(primary_url: str, read_urls: list, deltas: list) -> float:
     go.wait()
     started = time.perf_counter()
     for delta in deltas:
-        post_json(primary_url + "/delta", delta.to_json())
+        fetch_json(primary_url + "/delta", delta.to_json(), timeout=300)
     elapsed = time.perf_counter() - started
-    stop.set()
+    finished.set()
     for thread in threads:
         thread.join(timeout=60)
     return sum(counts) / elapsed
 
 
 def await_catch_up(primary_url: str, replica_urls: list, seconds: float = 300.0):
-    head = get_json(primary_url + "/stats")["wal_offset"]
+    head = fetch_json(primary_url + "/stats")[0]["wal_offset"]
     deadline = time.monotonic() + seconds
     for url in replica_urls:
-        while get_json(url + "/stats")["wal_offset"] < head:
+        while fetch_json(url + "/stats")[0]["wal_offset"] < head:
             assert time.monotonic() < deadline, f"{url} never caught up to {head}"
             time.sleep(0.2)
     return head
 
 
 def alignment_map(url: str) -> dict:
-    payload = get_json(url + "/alignment?threshold=0.001")
+    payload = fetch_json(url + "/alignment?threshold=0.001")[0]
     return {
         (pair["left"], pair["right"]): pair["probability"]
         for pair in payload["pairs"]
@@ -222,18 +169,6 @@ def assert_alignments_match(primary_url: str, replica_urls: list) -> float:
 SHAPE_REQUESTS = 40
 
 
-def get_with_headers(url: str, headers: dict, timeout: float = 30.0):
-    """(status, ETag) — 304 Not Modified is a result, not an error."""
-    request = urllib.request.Request(url, headers=headers)
-    try:
-        with urllib.request.urlopen(request, timeout=timeout) as response:
-            response.read()
-            return response.status, response.headers.get("ETag")
-    except urllib.error.HTTPError as error:
-        error.read()
-        return error.code, error.headers.get("ETag")
-
-
 def measure_query_shapes(url: str) -> dict:
     """Sequential requests/second per read shape of the paginated
     read path (``GET /alignment`` and friends), against one node at a
@@ -252,35 +187,32 @@ def measure_query_shapes(url: str) -> dict:
         cursor = None
         while True:
             suffix = f"&cursor={cursor}" if cursor else ""
-            payload = get_json(url + "/alignment?limit=200" + suffix)
+            payload = fetch_json(url + "/alignment?limit=200" + suffix)[0]
             cursor = payload["next_cursor"]
             if cursor is None:
                 return
 
-    _status, etag = get_with_headers(url + "/alignment?top=1", {})
+    etag = request(url + "/alignment?top=1")[1].get("ETag")
 
     def revalidate() -> None:
-        status, _etag = get_with_headers(
-            url + "/alignment", {"If-None-Match": etag}
-        )
+        status = request(url + "/alignment", headers={"If-None-Match": etag})[0]
         assert status == 304, status
 
     return {
-        "pair": rate(lambda: get_json(url + "/pair/p0a/q0a")),
+        "pair": rate(lambda: fetch_json(url + "/pair/p0a/q0a")[0]),
         "page_walk": rate(page_walk, count=5),
-        "top": rate(lambda: get_json(url + "/alignment?top=10")),
-        "entity": rate(lambda: get_json(url + "/alignment?entity=p0a")),
+        "top": rate(lambda: fetch_json(url + "/alignment?top=10")[0]),
+        "entity": rate(lambda: fetch_json(url + "/alignment?entity=p0a")[0]),
         "revalidate": rate(revalidate),
     }
 
 
-def serve_args(work: Path, state_dir: Path, port: int) -> list:
+def serve_args(work: Path, state_dir: Path) -> list:
     return [
         "serve",
         str(work / "left.nt"),
         str(work / "right.nt"),
         "--state-dir", str(state_dir),
-        "--port", str(port),
         "--wal",
         "--wal-segment-bytes", str(1 << 16),
         "--max-lag-ms", "1",
@@ -300,10 +232,10 @@ def test_replica_read_throughput_vs_single_node(tmp_path):
     shape_rates = {}
 
     # Path A — single node: reads and writes share one process.
-    single_url = f"http://127.0.0.1:{PORT}"
-    single = spawn(serve_args(tmp_path, tmp_path / "single-state", PORT))
+    single = spawn(*serve_args(tmp_path, tmp_path / "single-state"), stderr=subprocess.DEVNULL)
+    single_url = single.url
     try:
-        wait_for(single_url + "/healthz")
+        wait_ready(single)
         for round_index in range(ROUNDS):
             single_rates.append(
                 measure_round(
@@ -311,32 +243,28 @@ def test_replica_read_throughput_vs_single_node(tmp_path):
                 )
             )
     finally:
-        terminate(single)
+        stop(single)
 
     # Path B — the same writes into a fresh primary, reads across 3
     # replica processes tailing its WAL on shared storage.
-    primary_port = PORT + 1
-    primary_url = f"http://127.0.0.1:{primary_port}"
     primary_state = tmp_path / "primary-state"
-    processes = [spawn(serve_args(tmp_path, primary_state, primary_port))]
-    replica_urls = [
-        f"http://127.0.0.1:{primary_port + 1 + index}" for index in range(REPLICAS)
-    ]
+    primary = spawn(*serve_args(tmp_path, primary_state), stderr=subprocess.DEVNULL)
+    primary_url = primary.url
+    nodes = [primary]
     try:
-        wait_for(primary_url + "/healthz")
-        for index, url in enumerate(replica_urls):
-            processes.append(
+        wait_ready(primary)
+        for _ in range(REPLICAS):
+            nodes.append(
                 spawn(
-                    [
-                        "replica", str(primary_state),
-                        "--port", str(primary_port + 1 + index),
-                        "--poll-ms", "20",
-                        "--replica-batch", "4096",
-                    ]
+                    "replica", str(primary_state),
+                    "--poll-ms", "20",
+                    "--replica-batch", "4096",
+                    stderr=subprocess.DEVNULL,
                 )
             )
-        for url in replica_urls:
-            wait_for(url + "/healthz")
+        replica_urls = [node.url for node in nodes[1:]]
+        for node in nodes[1:]:
+            wait_ready(node)
         for round_index in range(ROUNDS):
             replicated_rates.append(
                 measure_round(primary_url, replica_urls, round_deltas(round_index))
@@ -349,8 +277,8 @@ def test_replica_read_throughput_vs_single_node(tmp_path):
         # the per-shape cost of the paginated read surface.
         shape_rates = measure_query_shapes(replica_urls[0])
     finally:
-        for process in processes:
-            terminate(process)
+        for node in nodes:
+            stop(node)
 
     single_rate = max(single_rates)
     replicated_rate = max(replicated_rates)

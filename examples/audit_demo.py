@@ -31,86 +31,43 @@ exit code.  Run with::
 from __future__ import annotations
 
 import json
-import os
-import signal
 import subprocess
 import sys
 import tempfile
-import threading
 import time
-import urllib.error
-import urllib.request
+from contextlib import ExitStack
 from pathlib import Path
 
-from repro.datasets.incremental import family_addition, family_pair
+from repro.datasets.incremental import family_pair
 from repro.rdf import ntriples
 from repro.service.audit import StateAuditor
-from repro.service.delta import Delta
 from repro.service.replica import ReplicaNode
 from repro.service.server import build_server
+from repro.testing import (
+    Fleet,
+    family_delta,
+    fetch_json,
+    scrape,
+    serve_in_thread,
+    wait_json,
+    wait_ready,
+)
 
 BASE_FAMILIES = 20
 WRITES = 3
-PORT = int(os.environ.get("AUDIT_DEMO_PORT", "8805"))
-
-
-def wait_for(url: str, seconds: float = 120.0):
-    deadline = time.monotonic() + seconds
-    while True:
-        try:
-            with urllib.request.urlopen(url, timeout=2) as response:
-                return json.load(response)
-        except (urllib.error.URLError, ConnectionError):
-            if time.monotonic() > deadline:
-                raise
-            time.sleep(0.3)
-
-
-def post_json(url: str, payload: dict):
-    request = urllib.request.Request(
-        url,
-        data=json.dumps(payload).encode("utf-8"),
-        headers={"Content-Type": "application/json"},
-    )
-    with urllib.request.urlopen(request, timeout=120) as response:
-        return json.load(response)
-
-
-def scrape(base_url: str) -> dict:
-    with urllib.request.urlopen(base_url + "/metrics", timeout=30) as response:
-        text = response.read().decode("utf-8")
-    series = {}
-    for line in text.splitlines():
-        if line.startswith("#"):
-            continue
-        name_part, value = line.rsplit(" ", 1)
-        series[name_part] = float(value)
-    return series
-
-
-def family_delta(index: int) -> Delta:
-    add_left, add_right = family_addition(index, 1)
-    return Delta(add1=tuple(add_left), add2=tuple(add_right))
-
-
-def spawn(*argv: str) -> subprocess.Popen:
-    return subprocess.Popen(
-        [sys.executable, "-m", "repro", *argv], env=os.environ.copy()
-    )
 
 
 def run_doctor(primary_url: str, replica_urls: list) -> tuple:
     argv = [sys.executable, "-m", "repro", "doctor", primary_url, "--json"]
     for url in replica_urls:
         argv += ["--replicas", url]
-    completed = subprocess.run(
-        argv, env=os.environ.copy(), capture_output=True, text=True, timeout=120
-    )
+    completed = subprocess.run(argv, capture_output=True, text=True, timeout=120)
     return completed.returncode, json.loads(completed.stdout)
 
 
-def in_process_replica(primary_url: str, port: int):
-    """One replica the demo can reach into: node + auditor + server.
+def in_process_replica(primary_url: str, stack: ExitStack):
+    """One replica the demo can reach into: node + auditor + served URL,
+    all torn down when ``stack`` closes.
 
     ``full_every=1`` makes every cycle recompute the full digest, so
     coherent assignment+store corruption (which the sampled row check
@@ -118,6 +75,7 @@ def in_process_replica(primary_url: str, port: int):
     interval.
     """
     node = ReplicaNode(primary_url, batch=8).start()
+    stack.callback(node.stop)
     auditor = StateAuditor(
         lambda: node.service,
         interval_ms=200,
@@ -126,11 +84,11 @@ def in_process_replica(primary_url: str, port: int):
         role="replica",
     )
     node.auditor = auditor
-    server = build_server(None, "127.0.0.1", port, replica=node, auditor=auditor)
-    thread = threading.Thread(target=server.serve_forever, daemon=True)
-    thread.start()
+    server = build_server(None, "127.0.0.1", 0, replica=node, auditor=auditor)
+    url = stack.enter_context(serve_in_thread(server))
     auditor.start()
-    return node, auditor, server, thread
+    stack.callback(auditor.stop)
+    return node, auditor, url
 
 
 def corrupt(service) -> str:
@@ -147,52 +105,48 @@ def corrupt(service) -> str:
 
 
 def main() -> int:
-    primary_url = f"http://127.0.0.1:{PORT}"
-    replica_urls = [f"http://127.0.0.1:{PORT + 1}", f"http://127.0.0.1:{PORT + 2}"]
-    router_url = f"http://127.0.0.1:{PORT + 3}"
     with tempfile.TemporaryDirectory(prefix="repro-audit-demo-") as workdir:
         work = Path(workdir)
         left, right = family_pair(BASE_FAMILIES)
         ntriples.write_ntriples(left, work / "left.nt")
         ntriples.write_ntriples(right, work / "right.nt")
 
-        primary = spawn(
-            "--log-format", "json",
-            "serve", str(work / "left.nt"), str(work / "right.nt"),
-            "--state-dir", str(work / "state"),
-            "--port", str(PORT),
-            "--wal",
-            "--max-lag-ms", "20",
-            "--snapshot-every", "0",
-            "--audit-interval-ms", "200",
-        )
-        router = None
-        replicas = []
-        try:
-            assert wait_for(primary_url + "/healthz")["role"] == "primary"
-            for port in (PORT + 1, PORT + 2):
-                replicas.append(in_process_replica(primary_url, port))
+        with Fleet() as fleet, ExitStack() as in_process:
+            primary = fleet.spawn(
+                "--log-format", "json",
+                "serve", str(work / "left.nt"), str(work / "right.nt"),
+                "--state-dir", str(work / "state"),
+                "--wal",
+                "--max-lag-ms", "20",
+                "--snapshot-every", "0",
+                "--audit-interval-ms", "200",
+            )
+            primary_url = primary.url
+            assert wait_ready(primary)["role"] == "primary"
+            replicas = [in_process_replica(primary_url, in_process) for _ in range(2)]
+            replica_urls = [url for _node, _auditor, url in replicas]
             for url in replica_urls:
-                assert wait_for(url + "/healthz")["role"] == "replica"
-            router = spawn(
+                assert wait_json(url + "/healthz")[0]["role"] == "replica"
+            router = fleet.spawn(
                 "--log-format", "json",
                 "route", "--primary", primary_url,
                 "--replica", replica_urls[0], "--replica", replica_urls[1],
-                "--port", str(PORT + 3), "--check-interval-ms", "200",
+                "--check-interval-ms", "200",
             )
-            assert wait_for(router_url + "/healthz")["role"] == "router"
+            router_url = router.url
+            assert wait_ready(router)["role"] == "router"
             print("fleet up: primary + 2 replicas + router")
 
             # --- write through the router, let the fleet converge -----
             for step in range(WRITES):
-                report = post_json(
+                report, _ = fetch_json(
                     router_url + f"/delta?source=demo&seq={step + 1}",
                     family_delta(BASE_FAMILIES + step).to_json(),
                 )
                 assert report["converged"], report
             deadline = time.monotonic() + 60
             for url in replica_urls:
-                while wait_for(url + "/stats")["wal_offset"] < WRITES:
+                while wait_json(url + "/stats")[0]["wal_offset"] < WRITES:
                     assert time.monotonic() < deadline
                     time.sleep(0.2)
             print(f"wrote {WRITES} deltas through the router, replicas caught up")
@@ -204,24 +158,24 @@ def main() -> int:
             assert all(n["verdict"] == "ok" for n in verdict["nodes"]), verdict
             digests = {n["digest"] for n in verdict["nodes"]}
             assert len(digests) == 1, verdict
-            fleet = wait_for(router_url + "/fleet")
-            assert fleet["consistent"] is True and fleet["divergent"] == []
+            fleet_report, _ = wait_json(router_url + "/fleet")
+            assert fleet_report["consistent"] is True and fleet_report["divergent"] == []
             print(f"doctor: clean fleet, one digest {digests.pop()} on all 3 nodes")
 
             # --- corrupt one replica in-process ------------------------
             bad_url = replica_urls[1]
-            bad_node, bad_auditor, _server, _thread = replicas[1]
+            bad_node, bad_auditor, _url = replicas[1]
             bad_entity = corrupt(bad_node.service)
             deadline = time.monotonic() + 30
             while bad_auditor.mismatches == 0:
                 assert time.monotonic() < deadline, "auditor never caught it"
                 time.sleep(0.05)
-            health = wait_for(bad_url + "/healthz")
+            health, _ = wait_json(bad_url + "/healthz")
             assert health["status"] == "degraded", health
             assert "audit mismatch" in health["degraded"], health
             metrics = scrape(bad_url)
             assert metrics['repro_audit_mismatch_total{kind="digest"}'] >= 1
-            stats = wait_for(bad_url + "/stats")
+            stats, _ = wait_json(bad_url + "/stats")
             assert stats["audit"]["last_mismatch"]["kind"] == "digest", stats
             print(
                 f"corrupted pair of {bad_entity!r} on {bad_url}: its own "
@@ -243,20 +197,8 @@ def main() -> int:
                 "doctor: DIVERGENCE DETECTED on exactly the corrupted node, "
                 f"first divergent pair ({pair['left']}, {pair['node']['right']})"
             )
-        finally:
-            for _node, auditor, server, thread in replicas:
-                auditor.stop()
-                server.shutdown()
-                server.server_close()
-                thread.join(timeout=10)
-            for _node, _auditor, _server, _thread in replicas:
-                _node.stop()
-            procs = [p for p in (router, primary) if p is not None]
-            for process in procs:
-                if process.poll() is None:
-                    process.send_signal(signal.SIGTERM)
-            codes = [process.wait(timeout=60) for process in procs]
-        assert codes == [0] * len(procs), f"expected clean shutdowns, got {codes}"
+        codes = [node.proc.returncode for node in fleet.nodes]
+        assert codes == [0] * len(codes), f"expected clean shutdowns, got {codes}"
     print("audit demo OK")
     return 0
 

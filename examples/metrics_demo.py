@@ -24,84 +24,23 @@ exit code.  Run with::
 
 from __future__ import annotations
 
-import json
-import os
-import signal
-import subprocess
-import sys
 import tempfile
 import time
-import urllib.error
-import urllib.request
 from pathlib import Path
 
-from repro.datasets.incremental import family_addition, family_pair
+from repro.datasets.incremental import family_pair
 from repro.rdf import ntriples
-from repro.service.delta import Delta
+from repro.testing import Fleet, family_delta, fetch_json, scrape, wait_json, wait_ready
 
 BASE_FAMILIES = 20
 WRITES = 3
-PORT = int(os.environ.get("METRICS_DEMO_PORT", "8790"))
-
-
-def wait_for(url: str, seconds: float = 120.0) -> dict:
-    deadline = time.monotonic() + seconds
-    while True:
-        try:
-            with urllib.request.urlopen(url, timeout=2) as response:
-                return json.load(response)
-        except (urllib.error.URLError, ConnectionError):
-            if time.monotonic() > deadline:
-                raise
-            time.sleep(0.3)
-
-
-def post_json(url: str, payload: dict) -> dict:
-    request = urllib.request.Request(
-        url,
-        data=json.dumps(payload).encode("utf-8"),
-        headers={"Content-Type": "application/json"},
-    )
-    with urllib.request.urlopen(request, timeout=120) as response:
-        return json.load(response)
-
-
-def scrape(base_url: str) -> dict:
-    """Fetch ``/metrics`` and parse it into ``{series-with-labels: value}``."""
-    with urllib.request.urlopen(base_url + "/metrics", timeout=30) as response:
-        content_type = response.headers["Content-Type"]
-        text = response.read().decode("utf-8")
-    assert content_type.startswith("text/plain; version=0.0.4"), content_type
-    series = {}
-    for line in text.splitlines():
-        assert line, "blank line in exposition"
-        if line.startswith("#"):
-            assert line.startswith(("# HELP ", "# TYPE ")), line
-            continue
-        name_part, value = line.rsplit(" ", 1)
-        series[name_part] = float(value)
-    return series
 
 
 def series_sum(series: dict, prefix: str) -> float:
     return sum(value for key, value in series.items() if key.startswith(prefix))
 
 
-def family_delta(index: int) -> Delta:
-    add_left, add_right = family_addition(index, 1)
-    return Delta(add1=tuple(add_left), add2=tuple(add_right))
-
-
-def spawn(*argv: str) -> subprocess.Popen:
-    return subprocess.Popen(
-        [sys.executable, "-m", "repro", *argv], env=os.environ.copy()
-    )
-
-
 def main() -> int:
-    primary_url = f"http://127.0.0.1:{PORT}"
-    replica_url = f"http://127.0.0.1:{PORT + 1}"
-    router_url = f"http://127.0.0.1:{PORT + 2}"
     with tempfile.TemporaryDirectory(prefix="repro-metrics-demo-") as workdir:
         work = Path(workdir)
         left, right = family_pair(BASE_FAMILIES)
@@ -109,42 +48,43 @@ def main() -> int:
         ntriples.write_ntriples(right, work / "right.nt")
         state_dir = work / "state"
 
-        primary = spawn(
-            "--log-format", "json",
-            "serve", str(work / "left.nt"), str(work / "right.nt"),
-            "--state-dir", str(state_dir),
-            "--port", str(PORT),
-            "--wal",
-            "--max-lag-ms", "20",
-            "--snapshot-every", "0",
-        )
-        replica = router = None
-        try:
-            health = wait_for(primary_url + "/healthz")
+        with Fleet() as fleet:
+            primary = fleet.spawn(
+                "--log-format", "json",
+                "serve", str(work / "left.nt"), str(work / "right.nt"),
+                "--state-dir", str(state_dir),
+                "--wal",
+                "--max-lag-ms", "20",
+                "--snapshot-every", "0",
+            )
+            primary_url = primary.url
+            health = wait_ready(primary)
             assert health["role"] == "primary", health
             # The healthz payload carries the durability picture.
             assert health["wal"]["appended_offset"] == 0
             assert health["degraded"] is None
 
-            replica = spawn(
+            replica = fleet.spawn(
                 "--log-format", "json",
-                "replica", primary_url, "--port", str(PORT + 1), "--poll-ms", "20",
+                "replica", primary_url, "--poll-ms", "20",
             )
-            assert wait_for(replica_url + "/healthz")["role"] == "replica"
-            router = spawn(
+            replica_url = replica.url
+            assert wait_ready(replica)["role"] == "replica"
+            router = fleet.spawn(
                 "--log-format", "json",
                 "route", "--primary", primary_url, "--replica", replica_url,
-                "--port", str(PORT + 2), "--check-interval-ms", "200",
+                "--check-interval-ms", "200",
             )
-            assert wait_for(router_url + "/healthz")["role"] == "router"
+            router_url = router.url
+            assert wait_ready(router)["role"] == "router"
             deadline = time.monotonic() + 60
-            while wait_for(router_url + "/healthz")["replicas_healthy"] < 1:
+            while wait_json(router_url + "/healthz")[0]["replicas_healthy"] < 1:
                 assert time.monotonic() < deadline
                 time.sleep(0.2)
             print("all three roles up")
 
             # Before any write the profile is the cold fixpoint's tree.
-            cold_profile = wait_for(primary_url + "/stats")["last_align_profile"]
+            cold_profile = wait_json(primary_url + "/stats")[0]["last_align_profile"]
             assert cold_profile["span"] == "align.cold", cold_profile
             assert any(
                 child["span"] == "pass.instance"
@@ -152,23 +92,23 @@ def main() -> int:
             ), cold_profile
 
             for step in range(WRITES):
-                report = post_json(
+                report, _ = fetch_json(
                     router_url + f"/delta?source=demo&seq={step + 1}",
                     family_delta(BASE_FAMILIES + step).to_json(),
                 )
                 assert report["converged"], report
             for step in range(WRITES):
                 name = BASE_FAMILIES + step
-                pair = wait_for(router_url + f"/pair/p{name}a/q{name}a")
+                pair, _ = wait_json(router_url + f"/pair/p{name}a/q{name}a")
                 assert pair["probability"] > 0.9, pair
             deadline = time.monotonic() + 60
-            while wait_for(replica_url + "/stats")["wal_offset"] < WRITES:
+            while wait_json(replica_url + "/stats")[0]["wal_offset"] < WRITES:
                 assert time.monotonic() < deadline
                 time.sleep(0.2)
             print(f"wrote {WRITES} deltas, replica caught up")
 
             # --- primary: WAL offsets and engine counters vs /stats ---
-            primary_stats = wait_for(primary_url + "/stats")
+            primary_stats, _ = wait_json(primary_url + "/stats")
             primary_metrics = scrape(primary_url)
             assert primary_metrics["repro_wal_appended_offset"] == WRITES
             assert primary_metrics["repro_wal_durable_offset"] == WRITES
@@ -219,13 +159,8 @@ def main() -> int:
             assert router_metrics["repro_router_reads_routed_total"] >= WRITES
             assert router_metrics["repro_router_writes_forwarded_total"] == WRITES
             print("router /metrics shows healthy backends and routed traffic")
-        finally:
-            procs = [p for p in (router, replica, primary) if p is not None]
-            for process in procs:
-                if process.poll() is None:
-                    process.send_signal(signal.SIGTERM)
-            codes = [process.wait(timeout=60) for process in procs]
-        assert codes == [0] * len(procs), f"expected clean shutdowns, got {codes}"
+        codes = [node.proc.returncode for node in fleet.nodes]
+        assert codes == [0] * len(codes), f"expected clean shutdowns, got {codes}"
     print("metrics demo OK")
     return 0
 

@@ -31,60 +31,20 @@ exit code.  Run with::
 from __future__ import annotations
 
 import json
-import os
-import signal
 import subprocess
 import sys
 import tempfile
 import time
-import urllib.error
-import urllib.request
 from pathlib import Path
 
-from repro.datasets.incremental import family_addition, family_pair
+from repro.datasets.incremental import family_pair
 from repro.rdf import ntriples
-from repro.service.delta import Delta
+from repro.testing import Fleet, family_delta, fetch_json, scrape, wait_json, wait_ready
 
 BASE_FAMILIES = 20
 WRITES = 3
-PORT = int(os.environ.get("PROVENANCE_DEMO_PORT", "8795"))
 
 PRIMARY_STAGES = ("ingest", "enqueue", "durable", "applied", "notified")
-
-
-def wait_for(url: str, seconds: float = 120.0, headers: dict = None):
-    deadline = time.monotonic() + seconds
-    while True:
-        try:
-            request = urllib.request.Request(url, headers=headers or {})
-            with urllib.request.urlopen(request, timeout=2) as response:
-                return json.load(response), response.headers
-        except (urllib.error.URLError, ConnectionError):
-            if time.monotonic() > deadline:
-                raise
-            time.sleep(0.3)
-
-
-def post_json(url: str, payload: dict, headers: dict = None):
-    request = urllib.request.Request(
-        url,
-        data=json.dumps(payload).encode("utf-8"),
-        headers={"Content-Type": "application/json", **(headers or {})},
-    )
-    with urllib.request.urlopen(request, timeout=120) as response:
-        return json.load(response), response.headers
-
-
-def scrape(base_url: str) -> dict:
-    with urllib.request.urlopen(base_url + "/metrics", timeout=30) as response:
-        text = response.read().decode("utf-8")
-    series = {}
-    for line in text.splitlines():
-        if line.startswith("#"):
-            continue
-        name_part, value = line.rsplit(" ", 1)
-        series[name_part] = float(value)
-    return series
 
 
 def assert_monotone(timeline: dict, stages) -> None:
@@ -92,62 +52,50 @@ def assert_monotone(timeline: dict, stages) -> None:
     assert stamped == sorted(stamped), timeline
 
 
-def family_delta(index: int) -> Delta:
-    add_left, add_right = family_addition(index, 1)
-    return Delta(add1=tuple(add_left), add2=tuple(add_right))
-
-
-def spawn(*argv: str) -> subprocess.Popen:
-    return subprocess.Popen(
-        [sys.executable, "-m", "repro", *argv], env=os.environ.copy()
-    )
-
-
 def main() -> int:
-    primary_url = f"http://127.0.0.1:{PORT}"
-    replica_url = f"http://127.0.0.1:{PORT + 1}"
-    router_url = f"http://127.0.0.1:{PORT + 2}"
     with tempfile.TemporaryDirectory(prefix="repro-provenance-demo-") as workdir:
         work = Path(workdir)
         left, right = family_pair(BASE_FAMILIES)
         ntriples.write_ntriples(left, work / "left.nt")
         ntriples.write_ntriples(right, work / "right.nt")
 
-        primary = spawn(
-            "--log-format", "json",
-            "serve", str(work / "left.nt"), str(work / "right.nt"),
-            "--state-dir", str(work / "state"),
-            "--port", str(PORT),
-            "--wal",
-            "--max-lag-ms", "20",
-            "--snapshot-every", "0",
-        )
-        replica = router = None
-        try:
-            health, headers = wait_for(
+        with Fleet() as fleet:
+            primary = fleet.spawn(
+                "--log-format", "json",
+                "serve", str(work / "left.nt"), str(work / "right.nt"),
+                "--state-dir", str(work / "state"),
+                "--wal",
+                "--max-lag-ms", "20",
+                "--snapshot-every", "0",
+            )
+            primary_url = primary.url
+            wait_ready(primary)
+            health, headers = fetch_json(
                 primary_url + "/healthz", headers={"X-Request-Id": "boot-probe"}
             )
             assert health["role"] == "primary", health
             assert headers.get_all("X-Request-Id") == ["boot-probe"], headers
 
-            replica = spawn(
+            replica = fleet.spawn(
                 "--log-format", "json",
-                "replica", primary_url, "--port", str(PORT + 1), "--poll-ms", "20",
+                "replica", primary_url, "--poll-ms", "20",
             )
-            assert wait_for(replica_url + "/healthz")[0]["role"] == "replica"
-            router = spawn(
+            replica_url = replica.url
+            assert wait_ready(replica)["role"] == "replica"
+            router = fleet.spawn(
                 "--log-format", "json",
                 "route", "--primary", primary_url, "--replica", replica_url,
-                "--port", str(PORT + 2), "--check-interval-ms", "200",
+                "--check-interval-ms", "200",
             )
-            assert wait_for(router_url + "/healthz")[0]["role"] == "router"
+            router_url = router.url
+            assert wait_ready(router)["role"] == "router"
             print("all three roles up, request ids echoed")
 
             # --- write through the router with explicit request ids ---
             traces = []
             for step in range(WRITES):
                 trace = f"prov-demo-{step}"
-                report, headers = post_json(
+                report, headers = fetch_json(
                     router_url + f"/delta?source=demo&seq={step + 1}",
                     family_delta(BASE_FAMILIES + step).to_json(),
                     headers={"X-Request-Id": trace},
@@ -158,14 +106,14 @@ def main() -> int:
                 assert headers.get_all("X-Request-Id") == [trace], headers
                 traces.append(trace)
             deadline = time.monotonic() + 60
-            while wait_for(replica_url + "/stats")[0]["wal_offset"] < WRITES:
+            while wait_json(replica_url + "/stats")[0]["wal_offset"] < WRITES:
                 assert time.monotonic() < deadline
                 time.sleep(0.2)
             print(f"wrote {WRITES} traced deltas, replica caught up")
 
             # --- per-role timelines -------------------------------------
             trace = traces[0]
-            primary_view, _ = wait_for(
+            primary_view, _ = wait_json(
                 primary_url + f"/provenance?trace={trace}"
             )
             assert primary_view["found"] and primary_view["role"] == "primary"
@@ -173,7 +121,7 @@ def main() -> int:
                 assert stage in primary_view["timeline"], primary_view
             assert_monotone(primary_view["timeline"], PRIMARY_STAGES)
 
-            replica_view, _ = wait_for(
+            replica_view, _ = wait_json(
                 replica_url + f"/provenance?trace={trace}"
             )
             assert replica_view["found"] and replica_view["role"] == "replica"
@@ -189,7 +137,6 @@ def main() -> int:
                         primary_url, trace,
                         "--replicas", replica_url, "--json",
                     ],
-                    env=os.environ.copy(),
                 ).decode("utf-8")
             )
             stages = [row["stage"] for row in merged["timeline"]]
@@ -223,13 +170,8 @@ def main() -> int:
                 'repro_freshness_seconds{stage="replica_applied"}'
             ] == -1
             print("all four stage-histogram legs populated, freshness live")
-        finally:
-            procs = [p for p in (router, replica, primary) if p is not None]
-            for process in procs:
-                if process.poll() is None:
-                    process.send_signal(signal.SIGTERM)
-            codes = [process.wait(timeout=60) for process in procs]
-        assert codes == [0] * len(procs), f"expected clean shutdowns, got {codes}"
+        codes = [node.proc.returncode for node in fleet.nodes]
+        assert codes == [0] * len(codes), f"expected clean shutdowns, got {codes}"
     print("provenance demo OK")
     return 0
 

@@ -15,84 +15,38 @@ Run with::
 
 from __future__ import annotations
 
-import json
-import os
-import signal
-import subprocess
-import sys
 import tempfile
 import threading
 import time
-import urllib.error
-import urllib.request
 from pathlib import Path
 
+from repro.client import request
 from repro.datasets.incremental import family_addition, family_pair
 from repro.rdf import ntriples
 from repro.service.delta import Delta
+from repro.testing import fetch_json, spawn, stop, wait_json, wait_ready
 
 BASE_FAMILIES = 30
-PORT = int(os.environ.get("READ_PATH_DEMO_PORT", "8775"))
-
-
-def get(url: str, headers: dict | None = None, timeout: float = 60.0):
-    """(status, headers, parsed body) — 304s come back, not raised."""
-    request = urllib.request.Request(url, headers=headers or {})
-    try:
-        with urllib.request.urlopen(request, timeout=timeout) as response:
-            body = response.read()
-            return response.status, response.headers, json.loads(body)
-    except urllib.error.HTTPError as error:
-        error.read()
-        return error.code, error.headers, None
-
-
-def wait_for(url: str, seconds: float = 120.0):
-    deadline = time.monotonic() + seconds
-    while True:
-        try:
-            status, headers, payload = get(url, timeout=2)
-            if status == 200:
-                return payload, headers
-        except (urllib.error.URLError, ConnectionError):
-            pass
-        if time.monotonic() > deadline:
-            raise TimeoutError(url)
-        time.sleep(0.3)
-
-
-def post_json(url: str, payload: dict) -> dict:
-    request = urllib.request.Request(
-        url,
-        data=json.dumps(payload).encode("utf-8"),
-        headers={"Content-Type": "application/json"},
-    )
-    with urllib.request.urlopen(request, timeout=120) as response:
-        return json.load(response)
 
 
 def main() -> int:
-    base = f"http://127.0.0.1:{PORT}"
     with tempfile.TemporaryDirectory(prefix="repro-read-path-demo-") as workdir:
         work = Path(workdir)
         left, right = family_pair(BASE_FAMILIES)
         ntriples.write_ntriples(left, work / "left.nt")
         ntriples.write_ntriples(right, work / "right.nt")
 
-        server = subprocess.Popen(
-            [
-                sys.executable, "-m", "repro", "serve",
-                str(work / "left.nt"), str(work / "right.nt"),
-                "--state-dir", str(work / "state"),
-                "--port", str(PORT),
-            ],
-            env=os.environ.copy(),
+        server = spawn(
+            "serve",
+            str(work / "left.nt"), str(work / "right.nt"),
+            "--state-dir", str(work / "state"),
         )
+        base = server.url
         try:
-            wait_for(base + "/healthz")
+            wait_ready(server)
 
             # -- pagination: pages concatenate back into the dump ----
-            dump, dump_headers = wait_for(base + "/alignment")
+            dump, dump_headers = wait_json(base + "/alignment")
             etag = dump_headers["ETag"]
             print(f"full dump: {len(dump['pairs'])} pairs, ETag {etag}")
             walked, cursor, pages = [], None, 0
@@ -100,8 +54,7 @@ def main() -> int:
                 url = base + "/alignment?limit=25" + (
                     f"&cursor={cursor}" if cursor else ""
                 )
-                status, _headers, page = get(url)
-                assert status == 200
+                page, _headers = fetch_json(url)
                 assert not page["changed_since_cursor"]
                 walked.extend(page["pairs"])
                 pages += 1
@@ -112,14 +65,14 @@ def main() -> int:
             print(f"walked {pages} pages back into the same {len(walked)} pairs")
 
             # -- top-k and entity neighborhood -----------------------
-            _status, _headers, top = get(base + "/alignment?top=3")
+            top, _headers = fetch_json(base + "/alignment?top=3")
             assert top["pairs"] == dump["pairs"][:3]
-            _status, _headers, hood = get(base + "/alignment?entity=p0a")
+            hood, _headers = fetch_json(base + "/alignment?entity=p0a")
             assert hood["best_counterpart_as_left"]["right"] == "q0a"
             print("top-3 and neighborhood of p0a agree with the dump")
 
             # -- HTTP caching: a real 304 round-trip -----------------
-            status, revalidated, _body = get(
+            status, revalidated, _body = request(
                 base + "/alignment", headers={"If-None-Match": etag}
             )
             assert status == 304 and revalidated["ETag"] == etag
@@ -131,16 +84,16 @@ def main() -> int:
             result = {}
 
             def watch():
-                result["note"] = get(
+                result["note"] = fetch_json(
                     f"{base}/watch?entity={watched}&epsilon=0.05&timeout=60",
                     timeout=90,
-                )[2]
+                )[0]
 
             poller = threading.Thread(target=watch)
             poller.start()
             time.sleep(0.5)  # make sure the poll is parked first
             delta = Delta(add1=tuple(add_left), add2=tuple(add_right))
-            report = post_json(base + "/delta", delta.to_json())
+            report, _ = fetch_json(base + "/delta", delta.to_json())
             poller.join(timeout=90)
             note = result["note"]
             assert note and "timeout" not in note, note
@@ -152,7 +105,7 @@ def main() -> int:
                 f"(version {note['version']})"
             )
             # Re-polling past the delivered version dedups: timeout.
-            _s, _h, replay = get(
+            replay, _h = fetch_json(
                 f"{base}/watch?entity={watched}"
                 f"&after={note['version']}&timeout=0.2"
             )
@@ -160,14 +113,13 @@ def main() -> int:
             print("re-poll past the delivered version: deduped (timeout)")
 
             # The delta also moved the ETag: the old validator is stale.
-            status, fresh, _body = get(
+            status, fresh, _body = request(
                 base + "/alignment", headers={"If-None-Match": etag}
             )
             assert status == 200 and fresh["ETag"] != etag
             assert report["version"] == 1
         finally:
-            server.send_signal(signal.SIGTERM)
-            code = server.wait(timeout=60)
+            code = stop(server)
         assert code == 0, f"expected clean shutdown, got exit code {code}"
     print("read path demo OK")
     return 0

@@ -19,63 +19,21 @@ Run with::
 
 from __future__ import annotations
 
-import json
-import os
-import signal
 import subprocess
 import sys
 import tempfile
 import time
-import urllib.error
-import urllib.request
 from pathlib import Path
 
-from repro.datasets.incremental import family_addition, family_pair
+from repro.datasets.incremental import family_pair
 from repro.rdf import ntriples
-from repro.service.delta import Delta
+from repro.testing import Fleet, family_delta, fetch_json, spawn, stop, wait_json, wait_ready
 
 BASE_FAMILIES = 30
 WRITES = 4
-PORT = int(os.environ.get("REPLICA_DEMO_PORT", "8780"))
-
-
-def wait_for(url: str, seconds: float = 120.0) -> dict:
-    deadline = time.monotonic() + seconds
-    while True:
-        try:
-            with urllib.request.urlopen(url, timeout=2) as response:
-                return json.load(response)
-        except (urllib.error.URLError, ConnectionError):
-            if time.monotonic() > deadline:
-                raise
-            time.sleep(0.3)
-
-
-def post_json(url: str, payload: dict) -> dict:
-    request = urllib.request.Request(
-        url,
-        data=json.dumps(payload).encode("utf-8"),
-        headers={"Content-Type": "application/json"},
-    )
-    with urllib.request.urlopen(request, timeout=120) as response:
-        return json.load(response)
-
-
-def family_delta(index: int) -> Delta:
-    add_left, add_right = family_addition(index, 1)
-    return Delta(add1=tuple(add_left), add2=tuple(add_right))
-
-
-def spawn(*argv: str) -> subprocess.Popen:
-    return subprocess.Popen(
-        [sys.executable, "-m", "repro", *argv], env=os.environ.copy()
-    )
 
 
 def main() -> int:
-    primary_url = f"http://127.0.0.1:{PORT}"
-    replica_urls = [f"http://127.0.0.1:{PORT + 1}", f"http://127.0.0.1:{PORT + 2}"]
-    router_url = f"http://127.0.0.1:{PORT + 3}"
     with tempfile.TemporaryDirectory(prefix="repro-replica-demo-") as workdir:
         work = Path(workdir)
         left, right = family_pair(BASE_FAMILIES)
@@ -83,20 +41,19 @@ def main() -> int:
         ntriples.write_ntriples(right, work / "right.nt")
         state_dir = work / "state"
 
-        primary = spawn(
-            "serve", str(work / "left.nt"), str(work / "right.nt"),
-            "--state-dir", str(state_dir),
-            "--port", str(PORT),
-            "--wal",
-            "--wal-segment-bytes", "2048",
-            "--wal-group-commit-ms", "2",
-            "--max-lag-ms", "20",
-            "--snapshot-every", "0",
-        )
-        replicas = []
-        router = None
-        try:
-            health = wait_for(primary_url + "/healthz")
+        with Fleet() as fleet:
+            primary = fleet.spawn(
+                "serve", str(work / "left.nt"), str(work / "right.nt"),
+                "--state-dir", str(state_dir),
+                "--wal",
+                "--wal-segment-bytes", "2048",
+                "--wal-group-commit-ms", "2",
+                "--max-lag-ms", "20",
+                "--snapshot-every", "0",
+            )
+            primary_url = primary.url
+            replicas = []
+            health = wait_ready(primary)
             print("primary up:", health["role"], health["status"])
             assert health["role"] == "primary" and health["matched_left"] > 0
 
@@ -104,49 +61,48 @@ def main() -> int:
             # bootstraps and ships the log over HTTP — both transports
             # converge to the same engine state.
             replicas.append(
-                spawn(
+                fleet.spawn(
                     "replica", str(state_dir),
-                    "--port", str(PORT + 1),
                     "--state-dir", str(work / "replica1-state"),
                     "--poll-ms", "20",
                 )
             )
             replicas.append(
-                spawn(
+                fleet.spawn(
                     "replica", primary_url,
-                    "--port", str(PORT + 2),
                     "--poll-ms", "20",
                 )
             )
-            for url in replica_urls:
-                health = wait_for(url + "/healthz")
+            replica_urls = [replica.url for replica in replicas]
+            for replica in replicas:
+                health = wait_ready(replica)
                 assert health["role"] == "replica", health
             print("replicas up (file tail + http log shipping)")
 
-            router = spawn(
+            router = fleet.spawn(
                 "route",
                 "--primary", primary_url,
                 "--replica", replica_urls[0],
                 "--replica", replica_urls[1],
-                "--port", str(PORT + 3),
                 "--check-interval-ms", "200",
             )
-            health = wait_for(router_url + "/healthz")
+            router_url = router.url
+            health = wait_ready(router)
             assert health["role"] == "router", health
             deadline = time.monotonic() + 60
-            while wait_for(router_url + "/healthz")["replicas_healthy"] < 2:
+            while wait_json(router_url + "/healthz")[0]["replicas_healthy"] < 2:
                 assert time.monotonic() < deadline
                 time.sleep(0.2)
             print("router up, both replicas in rotation")
 
             # Writes go through the router and land on the primary.
             for step in range(WRITES):
-                report = post_json(
+                report, _ = fetch_json(
                     router_url + f"/delta?source=demo&seq={step + 1}",
                     family_delta(BASE_FAMILIES + step).to_json(),
                 )
                 assert report["converged"], report
-            primary_offset = wait_for(primary_url + "/stats")["wal_offset"]
+            primary_offset = wait_json(primary_url + "/stats")[0]["wal_offset"]
             assert primary_offset == WRITES
             print(f"wrote {WRITES} deltas through the router")
 
@@ -154,7 +110,7 @@ def main() -> int:
             deadline = time.monotonic() + 60
             for url in replica_urls:
                 while True:
-                    stats = wait_for(url + "/stats")
+                    stats, _ = wait_json(url + "/stats")
                     if stats["wal_offset"] >= WRITES:
                         break
                     assert time.monotonic() < deadline, stats
@@ -163,7 +119,7 @@ def main() -> int:
 
             # Bounded-staleness read through the router: only a replica
             # at the write's offset may answer.
-            pair = wait_for(
+            pair, _ = wait_json(
                 router_url
                 + f"/pair/p{BASE_FAMILIES}a/q{BASE_FAMILIES}a?min_offset={WRITES}"
             )
@@ -182,30 +138,21 @@ def main() -> int:
 
             # Kill one replica outright; the router ejects it and keeps
             # serving reads from the survivor.
-            replicas[1].kill()
-            replicas[1].wait(timeout=30)
+            replicas[1].proc.kill()
+            replicas[1].proc.wait(timeout=30)
             deadline = time.monotonic() + 60
-            while wait_for(router_url + "/healthz")["replicas_healthy"] != 1:
+            while wait_json(router_url + "/healthz")[0]["replicas_healthy"] != 1:
                 assert time.monotonic() < deadline
                 time.sleep(0.2)
             for step in range(WRITES):
                 name = BASE_FAMILIES + step
-                pair = wait_for(router_url + f"/pair/p{name}a/q{name}a")
+                pair, _ = wait_json(router_url + f"/pair/p{name}a/q{name}a")
                 assert pair["probability"] > 0.9, pair
             print("replica killed; reads still served")
-        finally:
-            # Replica 2 was SIGKILLed on purpose above; everything else
-            # must exit 0 on SIGTERM.  Guard every index so a failure
-            # before a process was spawned reports the root cause, not
-            # an IndexError from teardown.
-            survivors = [p for p in (router, *replicas[:1], primary) if p is not None]
-            for process in (router, *replicas, primary):
-                if process is not None and process.poll() is None:
-                    process.send_signal(signal.SIGTERM)
-            codes = [process.wait(timeout=60) for process in survivors]
-        assert codes == [0] * len(survivors) and len(codes) == 3, (
-            f"expected 3 clean shutdowns, got {codes}"
-        )
+        # Replica 2 was SIGKILLed on purpose above; everything else
+        # must exit 0 on SIGTERM.
+        codes = [node.proc.returncode for node in (router, replicas[0], primary)]
+        assert codes == [0, 0, 0], f"expected 3 clean shutdowns, got {codes}"
 
         # The shutdown snapshot covers the whole WAL, and the serve
         # process compacts automatically after snapshotting: the sealed
@@ -221,26 +168,22 @@ def main() -> int:
         compact = subprocess.run(
             [sys.executable, "-m", "repro", "wal", "compact",
              "--state-dir", str(state_dir)],
-            env=os.environ.copy(),
         )
         assert compact.returncode == 0
         print("offline `repro wal compact` OK (idempotent)")
 
         # ...and a fresh replica still bootstraps from what remains.
-        fresh = spawn(
-            "replica", str(state_dir), "--port", str(PORT + 4), "--poll-ms", "20"
-        )
+        fresh = spawn("replica", str(state_dir), "--poll-ms", "20")
         try:
-            fresh_url = f"http://127.0.0.1:{PORT + 4}"
-            stats = wait_for(fresh_url + "/stats")
+            fresh_url = fresh.url
+            stats, _ = wait_json(fresh_url + "/stats")
             assert stats["wal_offset"] == WRITES, stats
             name = BASE_FAMILIES + WRITES - 1
-            pair = wait_for(f"{fresh_url}/pair/p{name}a/q{name}a")
+            pair, _ = wait_json(f"{fresh_url}/pair/p{name}a/q{name}a")
             assert pair["probability"] > 0.9, pair
             print("fresh bootstrap after compaction OK")
         finally:
-            fresh.send_signal(signal.SIGTERM)
-            assert fresh.wait(timeout=60) == 0
+            assert stop(fresh) == 0
     print("replica demo OK")
     return 0
 

@@ -13,79 +13,41 @@ Run with::
 
 from __future__ import annotations
 
-import json
-import os
-import signal
-import subprocess
-import sys
 import tempfile
-import time
-import urllib.error
-import urllib.request
 from pathlib import Path
 
 from repro.datasets.incremental import family_addition, family_pair
 from repro.rdf import ntriples
 from repro.service.delta import Delta, triple_to_json
+from repro.testing import fetch_json, spawn, stop, wait_json, wait_ready
 
 BASE_FAMILIES = 40
-PORT = int(os.environ.get("SERVE_DEMO_PORT", "8765"))
-
-
-def wait_for(url: str, seconds: float = 60.0) -> dict:
-    deadline = time.monotonic() + seconds
-    while True:
-        try:
-            with urllib.request.urlopen(url, timeout=2) as response:
-                return json.load(response)
-        except (urllib.error.URLError, ConnectionError):
-            if time.monotonic() > deadline:
-                raise
-            time.sleep(0.3)
-
-
-def post_json(url: str, payload: dict) -> dict:
-    request = urllib.request.Request(
-        url,
-        data=json.dumps(payload).encode("utf-8"),
-        headers={"Content-Type": "application/json"},
-    )
-    with urllib.request.urlopen(request, timeout=120) as response:
-        return json.load(response)
 
 
 def main() -> int:
-    base = f"http://127.0.0.1:{PORT}"
     with tempfile.TemporaryDirectory(prefix="repro-serve-demo-") as workdir:
         work = Path(workdir)
         left, right = family_pair(BASE_FAMILIES)
         ntriples.write_ntriples(left, work / "left.nt")
         ntriples.write_ntriples(right, work / "right.nt")
 
-        server = subprocess.Popen(
-            [
-                sys.executable,
-                "-m",
-                "repro",
-                "serve",
-                str(work / "left.nt"),
-                str(work / "right.nt"),
-                "--state-dir",
-                str(work / "state"),
-                "--port",
-                str(PORT),
-            ],
-            env=os.environ.copy(),
+        server = spawn(
+            "serve",
+            str(work / "left.nt"),
+            str(work / "right.nt"),
+            "--state-dir",
+            str(work / "state"),
         )
+        base = server.url
         try:
-            health = wait_for(base + "/healthz")
+            health = wait_ready(server)
             print("service up:", health)
             assert health["status"] == "ok" and health["matched_left"] > 0
 
             # Push one new family to both sides as a delta batch.
             add_left, add_right = family_addition(BASE_FAMILIES, 1)
             delta = Delta(add1=tuple(add_left), add2=tuple(add_right))
-            report = post_json(base + "/delta", delta.to_json())
+            report, _ = fetch_json(base + "/delta", delta.to_json())
             print("delta absorbed:", report)
             assert report["version"] == 1 and report["converged"]
             assert report["applied_add"] == len(add_left) + len(add_right)
@@ -93,12 +55,12 @@ def main() -> int:
             # The new family's persons must now be matched, strongly.
             new_left = add_left[0].subject.name
             new_right = new_left.replace("p", "q", 1)
-            pair = wait_for(f"{base}/pair/{new_left}/{new_right}")
+            pair, _ = wait_json(f"{base}/pair/{new_left}/{new_right}")
             print("pair after delta:", pair)
             assert pair["probability"] > 0.9, pair
             assert pair["best_counterpart_of_left"]["right"] == new_right
 
-            alignment = wait_for(base + "/alignment?threshold=0.5")
+            alignment, _ = wait_json(base + "/alignment?threshold=0.5")
             assert len(alignment["pairs"]) == (BASE_FAMILIES + 1) * 3
             print(f"alignment holds {len(alignment['pairs'])} pairs above 0.5")
 
@@ -106,8 +68,7 @@ def main() -> int:
             assert Delta.from_json(delta.to_json()).to_json() == delta.to_json()
             assert triple_to_json(add_left[0])["subject"] == new_left
         finally:
-            server.send_signal(signal.SIGTERM)
-            code = server.wait(timeout=60)
+            code = stop(server)
         print("server exited with", code)
         assert code == 0, f"expected clean shutdown, got exit code {code}"
         assert (work / "state" / "LATEST").read_text().strip() == "1"

@@ -16,54 +16,19 @@ Run with::
 from __future__ import annotations
 
 import json
-import os
-import signal
-import subprocess
-import sys
 import tempfile
 import time
-import urllib.error
-import urllib.request
 from pathlib import Path
 
-from repro.datasets.incremental import family_addition, family_pair
+from repro.datasets.incremental import family_pair
 from repro.rdf import ntriples
-from repro.service.delta import Delta
+from repro.testing import family_delta, fetch_json, spawn, stop, wait_json, wait_ready
 
 BASE_FAMILIES = 40
 STREAMED_DELTAS = 3
-PORT = int(os.environ.get("STREAM_DEMO_PORT", "8766"))
-
-
-def wait_for(url: str, seconds: float = 60.0) -> dict:
-    deadline = time.monotonic() + seconds
-    while True:
-        try:
-            with urllib.request.urlopen(url, timeout=2) as response:
-                return json.load(response)
-        except (urllib.error.URLError, ConnectionError):
-            if time.monotonic() > deadline:
-                raise
-            time.sleep(0.3)
-
-
-def post_json(url: str, payload: dict) -> dict:
-    request = urllib.request.Request(
-        url,
-        data=json.dumps(payload).encode("utf-8"),
-        headers={"Content-Type": "application/json"},
-    )
-    with urllib.request.urlopen(request, timeout=120) as response:
-        return json.load(response)
-
-
-def family_delta(index: int) -> Delta:
-    add_left, add_right = family_addition(index, 1)
-    return Delta(add1=tuple(add_left), add2=tuple(add_right))
 
 
 def main() -> int:
-    base = f"http://127.0.0.1:{PORT}"
     with tempfile.TemporaryDirectory(prefix="repro-stream-demo-") as workdir:
         work = Path(workdir)
         left, right = family_pair(BASE_FAMILIES)
@@ -71,32 +36,25 @@ def main() -> int:
         ntriples.write_ntriples(right, work / "right.nt")
         watch = work / "deltas.ndjson"
 
-        server = subprocess.Popen(
-            [
-                sys.executable,
-                "-m",
-                "repro",
-                "serve",
-                str(work / "left.nt"),
-                str(work / "right.nt"),
-                "--state-dir",
-                str(work / "state"),
-                "--port",
-                str(PORT),
-                "--wal",
-                "--watch",
-                str(watch),
-                "--max-batch",
-                "16",
-                "--max-lag-ms",
-                "50",
-                "--snapshot-every",
-                "0",  # durability comes from the WAL
-            ],
-            env=os.environ.copy(),
+        server = spawn(
+            "serve",
+            str(work / "left.nt"),
+            str(work / "right.nt"),
+            "--state-dir",
+            str(work / "state"),
+            "--wal",
+            "--watch",
+            str(watch),
+            "--max-batch",
+            "16",
+            "--max-lag-ms",
+            "50",
+            "--snapshot-every",
+            "0",  # durability comes from the WAL
         )
+        base = server.url
         try:
-            health = wait_for(base + "/healthz")
+            health = wait_ready(server)
             print("service up:", health)
             assert health["status"] == "ok" and health["matched_left"] > 0
 
@@ -111,7 +69,7 @@ def main() -> int:
             # Poll /stats until the applied WAL offset catches up.
             deadline = time.monotonic() + 60
             while True:
-                stats = wait_for(base + "/stats")
+                stats, _ = wait_json(base + "/stats")
                 ingest = stats["ingest"]
                 if (
                     ingest["wal_appended"] >= STREAMED_DELTAS
@@ -130,21 +88,20 @@ def main() -> int:
             for step in range(STREAMED_DELTAS):
                 left_name = f"p{BASE_FAMILIES + step}a"
                 right_name = f"q{BASE_FAMILIES + step}a"
-                pair = wait_for(f"{base}/pair/{left_name}/{right_name}")
+                pair, _ = wait_json(f"{base}/pair/{left_name}/{right_name}")
                 assert pair["probability"] > 0.9, pair
             print("all streamed pairs converged")
 
             # HTTP writers share the same queue — with idempotent
             # redelivery via per-source sequence numbers.
             delta = family_delta(BASE_FAMILIES + STREAMED_DELTAS)
-            report = post_json(base + "/delta?source=demo&seq=1", delta.to_json())
+            report, _ = fetch_json(base + "/delta?source=demo&seq=1", delta.to_json())
             assert report["converged"], report
-            duplicate = post_json(base + "/delta?source=demo&seq=1", delta.to_json())
+            duplicate, _ = fetch_json(base + "/delta?source=demo&seq=1", delta.to_json())
             assert duplicate == {"duplicate": True, "source": "demo", "seq": 1}
             print("idempotent redelivery OK")
         finally:
-            server.send_signal(signal.SIGTERM)
-            code = server.wait(timeout=60)
+            code = stop(server)
         print("server exited with", code)
         assert code == 0, f"expected clean shutdown, got exit code {code}"
         # The shutdown snapshot recorded the fully-applied WAL offset.

@@ -56,7 +56,7 @@ import time
 from pathlib import Path
 from typing import List, Optional, Tuple
 
-from . import __version__
+from . import __version__, client
 from .core.aligner import align
 from .core.config import ParisConfig
 from .io.alignment_io import save_result, write_sameas_links
@@ -146,11 +146,11 @@ def cmd_align(args: argparse.Namespace) -> int:
 
 def _service_stats_once(base_url: str, raw: bool) -> None:
     """Fetch and print one ``/stats`` (or ``/metrics`` with ``raw``)."""
-    from urllib.request import urlopen
-
-    path = "/metrics" if raw else "/stats"
-    with urlopen(base_url.rstrip("/") + path, timeout=30) as response:
-        body = response.read().decode("utf-8")
+    url = base_url.rstrip("/") + ("/metrics" if raw else "/stats")
+    status, _headers, data = client.request(url)
+    if status != 200:
+        raise OSError(f"{url} answered HTTP {status}")
+    body = data.decode("utf-8")
     if raw:
         # Prometheus text: pass through verbatim (it is already lines).
         print(body, end="" if body.endswith("\n") else "\n")
@@ -172,13 +172,11 @@ def _watch_service_stats(
     connection.  Only ``KeyboardInterrupt`` ends it; a healthy fetch
     resets the backoff.  ``fetch``/``sleep`` are injectable for tests.
     """
-    import urllib.error
-
     delay = 0.5
     while True:
         try:
             fetch(base_url, raw)
-        except (urllib.error.URLError, OSError, json.JSONDecodeError) as error:
+        except (OSError, json.JSONDecodeError) as error:
             print(f"stats fetch failed ({error}); retrying in {delay:g}s")
             sleep(delay)
             delay = min(delay * 2, max_retry)
@@ -549,7 +547,6 @@ def cmd_watch(args: argparse.Namespace) -> int:
     notification; the served version is carried forward as the cursor,
     so no change is skipped between polls."""
     from urllib.parse import urlencode
-    from urllib.request import urlopen
 
     base = args.url.rstrip("/")
     after = args.after
@@ -564,8 +561,10 @@ def cmd_watch(args: argparse.Namespace) -> int:
             if after is not None:
                 params["after"] = after
             url = base + "/watch?" + urlencode(params)
-            with urlopen(url, timeout=args.timeout + 30.0) as response:
-                payload = json.loads(response.read().decode("utf-8"))
+            status, _headers, body = client.request(url, timeout=args.timeout + 30.0)
+            if status != 200:
+                raise OSError(f"{url} answered HTTP {status}")
+            payload = json.loads(body.decode("utf-8"))
             after = payload.get("version", after)
             if payload.get("timeout"):
                 continue
@@ -575,30 +574,6 @@ def cmd_watch(args: argparse.Namespace) -> int:
                 return 0
     except KeyboardInterrupt:  # pragma: no cover - interactive
         return 0
-
-
-def _fetch_provenance(base_url: str, trace: str, timeout: float) -> Optional[dict]:
-    """``GET /provenance?trace=`` from one node.
-
-    Returns the decoded payload — a 404 carries ``{"found": false}``,
-    which callers treat as a miss, not an error — or ``None`` when the
-    node is unreachable or answers garbage, so a dead replica degrades
-    the merged timeline instead of killing the whole trace."""
-    from urllib.error import HTTPError, URLError
-    from urllib.parse import urlencode
-    from urllib.request import urlopen
-
-    url = base_url.rstrip("/") + "/provenance?" + urlencode({"trace": trace})
-    try:
-        with urlopen(url, timeout=timeout) as response:
-            return json.loads(response.read().decode("utf-8"))
-    except HTTPError as error:
-        try:
-            return json.loads(error.read().decode("utf-8"))
-        except (ValueError, OSError):
-            return None
-    except (URLError, OSError, ValueError):
-        return None
 
 
 def _merge_timelines(nodes: List[dict]) -> List[dict]:
@@ -639,10 +614,15 @@ def _merge_timelines(nodes: List[dict]) -> List[dict]:
 def cmd_trace(args: argparse.Namespace) -> int:
     """Fan ``GET /provenance?trace=`` across the fleet and print one
     merged, time-sorted stage timeline for the delta."""
+    from urllib.parse import urlencode
+
     targets = [args.url] + list(args.replicas)
+    query = "/provenance?" + urlencode({"trace": args.trace_id})
     nodes = []
     for url in targets:
-        payload = _fetch_provenance(url, args.trace_id, args.timeout)
+        # A 404 carries {"found": false}, a miss; an unreachable node (or
+        # garbage) degrades the merged timeline instead of killing it.
+        payload = client.get_json(url.rstrip("/") + query, timeout=args.timeout)[1]
         if payload is None:
             _log.warning("node unreachable", url=url)
             continue
@@ -709,24 +689,6 @@ def cmd_trace(args: argparse.Namespace) -> int:
     return 0
 
 
-def _get_json(url: str, timeout: float) -> Tuple[int, Optional[dict]]:
-    """One GET returning ``(status, decoded-payload)``; status 0 means
-    the node was unreachable (payload None)."""
-    from urllib.error import HTTPError, URLError
-    from urllib.request import urlopen
-
-    try:
-        with urlopen(url, timeout=timeout) as response:
-            return response.status, json.loads(response.read().decode("utf-8"))
-    except HTTPError as error:
-        try:
-            return error.code, json.loads(error.read().decode("utf-8"))
-        except (ValueError, OSError):
-            return error.code, None
-    except (URLError, OSError, ValueError):
-        return 0, None
-
-
 def _range_digests(
     primary_url: str, node_url: str, lo: str, hi: Optional[str], timeout: float
 ) -> Optional[Tuple[dict, dict]]:
@@ -737,8 +699,8 @@ def _range_digests(
     if hi is not None:
         params["hi"] = hi
     query = "/digest?" + urlencode(params)
-    status_p, payload_p = _get_json(primary_url + query, timeout)
-    status_n, payload_n = _get_json(node_url + query, timeout)
+    status_p, payload_p = client.get_json(primary_url + query, timeout=timeout)
+    status_n, payload_n = client.get_json(node_url + query, timeout=timeout)
     if status_p != 200 or status_n != 200:
         return None
     return payload_p["range"], payload_n["range"]
@@ -785,7 +747,7 @@ def _first_divergent_pair(
     detail: dict = {"left": entity}
     query = "/alignment?" + urlencode({"entity": entity})
     for key, url in (("primary", primary_url), ("node", node_url)):
-        status, payload = _get_json(url + query, timeout)
+        status, payload = client.get_json(url + query, timeout=timeout)
         if status == 200 and payload is not None:
             detail[key] = payload.get("best_counterpart_as_left")
     return detail
@@ -802,7 +764,7 @@ def cmd_doctor(args: argparse.Namespace) -> int:
     # --- quiesce: primary drains its ingest queue ---------------------
     target_offset = None
     while time.monotonic() < deadline:
-        status, stats = _get_json(primary_url + "/stats", args.timeout)
+        status, stats = client.get_json(primary_url + "/stats", timeout=args.timeout)
         if status == 200 and stats is not None:
             applied = int(stats.get("wal_offset", 0))
             appended = int(stats.get("ingest", {}).get("wal_appended", applied))
@@ -818,7 +780,7 @@ def cmd_doctor(args: argparse.Namespace) -> int:
     node_stats: dict = {}
     for url in replica_urls:
         while time.monotonic() < deadline:
-            status, stats = _get_json(url + "/stats", args.timeout)
+            status, stats = client.get_json(url + "/stats", timeout=args.timeout)
             if status == 200 and stats is not None:
                 node_stats[url] = stats
                 if int(stats.get("wal_offset", -1)) >= target_offset:
@@ -826,8 +788,8 @@ def cmd_doctor(args: argparse.Namespace) -> int:
             time.sleep(0.2)
 
     # --- digests, offset-keyed ----------------------------------------
-    status, primary_digest = _get_json(
-        primary_url + "/digest?verify=1", args.timeout
+    status, primary_digest = client.get_json(
+        primary_url + "/digest?verify=1", timeout=args.timeout
     )
     if status != 200 or primary_digest is None:
         print(f"doctor: GET /digest failed on primary {primary_url}")
@@ -844,7 +806,7 @@ def cmd_doctor(args: argparse.Namespace) -> int:
     ]
     for url in replica_urls:
         node: dict = {"url": url, "role": "replica"}
-        status, payload = _get_json(url + "/digest?verify=1", args.timeout)
+        status, payload = client.get_json(url + "/digest?verify=1", timeout=args.timeout)
         if status != 200 or payload is None:
             node.update(match=None, error=f"GET /digest failed (http {status})")
             nodes.append(node)
@@ -857,9 +819,9 @@ def cmd_doctor(args: argparse.Namespace) -> int:
         else:
             # Compare at the replica's own offset via the primary's
             # checkpoint history; 409 = aged out -> verdict unknown.
-            status, at = _get_json(
+            status, at = client.get_json(
                 primary_url + f"/digest?offset={payload['wal_offset']}",
-                args.timeout,
+                timeout=args.timeout,
             )
             if status != 200 or at is None:
                 node.update(match=None, error="common offset aged out of history")
@@ -874,7 +836,7 @@ def cmd_doctor(args: argparse.Namespace) -> int:
         nodes.append(node)
 
     # --- audit counters + lag from /stats -----------------------------
-    node_stats[primary_url] = _get_json(primary_url + "/stats", args.timeout)[1] or {}
+    node_stats[primary_url] = client.get_json(primary_url + "/stats", timeout=args.timeout)[1]
     for node in nodes:
         stats = node_stats.get(node["url"]) or {}
         audit = stats.get("audit")

@@ -24,13 +24,12 @@ head offset, which is what the replica's staleness accounting
 from __future__ import annotations
 
 import json
-import urllib.error
-import urllib.request
 from itertools import islice
 from pathlib import Path
 from typing import List, NamedTuple, Union
 from urllib.parse import urlencode
 
+from ... import client
 from ..stream.wal import WalGapError, WalRecord, WriteAheadLog
 
 
@@ -89,25 +88,20 @@ class HttpWalFollower:
     def fetch(self, after_offset: int, limit: int = 256) -> WalFetch:
         query = urlencode({"from": after_offset, "limit": limit})
         url = f"{self.primary_url}/wal?{query}"
-        try:
-            with urllib.request.urlopen(url, timeout=self.timeout) as response:
-                head = int(response.headers.get("X-Wal-Offset", "0"))
-                body = response.read().decode("utf-8")
-        except urllib.error.HTTPError as error:
-            if error.code == 410:
-                # The primary compacted the requested suffix away.
+        status, headers, body = client.request(url, timeout=self.timeout)
+        if status == 410:
+            # The primary compacted the requested suffix away.
+            try:
+                detail = json.loads(body)
+            except ValueError:
                 detail = {}
-                try:
-                    detail = json.load(error)
-                except (ValueError, OSError):
-                    pass
-                raise WalGapError(
-                    after_offset, int(detail.get("oldest", after_offset + 2))
-                ) from error
-            raise
+            raise WalGapError(after_offset, int(detail.get("oldest", after_offset + 2)))
+        if status != 200:
+            raise OSError(f"{url} answered HTTP {status}")
+        head = int(headers.get("X-Wal-Offset", "0"))
         records = []
         expected = after_offset + 1
-        for line in body.splitlines():
+        for line in body.decode("utf-8").splitlines():
             if not line.strip():
                 continue
             record = WalRecord.from_json(json.loads(line))

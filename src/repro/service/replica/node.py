@@ -40,8 +40,8 @@ import time
 from dataclasses import replace
 from pathlib import Path
 from typing import Dict, Optional, Union
-from urllib.request import urlopen
 
+from ... import client
 from ...obs import get_event_logger
 from ...obs.metrics import REGISTRY
 from ...obs.provenance import ProvenanceRing, set_active_ring
@@ -79,8 +79,9 @@ REBOOTSTRAPS = REGISTRY.counter(
 
 def _fetch_primary_snapshot(primary_url: str, timeout: float = 120.0) -> AlignmentState:
     url = primary_url.rstrip("/") + "/snapshot/latest"
-    with urlopen(url, timeout=timeout) as response:
-        data = response.read()
+    status, _headers, data = client.request(url, timeout=timeout)
+    if status != 200:
+        raise OSError(f"{url} answered HTTP {status}")
     return load_state_bytes(data, origin=url)
 
 

@@ -36,12 +36,11 @@ import json
 import math
 import threading
 import time
-import urllib.error
-import urllib.request
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from typing import Dict, List, Optional, Tuple
 from urllib.parse import parse_qs, urlparse
 
+from ... import client
 from ...obs import get_event_logger
 from ...obs.http import ObservedHandlerMixin, route_label
 from ...obs.metrics import REGISTRY
@@ -121,10 +120,8 @@ class _Target:
 
     def probe(self, timeout: float) -> bool:
         """Refresh the cached ``/stats``; flips :attr:`healthy`."""
-        try:
-            with urllib.request.urlopen(self.url + "/stats", timeout=timeout) as resp:
-                stats = json.load(resp)
-        except (urllib.error.URLError, OSError, ValueError):
+        status, stats = client.get_json(self.url + "/stats", timeout=timeout)
+        if status != 200 or stats is None:
             with self.lock:
                 self.failures += 1
                 self._set_health(False)
@@ -401,8 +398,8 @@ class RouterRequestHandler(ObservedHandlerMixin, BaseHTTPRequestHandler):
     ) -> Optional[Tuple[int, object, bytes]]:
         """One proxied request; None means the target is unreachable."""
         headers = {"Content-Type": "application/json"} if body else {}
-        # Conditional reads validate end-to-end: the backend's 304
-        # comes back through the HTTPError branch below and is relayed.
+        # Conditional reads validate end-to-end: the backend's 304 is
+        # an answer like any other status and is relayed.
         if_none_match = self.headers.get("If-None-Match")
         if if_none_match is not None:
             headers["If-None-Match"] = if_none_match
@@ -412,22 +409,13 @@ class RouterRequestHandler(ObservedHandlerMixin, BaseHTTPRequestHandler):
         # and a forwarded POST /delta's provenance trace.
         if self.request_id is not None:
             headers["X-Request-Id"] = self.request_id
-        request = urllib.request.Request(
-            target.url + path_query,
-            data=body,
-            method=method,
-            headers=headers,
-        )
         try:
-            with urllib.request.urlopen(
-                request, timeout=self.router.request_timeout
-            ) as response:
-                return response.status, response.headers, response.read()
-        except urllib.error.HTTPError as error:
-            # An HTTP-level error is a *backend answer* (400/404/429/
-            # 503…), not a router failure: relay it untouched.
-            return error.code, error.headers, error.read()
-        except (urllib.error.URLError, OSError):
+            # Every HTTP status (400/404/429/503…) is a *backend answer*,
+            # not a router failure: it is relayed untouched.
+            return client.request(
+                target.url + path_query, method, body, headers, self.router.request_timeout
+            )
+        except OSError:
             with target.lock:
                 target.failures += 1
                 target._set_health(False)
@@ -481,24 +469,15 @@ class RouterRequestHandler(ObservedHandlerMixin, BaseHTTPRequestHandler):
         """One unconditional ``GET /digest`` against a backend (no
         If-None-Match relay — the fleet comparison needs bodies, never
         304s).  Returns ``(status, payload-or-error-string)``."""
-        request = urllib.request.Request(
+        status, payload = client.get_json(
             target.url + "/digest" + suffix,
-            headers=(
-                {"X-Request-Id": self.request_id} if self.request_id else {}
-            ),
+            headers={"X-Request-Id": self.request_id} if self.request_id else None,
+            timeout=self.router.probe_timeout,
         )
-        try:
-            with urllib.request.urlopen(
-                request, timeout=self.router.probe_timeout
-            ) as response:
-                return response.status, json.load(response)
-        except urllib.error.HTTPError as error:
-            try:
-                return error.code, json.load(error)
-            except ValueError:
-                return error.code, {"error": f"http {error.code}"}
-        except (urllib.error.URLError, OSError, ValueError) as error:
-            return 0, {"error": repr(error)}
+        if not isinstance(payload, dict):  # unreachable, or an answer that is not JSON
+            payload = {"error": f"http {status}" if status else f"{target.url} unreachable"}
+            status = 0 if status == 200 else status
+        return status, payload
 
     def _route_fleet(self) -> None:
         """``GET /fleet`` — the router-side half of `repro doctor`:

@@ -303,24 +303,26 @@ class AlignmentRequestHandler(ObservedHandlerMixin, BaseHTTPRequestHandler):
         parts = [unquote(part) for part in url.path.split("/") if part]
         replica = self.server.replica  # type: ignore[attr-defined]
         if parts == ["healthz"]:
+            stream = self.server.stream  # type: ignore[attr-defined]
+            wal = stream.wal if stream is not None else None
             auditor = getattr(self.server, "auditor", None)
-            audit_degraded = auditor.degraded() if auditor is not None else None
+            degraded = auditor.degraded() if auditor is not None else None
+            if wal is not None and wal.failure is not None:
+                degraded = f"wal refuses writes after a failed flush/fsync ({wal.failure})"
             etag = self._state_etag()
-            # A latched audit mismatch must reach probes immediately:
-            # the state ETag did not move, so the 304 path is skipped.
-            if audit_degraded is None and self._maybe_not_modified(etag):
+            # A latched audit mismatch or WAL failure must reach probes
+            # at once: the state ETag did not move, so skip the 304 path.
+            if degraded is None and self._maybe_not_modified(etag):
                 return
             payload = self.service.health()
             payload["role"] = "replica" if replica is not None else "primary"
-            if audit_degraded is not None and payload["status"] == "ok":
+            if degraded is not None and payload["status"] == "ok":
                 payload["status"] = "degraded"
-                payload["degraded"] = audit_degraded
+                payload["degraded"] = degraded
             # Probes get the WAL position without parsing /stats: what
             # the engine applied, and (with a log attached) what the
             # primary appended / made durable.
             wal_info = {"applied_offset": self.service.state.wal_offset}
-            stream = self.server.stream  # type: ignore[attr-defined]
-            wal = stream.wal if stream is not None else None
             if wal is not None:
                 wal_info["appended_offset"] = wal.offset
                 wal_info["durable_offset"] = wal.durable_offset

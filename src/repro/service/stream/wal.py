@@ -361,6 +361,11 @@ class WriteAheadLog:
         return self._offset
 
     @property
+    def failure(self) -> Optional[OSError]:
+        """The flush/fsync error that latched the log; ``None`` while healthy."""
+        return self._failure
+
+    @property
     def durable_offset(self) -> int:
         """Highest offset an fsync has covered (== :attr:`offset` right
         after a synchronous append)."""

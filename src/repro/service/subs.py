@@ -34,12 +34,11 @@ from __future__ import annotations
 import json
 import threading
 import time
-import urllib.error
-import urllib.request
 from collections import deque
 from pathlib import Path
 from typing import Deque, Dict, List, Optional, Sequence, Union
 
+from .. import client
 from ..obs import get_event_logger
 from ..obs.metrics import REGISTRY
 from .query import ChangeEvent
@@ -309,16 +308,15 @@ class SubscriptionManager:
 
     def _deliver(self, record: dict, notification: dict) -> None:
         body = json.dumps(notification).encode("utf-8")
-        request = urllib.request.Request(
-            record["url"],
-            data=body,
-            headers={"Content-Type": "application/json"},
-            method="POST",
-        )
         try:
-            with urllib.request.urlopen(request, timeout=self.webhook_timeout):
-                pass
-        except (urllib.error.URLError, OSError, ValueError) as error:
+            status, _headers, _body = client.request(
+                record["url"], "POST", body, {"Content-Type": "application/json"},
+                self.webhook_timeout,
+            )
+            failure = None if 200 <= status < 300 else f"HTTP {status}"
+        except (OSError, ValueError) as error:
+            failure = str(error)
+        if failure is not None:
             # Cursor stays put: the delivery retries on the next cycle,
             # so a flapping endpoint loses nothing (it may later get a
             # *wider* collapsed window — still one deduped POST).
@@ -326,7 +324,7 @@ class SubscriptionManager:
                 "webhook delivery failed",
                 subscription=record["id"],
                 url=record["url"],
-                error=str(error),
+                error=failure,
             )
             return
         with self._cond:

@@ -16,17 +16,14 @@ corrupted fleet.
 from __future__ import annotations
 
 import json
-import threading
-import time
-import urllib.error
 import urllib.parse
-import urllib.request
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.cli import _build_auditor, build_parser, cmd_doctor
+from repro.client import get_json, post_json
 from repro.core.config import ParisConfig
 from repro.core.result import apply_assignment_delta
 from repro.datasets.incremental import family_addition, family_pair
@@ -46,37 +43,7 @@ from repro.service.audit import StateAuditor
 from repro.service.replica import ReadRouter, ReplicaNode, build_router_server
 from repro.service.server import build_server
 from repro.service.stream import DeltaBatcher, StreamStack, WriteAheadLog
-
-
-def family_delta(start: int, count: int = 1) -> Delta:
-    add1, add2 = family_addition(start, count)
-    return Delta(add1=tuple(add1), add2=tuple(add2))
-
-
-def wait_until(condition, seconds=60.0):
-    deadline = time.monotonic() + seconds
-    while not condition():
-        assert time.monotonic() < deadline, "condition never became true"
-        time.sleep(0.05)
-
-
-def url_of(server, path=""):
-    host, port = server.server_address[:2]
-    return f"http://{host}:{port}{path}"
-
-
-def get_json(url, timeout=60):
-    try:
-        with urllib.request.urlopen(url, timeout=timeout) as response:
-            return response.status, json.loads(response.read().decode("utf-8"))
-    except urllib.error.HTTPError as error:
-        return error.code, json.loads(error.read().decode("utf-8"))
-
-
-def serve(server):
-    thread = threading.Thread(target=server.serve_forever, daemon=True)
-    thread.start()
-    return thread
+from repro.testing import family_delta, serve_in_thread, url_of, wait_until
 
 
 def corrupt_without_maintainer(service, scale=0.5):
@@ -474,11 +441,8 @@ class TestDigestEndpoint:
             service.apply_delta(family_delta(5 + offset), wal_offset=offset)
         auditor = StateAuditor(lambda: service, sample=0, full_every=1, seed=7)
         server = build_server(service, "127.0.0.1", 0, auditor=auditor)
-        thread = serve(server)
-        yield {"service": service, "server": server, "auditor": auditor}
-        server.shutdown()
-        server.server_close()
-        thread.join(timeout=10)
+        with serve_in_thread(server):
+            yield {"service": service, "server": server, "auditor": auditor}
 
     def test_current_digest(self, node):
         status, payload = get_json(url_of(node["server"], "/digest"))
@@ -580,39 +544,27 @@ class TestFleet:
             check_interval=0.2, stats_ttl=0.05, retry_after=0.5,
         )
         router_server = build_router_server(router)
-        threads = [serve(s) for s in (primary_server, replica_server, router_server)]
-        router.start()
-        yield {
-            "primary": primary,
-            "primary_server": primary_server,
-            "replica": replica,
-            "replica_auditor": replica_auditor,
-            "replica_server": replica_server,
-            "router_server": router_server,
-        }
-        router_server.shutdown()
-        router_server.server_close()
-        router.stop()
-        replica_server.shutdown()
-        replica_server.server_close()
-        replica.stop()
-        primary_server.shutdown()
-        primary_server.server_close()
+        with serve_in_thread(primary_server), serve_in_thread(replica_server):
+            with serve_in_thread(router_server):
+                router.start()
+                yield {
+                    "primary": primary,
+                    "primary_server": primary_server,
+                    "replica": replica,
+                    "replica_auditor": replica_auditor,
+                    "replica_server": replica_server,
+                    "router_server": router_server,
+                }
+            router.stop()
+            replica.stop()
         stream.stop()
-        for thread in threads:
-            thread.join(timeout=10)
 
     def write_and_settle(self, fleet, start=6, count=2):
         primary = fleet["primary"]
         for step in range(count):
-            payload = json.dumps(family_delta(start + step).to_json()).encode("utf-8")
-            request = urllib.request.Request(
-                url_of(fleet["router_server"], "/delta"),
-                data=payload,
-                headers={"Content-Type": "application/json"},
-            )
-            with urllib.request.urlopen(request, timeout=60) as response:
-                assert response.status == 200
+            delta = family_delta(start + step).to_json()
+            status, _ = post_json(url_of(fleet["router_server"], "/delta"), delta)
+            assert status == 200
         wait_until(lambda: primary.state.wal_offset >= count)
         offset = primary.state.wal_offset
         wait_until(lambda: fleet["replica"].applied_offset >= offset)
@@ -642,14 +594,12 @@ class TestFleet:
 
     def test_router_relays_provenance_to_primary(self, fleet):
         trace = "fleet-trace-1"
-        payload = json.dumps(family_delta(9).to_json()).encode("utf-8")
-        request = urllib.request.Request(
+        status, _ = post_json(
             url_of(fleet["router_server"], "/delta"),
-            data=payload,
-            headers={"Content-Type": "application/json", "X-Request-Id": trace},
+            family_delta(9).to_json(),
+            headers={"X-Request-Id": trace},
         )
-        with urllib.request.urlopen(request, timeout=60) as response:
-            assert response.status == 200
+        assert status == 200
         status, payload = get_json(
             url_of(fleet["router_server"], f"/provenance?trace={trace}")
         )

@@ -15,14 +15,14 @@ import logging
 import math
 import threading
 import time
-import urllib.request
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.client import post_json, request
 from repro.core.config import ParisConfig
-from repro.datasets.incremental import family_addition, family_pair
+from repro.datasets.incremental import family_pair
 from repro.obs import REGISTRY, root_span, span
 from repro.obs.logging import JsonFormatter, TextFormatter, setup_logging
 from repro.obs.metrics import (
@@ -31,10 +31,11 @@ from repro.obs.metrics import (
     escape_help,
     escape_label_value,
 )
-from repro.service import AlignmentService, Delta
+from repro.service import AlignmentService
 from repro.service.replica import ReadRouter, ReplicaNode, build_router_server
 from repro.service.server import build_server
 from repro.service.stream import DeltaBatcher, StreamStack, WriteAheadLog
+from repro.testing import family_delta, serve_in_thread, url_of
 
 
 # ----------------------------------------------------------------------
@@ -287,19 +288,9 @@ class TestSpans:
 # ----------------------------------------------------------------------
 
 
-def family_delta(start):
-    add1, add2 = family_addition(start, 1)
-    return Delta(add1=tuple(add1), add2=tuple(add2))
-
-
-def url_of(server, path=""):
-    host, port = server.server_address[:2]
-    return f"http://{host}:{port}{path}"
-
-
 def scrape(server):
-    with urllib.request.urlopen(url_of(server, "/metrics"), timeout=30) as response:
-        return response.read().decode("utf-8"), response.headers
+    _status, headers, body = request(url_of(server, "/metrics"))
+    return body.decode("utf-8"), headers
 
 
 def assert_valid_exposition(text):
@@ -335,27 +326,17 @@ class TestMetricsEndpoint:
             url_of(primary_server), [url_of(replica_server)], check_interval=30.0
         )
         router_server = build_router_server(router)
-        servers = (primary_server, replica_server, router_server)
-        threads = [
-            threading.Thread(target=server.serve_forever, daemon=True)
-            for server in servers
-        ]
-        for thread in threads:
-            thread.start()
-        yield {
-            "primary": primary,
-            "primary_server": primary_server,
-            "replica": replica,
-            "replica_server": replica_server,
-            "router_server": router_server,
-        }
-        for server in servers:
-            server.shutdown()
-            server.server_close()
+        with serve_in_thread(primary_server), serve_in_thread(replica_server):
+            with serve_in_thread(router_server):
+                yield {
+                    "primary": primary,
+                    "primary_server": primary_server,
+                    "replica": replica,
+                    "replica_server": replica_server,
+                    "router_server": router_server,
+                }
         replica.stop()
         stream.stop()
-        for thread in threads:
-            thread.join(timeout=10)
 
     def test_all_three_roles_serve_valid_exposition(self, cluster):
         for role in ("primary_server", "replica_server", "router_server"):
@@ -375,13 +356,10 @@ class TestMetricsEndpoint:
     def test_replica_applied_offset_converges_to_primary(self, cluster):
         primary, replica = cluster["primary"], cluster["replica"]
         # Write through the primary's HTTP surface so the WAL advances.
-        request = urllib.request.Request(
-            url_of(cluster["primary_server"], "/delta"),
-            data=json.dumps(family_delta(4).to_json()).encode("utf-8"),
-            headers={"Content-Type": "application/json"},
+        status, report = post_json(
+            url_of(cluster["primary_server"], "/delta"), family_delta(4).to_json()
         )
-        with urllib.request.urlopen(request, timeout=60) as response:
-            assert json.load(response)["converged"]
+        assert status == 200 and report["converged"]
         replica.catch_up(primary.state.wal_offset)
         assert replica.applied_offset == primary.state.wal_offset
         # Both engines publish the same applied-offset gauge.
@@ -403,11 +381,7 @@ class TestMetricsEndpoint:
         previous_level = access.level
         access.setLevel(logging.INFO)
         try:
-            with urllib.request.urlopen(
-                url_of(cluster["primary_server"], "/healthz?source=s1&seq=4"),
-                timeout=30,
-            ):
-                pass
+            request(url_of(cluster["primary_server"], "/healthz?source=s1&seq=4"))
             # The access line is emitted after the response flushes, so
             # the client can get here first: poll briefly for it.
             deadline = time.monotonic() + 10

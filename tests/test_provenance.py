@@ -14,10 +14,8 @@ from __future__ import annotations
 
 import argparse
 import json
-import threading
 import time
 import urllib.error
-import urllib.request
 
 import pytest
 
@@ -27,9 +25,10 @@ from repro.cli import (
     build_parser,
     cmd_trace,
 )
+from repro.client import get_json, request
 from repro.core.aligner import align
 from repro.core.config import ParisConfig
-from repro.datasets.incremental import family_addition, family_pair
+from repro.datasets.incremental import family_pair
 from repro.obs.provenance import (
     DELTA_STAGE_SECONDS,
     STAGE_LEGS,
@@ -39,7 +38,7 @@ from repro.obs.provenance import (
     new_trace_id,
     sanitize_trace_id,
 )
-from repro.service import AlignmentService, Delta
+from repro.service import AlignmentService
 from repro.service.replica import ReadRouter, ReplicaNode, build_router_server
 from repro.service.server import build_server
 from repro.service.stream import (
@@ -50,25 +49,14 @@ from repro.service.stream import (
     replay_wal,
 )
 from repro.service.stream.wal import WalRecord
+from repro.testing import family_delta, fetch_json, serve_in_thread, url_of, wait_until
 
 TOLERANCE = 1e-9
-
-
-def family_delta(start: int, count: int = 1) -> Delta:
-    add1, add2 = family_addition(start, count)
-    return Delta(add1=tuple(add1), add2=tuple(add2))
 
 
 def assert_stores_match(first, second, tolerance=TOLERANCE):
     mismatches = list(first.diff(second, tolerance))
     assert not mismatches, mismatches[:5]
-
-
-def wait_until(condition, seconds=60.0):
-    deadline = time.monotonic() + seconds
-    while not condition():
-        assert time.monotonic() < deadline, "condition never became true"
-        time.sleep(0.05)
 
 
 def leg_counts() -> dict:
@@ -507,24 +495,6 @@ class TestReplicaProvenance:
 # ----------------------------------------------------------------------
 
 
-def url_of(server, path=""):
-    host, port = server.server_address[:2]
-    return f"http://{host}:{port}{path}"
-
-
-def request_raw(url, payload=None, headers=None, timeout=60):
-    data = None if payload is None else json.dumps(payload).encode("utf-8")
-    request = urllib.request.Request(url, data=data, headers=headers or {})
-    with urllib.request.urlopen(request, timeout=timeout) as response:
-        return json.loads(response.read().decode("utf-8")), response.headers
-
-
-def serve(server):
-    thread = threading.Thread(target=server.serve_forever, daemon=True)
-    thread.start()
-    return thread
-
-
 class TestHttpProvenance:
     @pytest.fixture()
     def fleet(self, tmp_path):
@@ -547,30 +517,23 @@ class TestHttpProvenance:
             check_interval=0.2, stats_ttl=0.05, retry_after=0.5,
         )
         router_server = build_router_server(router)
-        threads = [serve(s) for s in (primary_server, replica_server, router_server)]
-        router.start()
-        yield {
-            "primary": primary,
-            "primary_server": primary_server,
-            "replica": replica,
-            "replica_server": replica_server,
-            "router_server": router_server,
-        }
-        router_server.shutdown()
-        router_server.server_close()
-        router.stop()
-        replica_server.shutdown()
-        replica_server.server_close()
-        replica.stop()
-        primary_server.shutdown()
-        primary_server.server_close()
+        with serve_in_thread(primary_server), serve_in_thread(replica_server):
+            with serve_in_thread(router_server):
+                router.start()
+                yield {
+                    "primary": primary,
+                    "primary_server": primary_server,
+                    "replica": replica,
+                    "replica_server": replica_server,
+                    "router_server": router_server,
+                }
+            router.stop()
+            replica.stop()
         stream.stop()
-        for thread in threads:
-            thread.join(timeout=10)
 
     def test_request_id_is_echoed_on_every_role(self, fleet):
         for key in ("primary_server", "replica_server", "router_server"):
-            _payload, headers = request_raw(
+            _payload, headers = fetch_json(
                 url_of(fleet[key], "/healthz"),
                 headers={"X-Request-Id": f"probe-{key}"},
             )
@@ -580,13 +543,13 @@ class TestHttpProvenance:
             assert headers.get_all("X-Request-Id") == [f"probe-{key}"], key
 
     def test_request_id_is_generated_when_absent(self, fleet):
-        _payload, headers = request_raw(url_of(fleet["primary_server"], "/healthz"))
+        _payload, headers = fetch_json(url_of(fleet["primary_server"], "/healthz"))
         generated = headers["X-Request-Id"]
         assert generated and len(generated) == 32
 
     def test_traceparent_is_honored(self, fleet):
         trace = "ef" * 16
-        _payload, headers = request_raw(
+        _payload, headers = fetch_json(
             url_of(fleet["primary_server"], "/healthz"),
             headers={"traceparent": f"00-{trace}-{'12' * 8}-01"},
         )
@@ -594,7 +557,7 @@ class TestHttpProvenance:
 
     def test_posted_delta_is_traceable_end_to_end(self, fleet):
         trace = "e2e-delta-1"
-        report, headers = request_raw(
+        report, headers = fetch_json(
             url_of(fleet["primary_server"], "/delta"),
             payload=family_delta(6).to_json(),
             headers={
@@ -603,7 +566,7 @@ class TestHttpProvenance:
             },
         )
         assert headers["X-Request-Id"] == trace
-        payload, _ = request_raw(
+        payload, _ = fetch_json(
             url_of(fleet["primary_server"], f"/provenance?trace={trace}")
         )
         assert payload["found"] and payload["role"] == "primary"
@@ -611,7 +574,7 @@ class TestHttpProvenance:
             assert stage in payload["timeline"], payload
         assert timeline_is_monotone(payload["timeline"])
         # The same record, by offset.
-        by_offset, _ = request_raw(
+        by_offset, _ = fetch_json(
             url_of(fleet["primary_server"], f"/provenance?offset={payload['offset']}")
         )
         assert by_offset["trace"] == trace
@@ -619,7 +582,7 @@ class TestHttpProvenance:
         wait_until(
             lambda: fleet["replica"].applied_offset >= payload["offset"], 60
         )
-        replica_view, _ = request_raw(
+        replica_view, _ = fetch_json(
             url_of(fleet["replica_server"], f"/provenance?trace={trace}")
         )
         assert replica_view["found"] and replica_view["role"] == "replica"
@@ -628,7 +591,7 @@ class TestHttpProvenance:
 
     def test_router_forwards_the_request_id_to_the_primary(self, fleet):
         trace = "via-router-7"
-        _report, headers = request_raw(
+        _report, headers = fetch_json(
             url_of(fleet["router_server"], "/delta"),
             payload=family_delta(7).to_json(),
             headers={
@@ -637,7 +600,7 @@ class TestHttpProvenance:
             },
         )
         assert headers.get_all("X-Request-Id") == [trace]
-        payload, _ = request_raw(
+        payload, _ = fetch_json(
             url_of(fleet["primary_server"], f"/provenance?trace={trace}")
         )
         assert payload["found"], payload
@@ -646,30 +609,24 @@ class TestHttpProvenance:
         base = url_of(fleet["primary_server"])
         for bad in ("/provenance", "/provenance?trace=a&offset=1",
                     "/provenance?offset=xyz"):
-            with pytest.raises(urllib.error.HTTPError) as error:
-                request_raw(base + bad)
-            assert error.value.code == 400, bad
-        with pytest.raises(urllib.error.HTTPError) as error:
-            request_raw(base + "/provenance?trace=never-seen")
-        assert error.value.code == 404
-        assert json.load(error.value)["found"] is False
+            assert get_json(base + bad)[0] == 400, bad
+        status, payload = get_json(base + "/provenance?trace=never-seen")
+        assert status == 404
+        assert payload["found"] is False
 
     def test_stage_histograms_are_served_on_metrics(self, fleet):
-        request_raw(
+        fetch_json(
             url_of(fleet["primary_server"], "/delta"),
             payload=family_delta(8).to_json(),
             headers={"Content-Type": "application/json"},
         )
-        with urllib.request.urlopen(
-            url_of(fleet["primary_server"], "/metrics"), timeout=30
-        ) as response:
-            body = response.read().decode("utf-8")
+        body = request(url_of(fleet["primary_server"], "/metrics"))[2].decode("utf-8")
         assert 'repro_delta_stage_seconds_count{stage="ingest_to_durable"}' in body
         assert 'repro_freshness_seconds{stage="applied"}' in body
 
     def test_trace_cli_merges_the_fleet_timeline(self, fleet, capsys):
         trace = "cli-trace-9"
-        request_raw(
+        fetch_json(
             url_of(fleet["primary_server"], "/delta"),
             payload=family_delta(9).to_json(),
             headers={

@@ -39,7 +39,8 @@ from repro.service.query import (
     parse_cursor,
     read_etag,
 )
-from repro.service.subs import SubscriptionManager, collapse_events
+from repro.service.subs import NOTIFICATIONS_TOTAL, SubscriptionManager, collapse_events
+from repro.testing import serve_in_thread, wait_until
 
 
 def _assignment(pairs):
@@ -326,6 +327,35 @@ class TestSubscriptionManager:
         assert len(received) == 2
         reborn.close()
         sink.shutdown()
+
+    def test_failed_webhook_delivery_keeps_the_cursor(self, tmp_path):
+        answers = [500, 204]
+        seen = []  # (status answered, delivered_version when the POST arrived)
+
+        class Hook(BaseHTTPRequestHandler):
+            def do_POST(self):
+                self.rfile.read(int(self.headers["Content-Length"]))
+                status = answers.pop(0) if answers else 204
+                seen.append((status, subs.subscriptions()[0]["delivered_version"]))
+                self.send_response(status)
+                self.send_header("Content-Length", "0")
+                self.end_headers()
+
+            def log_message(self, *args):
+                pass
+
+        delivered = NOTIFICATIONS_TOTAL.value(transport="webhook")
+        subs = SubscriptionManager(state_dir=tmp_path)
+        try:
+            with serve_in_thread(HTTPServer(("127.0.0.1", 0), Hook)) as url:
+                subs.subscribe(url + "/hook", "e", epsilon=0.1)
+                subs.publish([_event("e", 0.9, 0.5, 1)], version=1, wal_offset=1)
+                wait_until(lambda: subs.subscriptions()[0]["delivered_version"] == 1, 10)
+                time.sleep(0.3)
+        finally:
+            subs.close()
+        assert seen == [(500, 0), (204, 0)]
+        assert NOTIFICATIONS_TOTAL.value(transport="webhook") == delivered + 1
 
 
 # -- the cursor-stability property -----------------------------------------

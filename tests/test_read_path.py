@@ -16,62 +16,19 @@ import json
 import threading
 import time
 import tracemalloc
-import urllib.error
-import urllib.request
 from http.server import BaseHTTPRequestHandler, HTTPServer
 
 import pytest
 
+from repro.client import post_json, request
 from repro.core.config import ParisConfig
-from repro.datasets.incremental import family_addition, family_pair
+from repro.datasets.incremental import family_pair
 from repro.io.alignment_io import render_assignment_rows
-from repro.service import AlignmentService, Delta
+from repro.service import AlignmentService
 from repro.service.replica import ReadRouter, ReplicaNode, build_router_server
 from repro.service.server import _alignment_json_chunks, build_server
 from repro.service.stream import WriteAheadLog
-
-
-def family_delta(start: int, count: int = 1) -> Delta:
-    add1, add2 = family_addition(start, count)
-    return Delta(add1=tuple(add1), add2=tuple(add2))
-
-
-def url_of(server, path=""):
-    host, port = server.server_address[:2]
-    return f"http://{host}:{port}{path}"
-
-
-def get_raw(server, path, headers=None):
-    """(status, email.Message headers, body bytes) — 304s included."""
-    request = urllib.request.Request(url_of(server, path), headers=headers or {})
-    try:
-        with urllib.request.urlopen(request, timeout=60) as response:
-            return response.status, response.headers, response.read()
-    except urllib.error.HTTPError as error:
-        body = error.read()
-        return error.code, error.headers, body
-
-
-def get_json(server, path, headers=None):
-    status, response_headers, body = get_raw(server, path, headers)
-    assert status == 200, (status, body)
-    return json.loads(body), response_headers
-
-
-def post_json(server, path, payload):
-    request = urllib.request.Request(
-        url_of(server, path),
-        data=json.dumps(payload).encode("utf-8"),
-        headers={"Content-Type": "application/json"},
-    )
-    with urllib.request.urlopen(request, timeout=60) as response:
-        return json.load(response)
-
-
-def serve(server):
-    thread = threading.Thread(target=server.serve_forever, daemon=True)
-    thread.start()
-    return thread
+from repro.testing import family_delta, fetch_json, serve_in_thread, url_of
 
 
 READ_PATHS = (
@@ -92,23 +49,20 @@ def primary(tmp_path):
     server = build_server(
         service, "127.0.0.1", 0, state_dir=tmp_path / "state", snapshot_every=0
     )
-    thread = serve(server)
-    yield server, service
-    server.shutdown()
-    server.server_close()
+    with serve_in_thread(server):
+        yield server, service
     server.subs.close()
-    thread.join(timeout=10)
 
 
 class TestAlignmentReads:
     def test_page_walk_concatenates_to_the_full_dump(self, primary):
         server, _service = primary
-        dump, headers = get_json(server, "/alignment")
+        dump, headers = fetch_json(url_of(server, "/alignment"))
         assert headers["ETag"] == 'W/"v0"'
         walked, cursor, pages = [], None, 0
         while True:
             path = "/alignment?limit=4" + (f"&cursor={cursor}" if cursor else "")
-            page, page_headers = get_json(server, path)
+            page, page_headers = fetch_json(url_of(server, path))
             assert page_headers["ETag"] == headers["ETag"]
             assert not page["changed_since_cursor"]
             assert page["version"] == dump["version"]
@@ -123,19 +77,19 @@ class TestAlignmentReads:
 
     def test_top_k_is_a_prefix_of_the_dump(self, primary):
         server, _service = primary
-        dump, _headers = get_json(server, "/alignment")
-        top, _headers = get_json(server, "/alignment?top=3")
+        dump, _headers = fetch_json(url_of(server, "/alignment"))
+        top, _headers = fetch_json(url_of(server, "/alignment?top=3"))
         assert top["pairs"] == dump["pairs"][:3]
         assert top["top"] == 3
 
     def test_threshold_matches_a_full_table_filter(self, primary):
         server, service = primary
-        dump, _headers = get_json(server, "/alignment")
+        dump, _headers = fetch_json(url_of(server, "/alignment"))
         threshold = sorted(p["probability"] for p in dump["pairs"])[len(dump["pairs"]) // 2]
-        filtered, _headers = get_json(server, f"/alignment?threshold={threshold}")
+        filtered, _headers = fetch_json(url_of(server, f"/alignment?threshold={threshold}"))
         expected = [p for p in dump["pairs"] if p["probability"] >= threshold]
         assert filtered["pairs"] == expected
-        paged, _headers = get_json(server, f"/alignment?threshold={threshold}&limit=100")
+        paged, _headers = fetch_json(url_of(server, f"/alignment?threshold={threshold}&limit=100"))
         assert paged["pairs"] == expected
         # ...and against the engine's own full-table filter.
         table = service.alignment(threshold)
@@ -143,7 +97,7 @@ class TestAlignmentReads:
 
     def test_entity_neighborhood(self, primary):
         server, _service = primary
-        payload, _headers = get_json(server, "/alignment?entity=p0a")
+        payload, _headers = fetch_json(url_of(server, "/alignment?entity=p0a"))
         assert payload["entity"] == "p0a"
         assert payload["best_counterpart_as_left"]["right"] == "q0a"
         probabilities = [row["probability"] for row in payload["as_left"]]
@@ -151,14 +105,14 @@ class TestAlignmentReads:
 
     def test_streamed_tsv_is_byte_identical_to_the_renderer(self, primary):
         server, service = primary
-        status, headers, body = get_raw(server, "/alignment?format=tsv")
+        status, headers, body = request(url_of(server, "/alignment?format=tsv"))
         assert status == 200
         assert headers["Transfer-Encoding"] == "chunked"
         assert body == render_assignment_rows(service.alignment(0.0)).encode("utf-8")
 
     def test_json_dump_streams_chunked(self, primary):
         server, _service = primary
-        status, headers, body = get_raw(server, "/alignment")
+        status, headers, body = request(url_of(server, "/alignment"))
         assert status == 200
         assert headers["Transfer-Encoding"] == "chunked"
         assert "Content-Length" not in headers
@@ -177,14 +131,14 @@ class TestAlignmentReads:
     )
     def test_bad_read_parameters_are_400(self, primary, path):
         server, _service = primary
-        status, _headers, body = get_raw(server, path)
+        status, _headers, body = request(url_of(server, path))
         assert status == 400, body
 
     def test_cursor_with_wrong_threshold_is_400(self, primary):
         server, _service = primary
-        page, _headers = get_json(server, "/alignment?limit=2&threshold=0.5")
-        status, _headers, body = get_raw(
-            server, f"/alignment?limit=2&threshold=0.6&cursor={page['next_cursor']}"
+        page, _headers = fetch_json(url_of(server, "/alignment?limit=2&threshold=0.5"))
+        status, _headers, body = request(
+            url_of(server, f"/alignment?limit=2&threshold=0.6&cursor={page['next_cursor']}"),
         )
         assert status == 400
         assert b"threshold" in body
@@ -194,12 +148,13 @@ class TestCaching:
     def test_304_on_every_read_endpoint(self, primary):
         server, _service = primary
         for path in READ_PATHS:
-            _status, headers, _body = get_raw(server, path)
+            _status, headers, _body = request(url_of(server, path))
             etag = headers["ETag"]
             assert etag, path
             assert headers["Cache-Control"] == "no-cache"
-            status, revalidated, body = get_raw(
-                server, path, headers={"If-None-Match": etag}
+            status, revalidated, body = request(
+                url_of(server, path),
+                headers={"If-None-Match": etag},
             )
             assert status == 304, (path, status)
             assert revalidated["ETag"] == etag
@@ -207,24 +162,26 @@ class TestCaching:
 
     def test_delta_invalidates_and_flags_open_cursors(self, primary):
         server, _service = primary
-        page, headers = get_json(server, "/alignment?limit=4")
+        page, headers = fetch_json(url_of(server, "/alignment?limit=4"))
         etag = headers["ETag"]
-        post_json(server, "/delta", family_delta(5).to_json())
+        fetch_json(url_of(server, "/delta"), family_delta(5).to_json())
         # The old validator no longer matches: full 200 with a new tag.
-        status, fresh_headers, _body = get_raw(
-            server, "/alignment?limit=4", headers={"If-None-Match": etag}
+        status, fresh_headers, _body = request(
+            url_of(server, "/alignment?limit=4"),
+            headers={"If-None-Match": etag},
         )
         assert status == 200
         assert fresh_headers["ETag"] != etag
         # The open cursor still pages (keyset), but flags the delta.
-        resumed, _headers = get_json(
-            server, f"/alignment?limit=4&cursor={page['next_cursor']}"
+        resumed, _headers = fetch_json(
+            url_of(server, f"/alignment?limit=4&cursor={page['next_cursor']}"),
         )
         assert resumed["changed_since_cursor"]
         assert resumed["pairs"]
         # The new validator revalidates.
-        status, _headers, _body = get_raw(
-            server, "/alignment", headers={"If-None-Match": fresh_headers["ETag"]}
+        status, _headers, _body = request(
+            url_of(server, "/alignment"),
+            headers={"If-None-Match": fresh_headers["ETag"]},
         )
         assert status == 304
 
@@ -255,14 +212,14 @@ class TestWatch:
         result = {}
 
         def watch():
-            result["note"], _headers = get_json(
-                server, "/watch?entity=p5a&epsilon=0.05&timeout=30"
+            result["note"], _headers = fetch_json(
+                url_of(server, "/watch?entity=p5a&epsilon=0.05&timeout=30"),
             )
 
         thread = threading.Thread(target=watch)
         thread.start()
         time.sleep(0.3)
-        post_json(server, "/delta", family_delta(5).to_json())
+        fetch_json(url_of(server, "/delta"), family_delta(5).to_json())
         thread.join(timeout=30)
         note = result["note"]
         assert note["entity"] == "p5a"
@@ -270,20 +227,20 @@ class TestWatch:
         assert note["changes"][0]["probability"] > 0.9
         assert note["version"] == 1
         # Resuming past the delivered version: dedup → timeout.
-        replay, _headers = get_json(
-            server, f"/watch?entity=p5a&after={note['version']}&timeout=0.2"
+        replay, _headers = fetch_json(
+            url_of(server, f"/watch?entity=p5a&after={note['version']}&timeout=0.2"),
         )
         assert replay["timeout"] is True
 
     def test_watch_requires_entity(self, primary):
         server, _service = primary
-        status, _headers, _body = get_raw(server, "/watch")
+        status, _headers, _body = request(url_of(server, "/watch"))
         assert status == 400
 
     def test_stable_entity_times_out(self, primary):
         server, _service = primary
-        post_json(server, "/delta", family_delta(5).to_json())
-        note, _headers = get_json(server, "/watch?entity=p0a&after=0&timeout=0.2")
+        fetch_json(url_of(server, "/delta"), family_delta(5).to_json())
+        note, _headers = fetch_json(url_of(server, "/watch?entity=p0a&after=0&timeout=0.2"))
         assert note["timeout"] is True
 
 
@@ -304,21 +261,19 @@ class TestSubscriptions:
                 pass
 
         sink = HTTPServer(("127.0.0.1", 0), Hook)
-        serve(sink)
-        try:
-            record = post_json(
-                server,
-                "/subscribe",
+        with serve_in_thread(sink):
+            record = fetch_json(
+                url_of(server, "/subscribe"),
                 {
                     "url": f"http://127.0.0.1:{sink.server_address[1]}/hook",
                     "entity": "p5a",
                     "epsilon": 0.05,
                 },
-            )
+            )[0]
             assert record["id"] == "sub-1"
-            listed, _headers = get_json(server, "/subscriptions")
+            listed, _headers = fetch_json(url_of(server, "/subscriptions"))
             assert [sub["id"] for sub in listed["subscriptions"]] == ["sub-1"]
-            post_json(server, "/delta", family_delta(5).to_json())
+            fetch_json(url_of(server, "/delta"), family_delta(5).to_json())
             deadline = time.monotonic() + 30
             while not received and time.monotonic() < deadline:
                 time.sleep(0.05)
@@ -327,12 +282,10 @@ class TestSubscriptions:
             assert received[0]["changes"][0]["probability"] > 0.9
             time.sleep(0.3)
             assert len(received) == 1  # delivered exactly once
-            removed = post_json(server, "/unsubscribe", {"id": "sub-1"})
+            removed = fetch_json(url_of(server, "/unsubscribe"), {"id": "sub-1"})[0]
             assert removed["removed"] is True
-            listed, _headers = get_json(server, "/subscriptions")
+            listed, _headers = fetch_json(url_of(server, "/subscriptions"))
             assert listed["subscriptions"] == []
-        finally:
-            sink.shutdown()
 
     @pytest.mark.parametrize(
         "payload",
@@ -346,9 +299,7 @@ class TestSubscriptions:
     )
     def test_subscribe_validation(self, primary, payload):
         server, _service = primary
-        with pytest.raises(urllib.error.HTTPError) as error:
-            post_json(server, "/subscribe", payload)
-        assert error.value.code == 400
+        assert post_json(url_of(server, "/subscribe"), payload)[0] == 400
 
 
 class TestReplicaAndRouter:
@@ -374,26 +325,19 @@ class TestReplicaAndRouter:
             stats_ttl=0.05,
         )
         router_server = build_router_server(router)
-        threads = [serve(s) for s in (primary_server, replica_server, router_server)]
-        router.start()
-        yield {
-            "primary_server": primary_server,
-            "replica_server": replica_server,
-            "router_server": router_server,
-        }
-        router_server.shutdown()
-        router_server.server_close()
-        router.stop()
-        replica_server.shutdown()
-        replica_server.server_close()
-        replica.stop()
-        primary_server.shutdown()
-        primary_server.server_close()
+        with serve_in_thread(primary_server), serve_in_thread(replica_server):
+            with serve_in_thread(router_server):
+                router.start()
+                yield {
+                    "primary_server": primary_server,
+                    "replica_server": replica_server,
+                    "router_server": router_server,
+                }
+            router.stop()
+            replica.stop()
         primary_server.subs.close()
         replica_server.subs.close()
         wal.close()
-        for thread in threads:
-            thread.join(timeout=10)
 
     @pytest.mark.parametrize("role", ["replica_server", "router_server"])
     def test_304_on_every_read_endpoint_all_roles(self, cluster, role):
@@ -406,50 +350,51 @@ class TestReplicaAndRouter:
             # state and are deliberately uncacheable.
             paths += ["/healthz", "/stats"]
         for path in paths:
-            _status, headers, _body = get_raw(server, path)
+            _status, headers, _body = request(url_of(server, path))
             etag = headers["ETag"]
             assert etag, (role, path)
-            status, revalidated, body = get_raw(
-                server, path, headers={"If-None-Match": etag}
+            status, revalidated, body = request(
+                url_of(server, path),
+                headers={"If-None-Match": etag},
             )
             assert status == 304, (role, path, status)
             assert revalidated["ETag"] == etag
             assert body == b""
 
     def test_etags_are_cross_node_comparable(self, cluster):
-        _dump, primary_headers = get_json(cluster["primary_server"], "/alignment")
-        _dump, replica_headers = get_json(cluster["replica_server"], "/alignment")
+        _dump, primary_headers = fetch_json(url_of(cluster["primary_server"], "/alignment"))
+        _dump, replica_headers = fetch_json(url_of(cluster["replica_server"], "/alignment"))
         assert primary_headers["ETag"] == replica_headers["ETag"] == 'W/"w1"'
         # A validator minted against the primary revalidates the replica.
-        status, _headers, _body = get_raw(
-            cluster["replica_server"],
-            "/alignment",
+        status, _headers, _body = request(
+            url_of(cluster["replica_server"], "/alignment"),
             headers={"If-None-Match": primary_headers["ETag"]},
         )
         assert status == 304
 
     def test_replica_serves_the_paginated_surface(self, cluster):
-        dump, _headers = get_json(cluster["replica_server"], "/alignment")
-        page, _headers = get_json(cluster["replica_server"], "/alignment?limit=5")
+        dump, _headers = fetch_json(url_of(cluster["replica_server"], "/alignment"))
+        page, _headers = fetch_json(url_of(cluster["replica_server"], "/alignment?limit=5"))
         assert page["pairs"] == dump["pairs"][:5]
-        top, _headers = get_json(cluster["replica_server"], "/alignment?top=2")
+        top, _headers = fetch_json(url_of(cluster["replica_server"], "/alignment?top=2"))
         assert top["pairs"] == dump["pairs"][:2]
-        entity, _headers = get_json(cluster["replica_server"], "/alignment?entity=p6a")
+        entity, _headers = fetch_json(url_of(cluster["replica_server"], "/alignment?entity=p6a"))
         assert entity["best_counterpart_as_left"]["right"] == "q6a"
 
     def test_router_relays_etags_and_304(self, cluster):
         router_server = cluster["router_server"]
-        dump, headers = get_json(router_server, "/alignment")
+        dump, headers = fetch_json(url_of(router_server, "/alignment"))
         etag = headers["ETag"]
         assert etag == 'W/"w1"'
         assert dump["pairs"]
-        status, revalidated, body = get_raw(
-            router_server, "/alignment", headers={"If-None-Match": etag}
+        status, revalidated, body = request(
+            url_of(router_server, "/alignment"),
+            headers={"If-None-Match": etag},
         )
         assert status == 304
         assert revalidated["ETag"] == etag
         assert body == b""
         # Pagination rides through the router unchanged.
-        page, _headers = get_json(router_server, "/alignment?limit=3")
+        page, _headers = fetch_json(url_of(router_server, "/alignment?limit=3"))
         assert page["pairs"] == dump["pairs"][:3]
         assert page["next_cursor"]

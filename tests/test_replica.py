@@ -13,15 +13,13 @@ random delta streams, across crash resume and compaction.
 from __future__ import annotations
 
 import json
-import threading
-import time
-import urllib.error
-import urllib.request
+from contextlib import ExitStack, closing
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.client import get_json, post_json, request
 from repro.core.aligner import align
 from repro.core.config import ParisConfig
 from repro.datasets.incremental import family_addition, family_pair, family_removal
@@ -42,13 +40,9 @@ from repro.service.stream import (
     WalGapError,
     WriteAheadLog,
 )
+from repro.testing import family_delta, fetch_json, serve_in_thread, url_of, wait_until
 
 TOLERANCE = 1e-9
-
-
-def family_delta(start: int, count: int = 1) -> Delta:
-    add1, add2 = family_addition(start, count)
-    return Delta(add1=tuple(add1), add2=tuple(add2))
 
 
 def assert_stores_match(first, second, tolerance=TOLERANCE):
@@ -58,13 +52,6 @@ def assert_stores_match(first, second, tolerance=TOLERANCE):
         assert first.equals_of_right(right)[left] == pytest.approx(
             probability, abs=tolerance
         )
-
-
-def wait_until(condition, seconds=60.0):
-    deadline = time.monotonic() + seconds
-    while not condition():
-        assert time.monotonic() < deadline, "condition never became true"
-        time.sleep(0.05)
 
 
 def make_primary(tmp_path, base=6, segment_bytes=0):
@@ -318,32 +305,6 @@ class TestReplicaFailureModes:
 # ----------------------------------------------------------------------
 
 
-def url_of(server, path=""):
-    host, port = server.server_address[:2]
-    return f"http://{host}:{port}{path}"
-
-
-def get_json(server, path):
-    with urllib.request.urlopen(url_of(server, path), timeout=30) as response:
-        return json.load(response), response.headers
-
-
-def post_json(server, path, payload):
-    request = urllib.request.Request(
-        url_of(server, path),
-        data=json.dumps(payload).encode("utf-8"),
-        headers={"Content-Type": "application/json"},
-    )
-    with urllib.request.urlopen(request, timeout=60) as response:
-        return json.load(response)
-
-
-def serve(server):
-    thread = threading.Thread(target=server.serve_forever, daemon=True)
-    thread.start()
-    return thread
-
-
 class TestPrimaryReplicationEndpoints:
     @pytest.fixture()
     def stack(self, tmp_path):
@@ -354,51 +315,56 @@ class TestPrimaryReplicationEndpoints:
             primary, "127.0.0.1", 0, state_dir=state_dir,
             stream=stream, snapshot_every=0,
         )
-        thread = serve(server)
-        yield server, primary, state_dir, wal
-        server.shutdown()
-        server.server_close()
+        with serve_in_thread(server):
+            yield server, primary, state_dir, wal
         stream.stop()
-        thread.join(timeout=10)
 
     def test_get_wal_ships_ndjson_records(self, stack):
         server, primary, _state_dir, wal = stack
         for step in range(3):
-            post_json(server, "/delta", family_delta(6 + step).to_json())
-        with urllib.request.urlopen(url_of(server, "/wal?from=1"), timeout=30) as resp:
-            assert resp.headers["Content-Type"] == "application/x-ndjson"
-            assert int(resp.headers["X-Wal-Offset"]) == 3
-            lines = resp.read().decode("utf-8").splitlines()
-        offsets = [json.loads(line)["offset"] for line in lines]
+            fetch_json(url_of(server, "/delta"), family_delta(6 + step).to_json())
+        status, headers, body = request(url_of(server, "/wal?from=1"))
+        assert status == 200
+        assert headers["Content-Type"] == "application/x-ndjson"
+        assert int(headers["X-Wal-Offset"]) == 3
+        offsets = [json.loads(line)["offset"] for line in body.decode("utf-8").splitlines()]
         assert offsets == [2, 3]
         # limit caps the page; the header still advertises the head.
-        with urllib.request.urlopen(
-            url_of(server, "/wal?from=0&limit=1"), timeout=30
-        ) as resp:
-            assert int(resp.headers["X-Wal-Offset"]) == 3
-            assert len(resp.read().decode("utf-8").splitlines()) == 1
+        status, headers, body = request(url_of(server, "/wal?from=0&limit=1"))
+        assert status == 200 and int(headers["X-Wal-Offset"]) == 3
+        assert len(body.decode("utf-8").splitlines()) == 1
 
     def test_get_wal_410_after_compaction(self, stack):
         server, primary, state_dir, wal = stack
         for step in range(4):
-            post_json(server, "/delta", family_delta(6 + step).to_json())
-        compacted = post_json(server, "/snapshot", {})
+            fetch_json(url_of(server, "/delta"), family_delta(6 + step).to_json())
+        compacted = fetch_json(url_of(server, "/snapshot"), {})[0]
         assert compacted["wal_bytes_compacted"] > 0
-        with pytest.raises(urllib.error.HTTPError) as error:
-            get_json(server, "/wal?from=0")
-        assert error.value.code == 410
-        detail = json.load(error.value)
+        status, detail = get_json(url_of(server, "/wal?from=0"))
+        assert status == 410
         assert detail["oldest"] > 1
+
+    def test_http_follower_ships_records_then_maps_410_to_a_gap(self, stack):
+        server, _primary, _state_dir, _wal = stack
+        for step in range(4):
+            fetch_json(url_of(server, "/delta"), family_delta(6 + step).to_json())
+        follower = HttpWalFollower(url_of(server))
+        fetched = follower.fetch(1, limit=2)
+        assert [record.offset for record in fetched.records] == [2, 3]
+        assert fetched.source_offset == 4
+        fetch_json(url_of(server, "/snapshot"), {})
+        status, detail = get_json(url_of(server, "/wal?from=0"))
+        assert status == 410
+        with pytest.raises(WalGapError) as gap:
+            follower.fetch(0)
+        assert gap.value.oldest == detail["oldest"] > 1
 
     def test_get_snapshot_latest_bootstraps_a_state(self, stack):
         server, primary, _state_dir, _wal = stack
-        post_json(server, "/delta", family_delta(6).to_json())
-        post_json(server, "/snapshot", {})
-        with urllib.request.urlopen(
-            url_of(server, "/snapshot/latest"), timeout=30
-        ) as resp:
-            assert resp.headers["X-State-Version"] == "1"
-            data = resp.read()
+        fetch_json(url_of(server, "/delta"), family_delta(6).to_json())
+        fetch_json(url_of(server, "/snapshot"), {})
+        status, headers, data = request(url_of(server, "/snapshot/latest"))
+        assert status == 200 and headers["X-State-Version"] == "1"
         state = load_state_bytes(data)
         assert state.version == 1 and state.wal_offset == 1
         assert_stores_match(state.store, primary.state.store)
@@ -406,10 +372,10 @@ class TestPrimaryReplicationEndpoints:
     def test_http_replica_end_to_end(self, stack):
         server, primary, _state_dir, _wal = stack
         for step in range(3):
-            post_json(server, "/delta", family_delta(6 + step).to_json())
-        post_json(server, "/snapshot", {})
+            fetch_json(url_of(server, "/delta"), family_delta(6 + step).to_json())
+        fetch_json(url_of(server, "/snapshot"), {})
         replica = ReplicaNode(url_of(server), batch=2)
-        post_json(server, "/delta", family_delta(9).to_json())  # beyond bootstrap
+        fetch_json(url_of(server, "/delta"), family_delta(9).to_json())  # beyond bootstrap
         replica.catch_up(4)
         assert_stores_match(replica.service.state.store, primary.state.store)
 
@@ -417,18 +383,9 @@ class TestPrimaryReplicationEndpoints:
         left, right = family_pair(3)
         service = AlignmentService.cold_start(left, right, ParisConfig())
         server = build_server(service, "127.0.0.1", 0)
-        thread = serve(server)
-        try:
-            with pytest.raises(urllib.error.HTTPError) as error:
-                get_json(server, "/wal?from=0")
-            assert error.value.code == 404
-            with pytest.raises(urllib.error.HTTPError) as error:
-                get_json(server, "/snapshot/latest")
-            assert error.value.code == 404
-        finally:
-            server.shutdown()
-            server.server_close()
-            thread.join(timeout=10)
+        with serve_in_thread(server) as url:
+            assert request(url + "/wal?from=0")[0] == 404
+            assert request(url + "/snapshot/latest")[0] == 404
 
 
 class TestReplicaServer:
@@ -438,27 +395,20 @@ class TestReplicaServer:
         replica = ReplicaNode(state_dir, batch=8)
         replica.catch_up(1)
         server = build_server(None, "127.0.0.1", 0, replica=replica)
-        thread = serve(server)
-        try:
-            health, _headers = get_json(server, "/healthz")
+        with serve_in_thread(server), closing(wal):
+            health, _headers = fetch_json(url_of(server, "/healthz"))
             assert health["role"] == "replica" and health["status"] == "ok"
-            stats, _headers = get_json(server, "/stats")
+            stats, _headers = fetch_json(url_of(server, "/stats"))
             assert stats["role"] == "replica"
             assert stats["wal_offset"] == 1
             assert stats["replication"]["applied_offset"] == 1
             assert stats["replication"]["behind"] == 0
             assert stats["ingest"]["queue_depth"] == 0
-            pair, _headers = get_json(server, "/pair/p6a/q6a")
+            pair, _headers = fetch_json(url_of(server, "/pair/p6a/q6a"))
             assert pair["probability"] > 0.9
-            with pytest.raises(urllib.error.HTTPError) as error:
-                post_json(server, "/delta", family_delta(7).to_json())
-            assert error.value.code == 403
-            assert "primary" in json.load(error.value)["error"]
-        finally:
-            server.shutdown()
-            server.server_close()
-            thread.join(timeout=10)
-            wal.close()
+            status, payload = post_json(url_of(server, "/delta"), family_delta(7).to_json())
+            assert status == 403
+            assert "primary" in payload["error"]
 
 
 class TestReadRouter:
@@ -485,95 +435,82 @@ class TestReadRouter:
             retry_after=0.5,
         )
         router_server = build_router_server(router)
-        threads = [serve(s) for s in (primary_server, *replica_servers, router_server)]
-        router.start()
-        yield {
-            "primary": primary,
-            "primary_server": primary_server,
-            "replicas": replicas,
-            "replica_servers": replica_servers,
-            "router": router,
-            "router_server": router_server,
-        }
-        router_server.shutdown()
-        router_server.server_close()
-        router.stop()
-        for server in replica_servers:
-            try:
-                server.shutdown()
-                server.server_close()
-            except OSError:  # pragma: no cover - already closed by the test
-                pass
-        for replica in replicas:
-            replica.stop()
-        primary_server.shutdown()
-        primary_server.server_close()
+        with ExitStack() as servers:
+            for server in (primary_server, *replica_servers, router_server):
+                servers.enter_context(serve_in_thread(server))
+            router.start()
+            yield {
+                "primary": primary,
+                "primary_server": primary_server,
+                "replicas": replicas,
+                "replica_servers": replica_servers,
+                "router": router,
+                "router_server": router_server,
+            }
+            router.stop()
+            for replica in replicas:
+                replica.stop()
         stream.stop()
-        for thread in threads:
-            thread.join(timeout=10)
 
     def test_reads_fan_out_and_writes_forward(self, cluster):
         router_server = cluster["router_server"]
-        report = post_json(router_server, "/delta", family_delta(6).to_json())
+        report = fetch_json(url_of(router_server, "/delta"), family_delta(6).to_json())[0]
         assert report["converged"]
         assert cluster["primary"].state.wal_offset == 1
         for replica in cluster["replicas"]:
             replica.catch_up(1)
         served_by = set()
         for _ in range(6):
-            pair, headers = get_json(router_server, "/pair/p6a/q6a")
+            pair, headers = fetch_json(url_of(router_server, "/pair/p6a/q6a"))
             assert pair["probability"] > 0.9
             served_by.add(headers["X-Served-By"])
         # Round-robin across both replicas; the primary served nothing.
         assert served_by == {url_of(s) for s in cluster["replica_servers"]}
-        stats, _headers = get_json(router_server, "/stats")
+        stats, _headers = fetch_json(url_of(router_server, "/stats"))
         assert stats["reads_routed"] == 6
         assert stats["writes_forwarded"] == 1
         assert all(entry["served"] > 0 for entry in stats["replicas"])
 
     def test_min_offset_rejects_stale_replicas(self, cluster):
         router_server = cluster["router_server"]
-        post_json(router_server, "/delta", family_delta(6).to_json())
+        fetch_json(url_of(router_server, "/delta"), family_delta(6).to_json())
         fresh, stale = cluster["replicas"]
         fresh.catch_up(1)  # `stale` stays at offset 0
         cluster["router"].probe_all()
         for _ in range(4):
-            pair, headers = get_json(router_server, "/pair/p6a/q6a?min_offset=1")
+            pair, headers = fetch_json(url_of(router_server, "/pair/p6a/q6a?min_offset=1"))
             assert pair["probability"] > 0.9
             # Only the caught-up replica may answer.
             assert headers["X-Served-By"] == url_of(cluster["replica_servers"][0])
         # An offset nobody reached: honest 503 + Retry-After, never the
         # primary (constrained reads do not fall back).
-        with pytest.raises(urllib.error.HTTPError) as error:
-            get_json(router_server, "/pair/p6a/q6a?min_offset=99")
-        assert error.value.code == 503
-        assert float(error.value.headers["Retry-After"]) > 0
-        stats, _headers = get_json(router_server, "/stats")
+        status, headers, _body = request(url_of(router_server, "/pair/p6a/q6a?min_offset=99"))
+        assert status == 503
+        assert float(headers["Retry-After"]) > 0
+        stats, _headers = fetch_json(url_of(router_server, "/stats"))
         assert stats["rejected_stale"] >= 1
 
     def test_max_lag_ms_bounded_staleness(self, cluster):
         router_server = cluster["router_server"]
-        post_json(router_server, "/delta", family_delta(6).to_json())
+        fetch_json(url_of(router_server, "/delta"), family_delta(6).to_json())
         for replica in cluster["replicas"]:
             replica.catch_up(1)
             replica.start()  # live tailing keeps lag near the poll interval
         try:
             cluster["router"].probe_all()
-            pair, _headers = get_json(
-                router_server, "/pair/p6a/q6a?max_lag_ms=30000"
+            pair, _headers = fetch_json(
+                url_of(router_server, "/pair/p6a/q6a?max_lag_ms=30000"),
             )
             assert pair["probability"] > 0.9
             # A bound nothing can meet (probe age alone exceeds it).
-            with pytest.raises(urllib.error.HTTPError) as error:
-                get_json(router_server, "/pair/p6a/q6a?max_lag_ms=0")
-            assert error.value.code == 503
+            assert request(url_of(router_server, "/pair/p6a/q6a?max_lag_ms=0"))[0] == 503
         finally:
             for replica in cluster["replicas"]:
                 replica.stop()
 
     def test_dead_replica_is_ejected_and_routed_around(self, cluster):
         router_server = cluster["router_server"]
-        post_json(router_server, "/delta", family_delta(6).to_json())
+        fetch_json(url_of(router_server, "/delta"), family_delta(6).to_json())
         for replica in cluster["replicas"]:
             replica.catch_up(1)
         # Kill one replica server outright.
@@ -581,31 +518,31 @@ class TestReadRouter:
         dead.shutdown()
         dead.server_close()
         cluster["router"].probe_all()
-        health, _headers = get_json(router_server, "/healthz")
+        health, _headers = fetch_json(url_of(router_server, "/healthz"))
         assert health["replicas_healthy"] == 1
         for _ in range(4):
-            pair, headers = get_json(router_server, "/pair/p6a/q6a")
+            pair, headers = fetch_json(url_of(router_server, "/pair/p6a/q6a"))
             assert pair["probability"] > 0.9
             assert headers["X-Served-By"] == url_of(cluster["replica_servers"][0])
 
     def test_all_replicas_dead_falls_back_to_primary(self, cluster):
         router_server = cluster["router_server"]
-        post_json(router_server, "/delta", family_delta(6).to_json())
+        fetch_json(url_of(router_server, "/delta"), family_delta(6).to_json())
         for server in cluster["replica_servers"]:
             server.shutdown()
             server.server_close()
         cluster["router"].probe_all()
-        pair, headers = get_json(router_server, "/pair/p6a/q6a")
+        pair, headers = fetch_json(url_of(router_server, "/pair/p6a/q6a"))
         assert pair["probability"] > 0.9
         assert headers["X-Served-By"] == url_of(cluster["primary_server"])
-        stats, _headers = get_json(router_server, "/stats")
+        stats, _headers = fetch_json(url_of(router_server, "/stats"))
         assert stats["primary_fallbacks"] >= 1
 
     def test_replicas_dying_between_probes_still_degrade_to_primary(self, cluster):
         """Forward-time failures (no probe has noticed yet) must not
         turn an unconstrained read into a 503 while the primary is up."""
         router_server = cluster["router_server"]
-        post_json(router_server, "/delta", family_delta(6).to_json())
+        fetch_json(url_of(router_server, "/delta"), family_delta(6).to_json())
         # Kill both replicas WITHOUT letting the health loop observe it:
         # the router still lists them as healthy candidates.
         for server in cluster["replica_servers"]:
@@ -613,7 +550,7 @@ class TestReadRouter:
             server.server_close()
         for replica in cluster["router"].replicas:
             replica.healthy = True
-        pair, headers = get_json(router_server, "/pair/p6a/q6a")
+        pair, headers = fetch_json(url_of(router_server, "/pair/p6a/q6a"))
         assert pair["probability"] > 0.9
         assert headers["X-Served-By"] == url_of(cluster["primary_server"])
         # ...and the failed forwards ejected them for the next read.
@@ -621,9 +558,7 @@ class TestReadRouter:
 
     def test_backend_errors_relay_through(self, cluster):
         router_server = cluster["router_server"]
-        with pytest.raises(urllib.error.HTTPError) as error:
-            post_json(router_server, "/delta", {"left": {"add": [{"bad": 1}]}})
-        assert error.value.code == 400  # the primary's validation answer
-        with pytest.raises(urllib.error.HTTPError) as error:
-            get_json(router_server, "/pair/p6a/q6a?min_offset=notanumber")
-        assert error.value.code == 400  # the router's own validation
+        status, _ = post_json(url_of(router_server, "/delta"), {"left": {"add": [{"bad": 1}]}})
+        assert status == 400  # the primary's validation answer
+        status, _ = get_json(url_of(router_server, "/pair/p6a/q6a?min_offset=notanumber"))
+        assert status == 400  # the router's own validation

@@ -18,30 +18,20 @@ from __future__ import annotations
 
 import json
 import socket
+import subprocess
 import threading
 import time
-import urllib.error
-import urllib.request
+from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 
 import pytest
 
 from repro import ParisConfig
+from repro.client import get_json, post_json, request
 from repro.datasets.incremental import family_pair
 from repro.service import AlignmentService
 from repro.service.replica import ReadRouter, ReplicaNode, build_router_server
 from repro.service.server import build_server
-
-
-def serve(server):
-    thread = threading.Thread(target=server.serve_forever, daemon=True)
-    thread.start()
-    return thread
-
-
-def shut_down(server, thread):
-    server.shutdown()
-    server.server_close()
-    thread.join(timeout=10)
+from repro.testing import free_port, serve_in_thread, spawn, stop, url_of, wait_ready
 
 
 def raw_request_status(address, payload: bytes, stall: bool) -> tuple:
@@ -71,9 +61,8 @@ class TestStalledClients:
         left, right = family_pair(2)
         service = AlignmentService.cold_start(left, right, ParisConfig())
         server = build_server(service, "127.0.0.1", 0, handler_timeout=1.0)
-        thread = serve(server)
-        yield server
-        shut_down(server, thread)
+        with serve_in_thread(server):
+            yield server
 
     def test_stalled_body_answers_408_in_bounded_time(self, server):
         status, elapsed = raw_request_status(server.server_address, b'{"add1": [', stall=True)
@@ -90,15 +79,10 @@ class TestStalledClients:
     def test_wellformed_posts_still_work(self, server):
         from repro.service import Delta
 
-        request = urllib.request.Request(
-            "http://%s:%d/delta" % server.server_address[:2],
-            data=json.dumps(Delta().to_json()).encode("utf-8"),
-            headers={"Content-Type": "application/json"},
-        )
         # The timeout machinery must not break honest uploads: the full
         # body is read and the delta applies (a no-op report).
-        with urllib.request.urlopen(request, timeout=30) as response:
-            report = json.load(response)
+        status, report = post_json(url_of(server, "/delta"), Delta().to_json())
+        assert status == 200
         assert report["applied_add"] == 0 and report["applied_remove"] == 0
 
 
@@ -109,34 +93,26 @@ class TestRouterHardening:
         # unreachable primary and zero replicas are enough here.
         router = ReadRouter("http://127.0.0.1:9", [], retry_after=0.1)
         server = build_router_server(router, handler_timeout=1.0)
-        thread = serve(server)
-        yield server
-        shut_down(server, thread)
-
-    @staticmethod
-    def get_status(server, path):
-        url = "http://%s:%d%s" % (*server.server_address[:2], path)
-        try:
-            with urllib.request.urlopen(url, timeout=30) as response:
-                return response.status, json.load(response)
-        except urllib.error.HTTPError as error:
-            return error.code, json.load(error)
+        with serve_in_thread(server):
+            yield server
 
     @pytest.mark.parametrize("value", ["nan", "NaN", "inf", "-inf", "-5", "-0.5"])
     def test_bogus_max_lag_ms_rejected(self, router_server, value):
-        status, payload = self.get_status(router_server, f"/pair/a/b?max_lag_ms={value}")
+        status, payload = get_json(url_of(router_server, f"/pair/a/b?max_lag_ms={value}"))
         assert status == 400
         assert "max_lag_ms" in payload["error"]
 
     def test_negative_min_offset_rejected(self, router_server):
-        status, payload = self.get_status(router_server, "/pair/a/b?min_offset=-1")
+        status, payload = get_json(url_of(router_server, "/pair/a/b?min_offset=-1"))
         assert status == 400
         assert "min_offset" in payload["error"]
 
     def test_valid_bounds_still_accepted(self, router_server):
         # No replica can satisfy them here; the answer must be the
         # honest 503, not a validation 400.
-        status, _payload = self.get_status(router_server, "/pair/a/b?min_offset=0&max_lag_ms=5000")
+        status, _payload = get_json(
+            url_of(router_server, "/pair/a/b?min_offset=0&max_lag_ms=5000")
+        )
         assert status == 503
 
     def test_stalled_write_answers_408(self, router_server):
@@ -171,17 +147,62 @@ class TestWedgedFollowerStop:
         assert replica.stats()["wedged"] is True
         # A replica server surfaces the flag to operators via /stats.
         server = build_server(None, "127.0.0.1", 0, replica=replica)
-        thread = serve(server)
-        try:
-            url = "http://%s:%d/stats" % server.server_address[:2]
-            with urllib.request.urlopen(url, timeout=30) as response:
-                stats = json.load(response)
-            assert stats["replication"]["wedged"] is True
-        finally:
-            shut_down(server, thread)
+        with serve_in_thread(server) as url:
+            status, stats = get_json(url + "/stats")
+            assert status == 200 and stats["replication"]["wedged"] is True
 
         # Once the blockage clears, a later stop() joins and unlatches.
         release.set()
         replica.stop(timeout=30)
         assert not replica.wedged
         assert replica.stats()["wedged"] is False
+
+
+class TestClientStatusRule:
+    """Every HTTP status is an answer; only an unreachable peer raises."""
+
+    @pytest.fixture()
+    def url(self):
+        class Handler(BaseHTTPRequestHandler):
+            def do_GET(self):
+                status = int(self.path.strip("/"))
+                body = b"" if status == 304 else json.dumps({"status": status}).encode()
+                self.send_response(status)
+                self.send_header("X-Probe", str(status))
+                self.send_header("Content-Length", str(len(body)))
+                self.end_headers()
+                self.wfile.write(body)
+
+            def log_message(self, *args):
+                pass
+
+        with serve_in_thread(ThreadingHTTPServer(("127.0.0.1", 0), Handler)) as url:
+            yield url
+
+    @pytest.mark.parametrize("code", [304, 404, 410, 503])
+    def test_every_status_comes_back_with_headers_and_body(self, url, code):
+        status, headers, body = request(f"{url}/{code}")
+        assert status == code and headers["X-Probe"] == str(code)
+        assert body == (b"" if code == 304 else json.dumps({"status": code}).encode())
+
+    def test_closed_port_raises_oserror(self):
+        url = f"http://127.0.0.1:{free_port()}/"
+        with pytest.raises(OSError):
+            request(url, timeout=5)
+        assert get_json(url, timeout=5) == (0, None)
+
+
+class TestFleetHarness:
+    def test_wait_ready_fails_fast_when_the_node_dies_at_boot(self, tmp_path):
+        missing = str(tmp_path / "missing.nt")
+        started = time.monotonic()
+        node = spawn(
+            "serve", missing, missing, "--state-dir", str(tmp_path / "state"),
+            stderr=subprocess.DEVNULL,
+        )
+        try:
+            with pytest.raises(RuntimeError, match=r"exited with code [1-9]"):
+                wait_ready(node)
+        finally:
+            stop(node)
+        assert time.monotonic() - started < 30

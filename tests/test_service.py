@@ -8,14 +8,11 @@ front-end (exercised in-process over an ephemeral port).
 
 from __future__ import annotations
 
-import json
-import threading
-import urllib.error
-import urllib.request
 
 import pytest
 
 from repro import OntologyBuilder, ParisConfig, align
+from repro.client import get_json, post_json, request
 from repro.core.functionality import FunctionalityOracle
 from repro.core.literal_index import LiteralIndex
 from repro.datasets.incremental import family_addition, family_pair
@@ -34,6 +31,7 @@ from repro.service import (
 )
 from repro.service.delta import triple_from_json, triple_to_json
 from repro.service.server import build_server
+from repro.testing import fetch_json, serve_in_thread, url_of
 
 
 class TestOntologyRemove:
@@ -463,35 +461,11 @@ class TestHttpServer:
         left, right = family_pair(5)
         service = AlignmentService.cold_start(left, right, ParisConfig())
         server = build_server(service, "127.0.0.1", 0, state_dir=tmp_path)
-        thread = threading.Thread(target=server.serve_forever, daemon=True)
-        thread.start()
-        yield server
-        server.shutdown()
-        server.server_close()
-        thread.join(timeout=10)
-
-    @staticmethod
-    def url(server, path):
-        host, port = server.server_address[:2]
-        return f"http://{host}:{port}{path}"
-
-    @staticmethod
-    def get_json(server, path):
-        with urllib.request.urlopen(TestHttpServer.url(server, path), timeout=30) as r:
-            return json.load(r)
-
-    @staticmethod
-    def post_json(server, path, payload):
-        request = urllib.request.Request(
-            TestHttpServer.url(server, path),
-            data=json.dumps(payload).encode("utf-8"),
-            headers={"Content-Type": "application/json"},
-        )
-        with urllib.request.urlopen(request, timeout=60) as response:
-            return json.load(response)
+        with serve_in_thread(server):
+            yield server
 
     def test_healthz(self, server):
-        health = self.get_json(server, "/healthz")
+        health = fetch_json(url_of(server, "/healthz"))[0]
         assert health["status"] == "ok" and health["version"] == 0
         assert health["role"] == "primary"
 
@@ -499,7 +473,7 @@ class TestHttpServer:
         """A server running without --watch/--wal still reports a full
         /stats payload: engine counters, the state's WAL offset and a
         zero queue depth — one shape for routers and monitors."""
-        stats = self.get_json(server, "/stats")
+        stats = fetch_json(url_of(server, "/stats"))[0]
         assert stats["role"] == "primary"
         assert stats["wal_offset"] == 0
         assert stats["deltas_applied"] == 0
@@ -509,70 +483,61 @@ class TestHttpServer:
             "wal_appended": 0,
         }
         add1, add2 = family_addition(5, 1)
-        self.post_json(
-            server, "/delta", Delta(add1=tuple(add1), add2=tuple(add2)).to_json()
-        )
-        stats = self.get_json(server, "/stats")
+        fetch_json(
+            url_of(server, "/delta"),
+            Delta(add1=tuple(add1), add2=tuple(add2)).to_json(),
+        )[0]
+        stats = fetch_json(url_of(server, "/stats"))[0]
         assert stats["deltas_applied"] == 1
         assert stats["pairs_touched_total"] > 0
 
     def test_delta_then_pair(self, server, tmp_path):
         add1, add2 = family_addition(5, 1)
         delta = Delta(add1=tuple(add1), add2=tuple(add2))
-        report = self.post_json(server, "/delta", delta.to_json())
+        report = fetch_json(url_of(server, "/delta"), delta.to_json())[0]
         assert report["version"] == 1 and report["converged"]
-        pair = self.get_json(server, "/pair/p5a/q5a")
+        pair = fetch_json(url_of(server, "/pair/p5a/q5a"))[0]
         assert pair["probability"] > 0.9
         # The delta triggered an automatic snapshot.
         assert latest_version(tmp_path) == 1
 
     def test_alignment_json_and_tsv(self, server):
-        alignment = self.get_json(server, "/alignment?threshold=0.5")
+        alignment = fetch_json(url_of(server, "/alignment?threshold=0.5"))[0]
         assert alignment["pairs"]
-        with urllib.request.urlopen(
-            self.url(server, "/alignment?threshold=0.5&format=tsv"), timeout=30
-        ) as response:
-            text = response.read().decode("utf-8")
+        text = request(url_of(server, "/alignment?threshold=0.5&format=tsv"))[2].decode("utf-8")
         assert text.count("\n") == len(alignment["pairs"])
         assert "\t" in text.splitlines()[0]
 
     def test_snapshot_endpoint(self, server, tmp_path):
-        payload = self.post_json(server, "/snapshot", {})
+        payload = fetch_json(url_of(server, "/snapshot"), {})[0]
         assert "snapshot" in payload
         assert latest_version(tmp_path) == 0
 
     def test_unknown_route_404(self, server):
-        with pytest.raises(urllib.error.HTTPError) as error:
-            self.get_json(server, "/nope")
-        assert error.value.code == 404
+        assert get_json(url_of(server, "/nope"))[0] == 404
 
     def test_bad_delta_400(self, server):
-        with pytest.raises(urllib.error.HTTPError) as error:
-            self.post_json(server, "/delta", {"left": {"add": [{"subject": "x"}]}})
-        assert error.value.code == 400
+        status, _ = post_json(url_of(server, "/delta"), {"left": {"add": [{"subject": "x"}]}})
+        assert status == 400
 
     def test_null_field_delta_400(self, server):
-        with pytest.raises(urllib.error.HTTPError) as error:
-            self.post_json(
-                server,
-                "/delta",
-                {"left": {"add": [{"subject": None, "relation": "r", "object": "b"}]}},
-            )
-        assert error.value.code == 400
+        status, _ = post_json(
+            url_of(server, "/delta"),
+            {"left": {"add": [{"subject": None, "relation": "r", "object": "b"}]}},
+        )
+        assert status == 400
 
     def test_unapplicable_delta_400_leaves_state_untouched(self, server):
-        facts_before = self.get_json(server, "/healthz")["facts_left"]
-        with pytest.raises(urllib.error.HTTPError) as error:
-            self.post_json(
-                server,
-                "/delta",
-                {"left": {"add": [
-                    {"subject": "p0a", "relation": "extra", "object": "x"},
-                    {"subject": "a", "relation": "rdfs:subPropertyOf", "object": "b"},
-                ]}},
-            )
-        assert error.value.code == 400
-        health = self.get_json(server, "/healthz")
+        facts_before = fetch_json(url_of(server, "/healthz"))[0]["facts_left"]
+        status, _ = post_json(
+            url_of(server, "/delta"),
+            {"left": {"add": [
+                {"subject": "p0a", "relation": "extra", "object": "x"},
+                {"subject": "a", "relation": "rdfs:subPropertyOf", "object": "b"},
+            ]}},
+        )
+        assert status == 400
+        health = fetch_json(url_of(server, "/healthz"))[0]
         assert health["facts_left"] == facts_before
         assert health["version"] == 0
 
@@ -580,25 +545,20 @@ class TestHttpServer:
         """A delta naming a term with invalid N-Triples syntax gets a
         400 whose body names the offending triple — not a codec
         traceback much later."""
-        with pytest.raises(urllib.error.HTTPError) as error:
-            self.post_json(
-                server,
-                "/delta",
-                {"left": {"add": [
-                    {"subject": "bad uri", "relation": "extra", "object": "x"},
-                ]}},
-            )
-        assert error.value.code == 400
-        body = json.load(error.value)
+        status, body = post_json(
+            url_of(server, "/delta"),
+            {"left": {"add": [
+                {"subject": "bad uri", "relation": "extra", "object": "x"},
+            ]}},
+        )
+        assert status == 400
         assert "N-Triples" in body["error"]
         assert "bad uri" in body["error"]
-        health = self.get_json(server, "/healthz")
+        health = fetch_json(url_of(server, "/healthz"))[0]
         assert health["status"] == "ok" and health["version"] == 0
 
     def test_bad_threshold_400(self, server):
-        with pytest.raises(urllib.error.HTTPError) as error:
-            self.get_json(server, "/alignment?threshold=abc")
-        assert error.value.code == 400
+        assert get_json(url_of(server, "/alignment?threshold=abc"))[0] == 400
 
     def test_snapshot_every_zero_defers_to_explicit_snapshot(self, tmp_path):
         left, right = family_pair(3)
@@ -606,17 +566,11 @@ class TestHttpServer:
         server = build_server(
             service, "127.0.0.1", 0, state_dir=tmp_path, snapshot_every=0
         )
-        thread = threading.Thread(target=server.serve_forever, daemon=True)
-        thread.start()
-        try:
+        with serve_in_thread(server):
             add1, add2 = family_addition(3, 1)
             delta = Delta(add1=tuple(add1), add2=tuple(add2))
-            report = self.post_json(server, "/delta", delta.to_json())
+            report = fetch_json(url_of(server, "/delta"), delta.to_json())[0]
             assert report["version"] == 1
             assert latest_version(tmp_path) is None  # no automatic snapshot
-            self.post_json(server, "/snapshot", {})
+            fetch_json(url_of(server, "/snapshot"), {})
             assert latest_version(tmp_path) == 1
-        finally:
-            server.shutdown()
-            server.server_close()
-            thread.join(timeout=10)

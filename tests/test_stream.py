@@ -16,13 +16,12 @@ from __future__ import annotations
 import json
 import threading
 import time
-import urllib.error
-import urllib.request
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.client import post_json, request
 from repro.core.aligner import align
 from repro.core.config import ParisConfig
 from repro.datasets.incremental import family_addition, family_pair, family_removal
@@ -43,13 +42,9 @@ from repro.service.stream import (
     make_source,
     replay_wal,
 )
+from repro.testing import family_delta, fetch_json, serve_in_thread, url_of
 
 TOLERANCE = 1e-9
-
-
-def family_delta(start: int, count: int = 1) -> Delta:
-    add1, add2 = family_addition(start, count)
-    return Delta(add1=tuple(add1), add2=tuple(add2))
 
 
 def assert_stores_match(first, second, tolerance=TOLERANCE):
@@ -986,40 +981,18 @@ class TestHttpStreaming:
         server = build_server(
             service, "127.0.0.1", 0, state_dir=tmp_path, stream=stream, snapshot_every=0
         )
-        thread = threading.Thread(target=server.serve_forever, daemon=True)
-        thread.start()
-        yield server, service
-        server.shutdown()
-        server.server_close()
+        with serve_in_thread(server):
+            yield server, service
         stream.stop()
-        thread.join(timeout=10)
-
-    @staticmethod
-    def url(server, path):
-        host, port = server.server_address[:2]
-        return f"http://{host}:{port}{path}"
-
-    def get_json(self, server, path):
-        with urllib.request.urlopen(self.url(server, path), timeout=30) as response:
-            return json.load(response)
-
-    def post_json(self, server, path, payload):
-        request = urllib.request.Request(
-            self.url(server, path),
-            data=json.dumps(payload).encode("utf-8"),
-            headers={"Content-Type": "application/json"},
-        )
-        with urllib.request.urlopen(request, timeout=60) as response:
-            return json.load(response)
 
     def test_stats_exposes_queue_wal_and_work(self, stack):
         server, service = stack
-        stats = self.get_json(server, "/stats")
+        stats = fetch_json(url_of(server, "/stats"))[0]
         assert stats["wal_offset"] == 0
         assert stats["ingest"]["queue_depth"] == 0
-        report = self.post_json(server, "/delta", family_delta(5).to_json())
+        report = fetch_json(url_of(server, "/delta"), family_delta(5).to_json())[0]
         assert report["converged"]
-        stats = self.get_json(server, "/stats")
+        stats = fetch_json(url_of(server, "/stats"))[0]
         assert stats["wal_offset"] == 1
         assert stats["ingest"]["wal_appended"] == 1
         assert stats["ingest"]["accepted"] == 1
@@ -1029,31 +1002,43 @@ class TestHttpStreaming:
     def test_duplicate_post_acknowledged(self, stack):
         server, service = stack
         payload = family_delta(5).to_json()
-        first = self.post_json(server, "/delta?source=writer&seq=1", payload)
+        first = fetch_json(url_of(server, "/delta?source=writer&seq=1"), payload)[0]
         assert first["converged"]
-        second = self.post_json(server, "/delta?source=writer&seq=1", payload)
+        second = fetch_json(url_of(server, "/delta?source=writer&seq=1"), payload)[0]
         assert second == {"duplicate": True, "source": "writer", "seq": 1}
-        assert self.get_json(server, "/stats")["ingest"]["duplicates"] == 1
+        assert fetch_json(url_of(server, "/stats"))[0]["ingest"]["duplicates"] == 1
 
     def test_bad_seq_400(self, stack):
         server, _service = stack
-        with pytest.raises(urllib.error.HTTPError) as error:
-            self.post_json(server, "/delta?seq=abc", family_delta(5).to_json())
-        assert error.value.code == 400
+        status, _ = post_json(url_of(server, "/delta?seq=abc"), family_delta(5).to_json())
+        assert status == 400
 
     def test_overflow_answers_429_with_retry_after(self, stack):
         server, service = stack
         stream = server.stream
         stream.batcher.max_queue = 0  # admission rejects everything
         try:
-            with pytest.raises(urllib.error.HTTPError) as error:
-                self.post_json(server, "/delta", family_delta(5).to_json())
-            assert error.value.code == 429
-            assert float(error.value.headers["Retry-After"]) > 0
-            body = json.load(error.value)
-            assert "queue is full" in body["error"]
+            body = json.dumps(family_delta(5).to_json()).encode("utf-8")
+            status, headers, body = request(url_of(server, "/delta"), "POST", body)
+            assert status == 429
+            assert float(headers["Retry-After"]) > 0
+            assert "queue is full" in json.loads(body)["error"]
         finally:
             stream.batcher.max_queue = 8
+
+    def test_healthz_reports_a_latched_wal(self, stack, monkeypatch):
+        """After a failed fsync latches the WAL, /healthz must report
+        the node degraded (never via a 304) while writes answer 503."""
+        server, _service = stack
+        TestWalSegments.fsync_fails_once(monkeypatch)
+        assert post_json(url_of(server, "/delta"), family_delta(5).to_json())[0] == 500
+        assert post_json(url_of(server, "/delta"), family_delta(6).to_json())[0] == 503
+        status, headers, body = request(url_of(server, "/healthz"))
+        health = json.loads(body)
+        assert status == 200 and health["status"] == "degraded", health
+        assert "injected EIO" in health["degraded"], health
+        etag = {"If-None-Match": headers["ETag"]}
+        assert request(url_of(server, "/healthz"), headers=etag)[0] == 200
 
     def test_build_server_installs_batch_snapshot_policy(self, tmp_path):
         """snapshot_every must keep working for any build_server caller
@@ -1068,29 +1053,23 @@ class TestHttpStreaming:
         server = build_server(
             service, "127.0.0.1", 0, state_dir=tmp_path, stream=stream, snapshot_every=1
         )
-        thread = threading.Thread(target=server.serve_forever, daemon=True)
-        thread.start()
         try:
-            assert batcher.on_batch_applied is not None
-            report = self.post_json(server, "/delta", family_delta(3).to_json())
-            assert report["version"] == 1
-            assert batcher.flush(timeout=60)
-            assert latest_version(tmp_path) == 1  # snapshotted, once, by the hook
+            with serve_in_thread(server):
+                assert batcher.on_batch_applied is not None
+                report = fetch_json(url_of(server, "/delta"), family_delta(3).to_json())[0]
+                assert report["version"] == 1
+                assert batcher.flush(timeout=60)
+                assert latest_version(tmp_path) == 1  # snapshotted, once, by the hook
         finally:
-            server.shutdown()
-            server.server_close()
             stream.stop()
-            thread.join(timeout=10)
         left, right = family_pair(3)
         service = AlignmentService.cold_start(left, right, ParisConfig())
         server = build_server(service, "127.0.0.1", 0)
-        thread = threading.Thread(target=server.serve_forever, daemon=True)
-        thread.start()
-        try:
+        with serve_in_thread(server):
             # Without a stream stack /stats still reports the full
             # shape: a zero queue and the engine's WAL offset, so
             # routers and monitors never special-case plain servers.
-            stats = self.get_json(server, "/stats")
+            stats = fetch_json(url_of(server, "/stats"))[0]
             assert stats["ingest"] == {
                 "queue_depth": 0,
                 "streaming": False,
@@ -1098,10 +1077,6 @@ class TestHttpStreaming:
             }
             assert stats["role"] == "primary"
             assert stats["version"] == 0
-        finally:
-            server.shutdown()
-            server.server_close()
-            thread.join(timeout=10)
 
 
 # ----------------------------------------------------------------------
