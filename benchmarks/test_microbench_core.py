@@ -2,8 +2,9 @@
 
 These time the hot paths of the Section 5.2 optimization — the indexed
 statement traversal, functionality precomputation, a single instance
-pass, and a single relation pass — so performance regressions in the
-substrate show up even when end-to-end numbers drift.
+pass, and a single relation pass on the dict reference and on the
+vectorized kernel — so performance regressions in the substrate show up
+even when end-to-end numbers drift.
 """
 
 from __future__ import annotations
@@ -14,8 +15,10 @@ from repro.core.equivalence import instance_equivalence_pass
 from repro.core.functionality import FunctionalityOracle
 from repro.core.literal_index import LiteralIndex
 from repro.core.matrix import SubsumptionMatrix
+from repro.core.parallel import parallel_subrelation_pass
 from repro.core.store import EquivalenceStore
 from repro.core.subrelations import subrelation_pass
+from repro.core.vectorized import VectorizedKernel
 from repro.core.view import EquivalenceView
 from repro.datasets import yago_dbpedia_pair
 from repro.literals import IdentitySimilarity
@@ -80,27 +83,60 @@ def test_bench_instance_pass(benchmark, pair, view):
     assert len(store) > 0
 
 
-@pytest.mark.benchmark(group="micro")
-def test_bench_subrelation_pass(benchmark, pair, view):
-    fun1 = FunctionalityOracle(pair.ontology1)
-    fun2 = FunctionalityOracle(pair.ontology2)
+@pytest.fixture(scope="module")
+def filled_view(pair, view):
+    """The view after one bootstrap instance pass: Eq. 12 has evidence."""
     store = instance_equivalence_pass(
-        pair.ontology1, pair.ontology2, view, fun1, fun2,
+        pair.ontology1, pair.ontology2, view,
+        FunctionalityOracle(pair.ontology1), FunctionalityOracle(pair.ontology2),
         SubsumptionMatrix.bootstrap(0.1), SubsumptionMatrix.bootstrap(0.1),
         truncation_threshold=0.1,
     )
     similarity = IdentitySimilarity()
-    filled_view = EquivalenceView(
+    return EquivalenceView(
         store,
         LiteralIndex(pair.ontology2, similarity),
         LiteralIndex(pair.ontology1, similarity),
     )
+
+
+RELATION_PASS = dict(truncation_threshold=0.1, max_pairs=10_000, bootstrap_theta=0.1)
+
+
+@pytest.mark.benchmark(group="micro")
+def test_bench_subrelation_pass(benchmark, pair, filled_view):
     matrix = benchmark.pedantic(
         lambda: subrelation_pass(
-            pair.ontology1, pair.ontology2, filled_view,
-            truncation_threshold=0.1, max_pairs=10_000, bootstrap_theta=0.1,
+            pair.ontology1, pair.ontology2, filled_view, **RELATION_PASS
         ),
         rounds=3,
         iterations=1,
     )
     assert len(matrix) > 0
+
+
+@pytest.mark.benchmark(group="micro")
+def test_bench_kernel_relation_pass(benchmark, pair, filled_view):
+    """The Eq. 12 kernel on the same inputs; its static arrays are built
+    outside the timed rounds, as a cold align builds them once."""
+    pytest.importorskip("numpy")
+    kernel = VectorizedKernel(
+        pair.ontology1,
+        pair.ontology2,
+        FunctionalityOracle(pair.ontology1),
+        FunctionalityOracle(pair.ontology2),
+        filled_view._right_index,
+        filled_view._left_index,
+    )
+    kernel.relation_scores(filled_view, False, RELATION_PASS["max_pairs"])
+    matrix = benchmark.pedantic(
+        lambda: parallel_subrelation_pass(
+            pair.ontology1, pair.ontology2, filled_view, kernel=kernel, **RELATION_PASS
+        ),
+        rounds=3,
+        iterations=1,
+    )
+    expected = subrelation_pass(pair.ontology1, pair.ontology2, filled_view, **RELATION_PASS)
+    assert len(matrix) > 0
+    assert list(matrix.items()) == list(expected.items())
+    assert matrix._sub_defaults == expected._sub_defaults

@@ -139,7 +139,9 @@ def test_stage_profile():
         assert expected, "workload produced no equivalences"
 
         started = time.perf_counter()
-        kernel = VectorizedKernel(ontology1, ontology2, fun1, fun2, view._right_index)
+        kernel = VectorizedKernel(
+            ontology1, ontology2, fun1, fun2, view._right_index, view._left_index
+        )
         build_seconds = time.perf_counter() - started
         started = time.perf_counter()
         prepared = kernel.prepare_pass(view.store, rel12, rel21)

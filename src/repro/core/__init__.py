@@ -10,8 +10,9 @@ Public entry points:
 * the individual passes (:func:`instance_equivalence_pass`,
   :func:`subrelation_pass`, :func:`subclass_pass`) for ablations and
   step-by-step inspection,
-* :func:`parallel_subrelation_pass`, the relation pass over the
-  fork-once worker pool, bit-identical to the sequential pass,
+* :func:`parallel_subrelation_pass`, the relation pass as the aligner
+  runs it (on the vectorized kernel when given one), bit-identical to
+  :func:`subrelation_pass`,
 * the incremental machinery behind the alignment service
   (:class:`IncrementalRelationPass` and
   :meth:`ParisAligner.warm_align` — delta-driven warm-start fixpoints

@@ -13,11 +13,15 @@ Convergence is declared when fewer than ``convergence_threshold`` of
 the instances change their maximal assignment (Section 6.1).  After the
 fixpoint, class inclusions are computed once (Eq. 17, Section 4.3).
 
-With ``ParisConfig.workers >= 2`` every pass runs on the persistent
-fork-once worker pool (:mod:`repro.core.parallel`), mirroring the
-paper's "in parallel on all available processors" (Section 5.1/6.2).
-Rows are scored independently against frozen previous-iteration views
-and merged in task order, so pooled scores are bit-identical to the
+The instance and relation passes run on the bit-identical vectorized
+kernel (:mod:`repro.core.vectorized`) unless ``scoring="dict"`` or
+negative evidence turns it off.  With ``ParisConfig.workers >= 2`` the
+instance and class passes run on the persistent fork-once worker pool
+(:mod:`repro.core.parallel`), mirroring the paper's "in parallel on all
+available processors" (Section 5.1/6.2); the relation pass stays in
+process.  Rows are
+scored independently against frozen previous-iteration views and
+merged in task order, so pooled scores are bit-identical to the
 sequential passes.  Passes the pool does not cover run sequentially:
 negative evidence, ``scoring="dict"`` and platforms without ``fork``.
 The guarantee is enforced by ``tests/test_parallel.py``,
@@ -161,7 +165,12 @@ class ParisAligner:
                 rebuild=kernel is not None,
             ):
                 kernel = VectorizedKernel(
-                    self.ontology1, self.ontology2, self.fun1, self.fun2, self.literals2
+                    self.ontology1,
+                    self.ontology2,
+                    self.fun1,
+                    self.fun2,
+                    self.literals2,
+                    self.literals1,
                 )
             self._kernel = kernel
         return kernel
@@ -207,9 +216,9 @@ class ParisAligner:
         return pool
 
     def _live_pool(self) -> Tuple[Optional[VectorizedKernel], Optional[WorkerPool]]:
-        """``(kernel, pool)`` for a relation or class pass.
+        """``(kernel, pool)`` for a class pass.
 
-        Those passes reuse a fresh kernel but never build one, so the
+        That pass reuses a fresh kernel but never builds one, so the
         pool (``None`` when there is none) runs only after an instance
         pass built the kernel for the current ontology versions.
         """
@@ -230,18 +239,23 @@ class ParisAligner:
 
     # ------------------------------------------------------------------
 
-    def _view_store(self, store: EquivalenceStore) -> EquivalenceStore:
-        """The store the passes actually read (Section 5.2 restriction)."""
+    def _view_store(
+        self, store: EquivalenceStore, assignments: Optional[tuple] = None
+    ) -> EquivalenceStore:
+        """The store the passes actually read (Section 5.2 restriction);
+        ``assignments`` are the store's maximal assignments when known."""
         if self.config.restrict_to_maximal_assignment:
-            return store.restricted_to_maximal()
+            return store.restricted_to_maximal(assignments)
         return store
 
     def make_view(self, view_store: EquivalenceStore) -> EquivalenceView:
         """Wrap an (already restricted) store with the literal indexes."""
         return EquivalenceView(view_store, self.literals2, self.literals1)
 
-    def _view(self, store: EquivalenceStore) -> EquivalenceView:
-        return self.make_view(self._view_store(store))
+    def _view(
+        self, store: EquivalenceStore, assignments: Optional[tuple] = None
+    ) -> EquivalenceView:
+        return self.make_view(self._view_store(store, assignments))
 
     def _instance_pass(
         self,
@@ -305,14 +319,13 @@ class ParisAligner:
     def _relation_pass(
         self, view: EquivalenceView, reverse: bool = False
     ) -> SubsumptionMatrix[Relation]:
-        """One direction of the relation pass, over the persistent pool
-        when it is live (workers rebuild the view from shipped id arrays
-        instead of re-pickling the ontologies), sequential otherwise."""
+        """One direction of the relation pass, in process: on the
+        vectorized kernel wherever the instance pass uses it, on the
+        dict reference otherwise (bit-identical either way)."""
         config = self.config
         first, second = (
             (self.ontology2, self.ontology1) if reverse else (self.ontology1, self.ontology2)
         )
-        kernel, pool = self._live_pool()
         return parallel_subrelation_pass(
             first,
             second,
@@ -321,8 +334,7 @@ class ParisAligner:
             max_pairs=config.max_pairs_per_relation,
             reverse=reverse,
             bootstrap_theta=config.theta,
-            pool=pool,
-            kernel=kernel,
+            kernel=self._kernel_for(),
         )
 
     def _class_pass(
@@ -519,6 +531,10 @@ class ParisAligner:
         snap_prev21: Dict[Resource, Tuple[Resource, float]],
         converged: bool,
     ) -> AlignmentResult:
+        # One restricted view per store: the view the relation pass
+        # builds serves the next instance pass and the class pass (the
+        # store is not mutated in between).
+        view = self._view(store)
         for iteration in range(1, config.max_iterations + 1):
             started = time.perf_counter()
             with span(
@@ -526,7 +542,6 @@ class ParisAligner:
                 iteration=iteration,
                 frontier=len(self.ontology1.instances),
             ):
-                view = self._view(store)
                 new_store = self._instance_pass(view, rel12, rel21)
                 store = self._dampen(store, new_store)
             assignment12 = store.maximal_assignment()
@@ -556,9 +571,9 @@ class ParisAligner:
             # steps are iterated until convergence", Section 5.1).  The
             # second round uses the computed values and no longer θ.
             with span("pass.relation", iteration=iteration):
-                relation_view = self._view(store)
-                rel12 = self._relation_pass(relation_view)
-                rel21 = self._relation_pass(relation_view, reverse=True)
+                view = self._view(store, (assignment12, assignment21))
+                rel12 = self._relation_pass(view)
+                rel21 = self._relation_pass(view, reverse=True)
             duration = time.perf_counter() - started
             if config.keep_snapshots:
                 snapshots.append(
@@ -597,9 +612,8 @@ class ParisAligner:
         # (Section 4.3 / 5.1: "In a last step, the equivalences between
         # classes are computed by Equation (17)").
         with span("pass.class"):
-            class_view = self._view(store)
-            classes12 = self._class_pass(class_view)
-            classes21 = self._class_pass(class_view, reverse=True)
+            classes12 = self._class_pass(view)
+            classes21 = self._class_pass(view, reverse=True)
         return AlignmentResult(
             left_name=self.ontology1.name,
             right_name=self.ontology2.name,

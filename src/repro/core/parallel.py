@@ -1,17 +1,20 @@
 """Process parallelism for the PARIS passes (Section 5.1).
 
-Every pass has two routes.  The sequential reference code — the dict
-passes, or the in-process vectorized kernel for Eq. 13 — runs by
-default.  With ``ParisConfig.workers >= 2`` on a platform that can
-``fork``, the persistent fork-once :class:`WorkerPool` runs the pass
-instead: workers inherit the ontologies and the kernel through
-copy-on-write memory, tasks are bare ``(lo, hi)`` index ranges and
-results come back as compact score arrays, so nothing re-pickles an
-ontology.  Pooled results merge in task order, which fills the store
-in the sequential insertion order, so both routes are bit-identical.
-The design rationale and the bit-identity argument live in
-``docs/architecture.md`` (section "The core: one pass, three
-engines"); the guarantee is enforced by ``tests/test_parallel.py`` /
+The instance (Eq. 13) and class (Eq. 17) passes have two routes.  The
+sequential reference code — the dict passes, or the in-process
+vectorized kernel for Eq. 13 — runs by default.  With
+``ParisConfig.workers >= 2`` on a platform that can ``fork``, the
+persistent fork-once :class:`WorkerPool` runs the pass instead:
+workers inherit the ontologies and the kernel through copy-on-write
+memory, tasks are bare ``(lo, hi)`` index ranges and results come back
+as compact score arrays, so nothing re-pickles an ontology.  Pooled
+results merge in task order, which fills the store in the sequential
+insertion order, so both routes are bit-identical.  The relation pass
+(Eq. 12, :func:`parallel_subrelation_pass`) runs in process for every
+worker count, on the kernel when there is one.  The design rationale
+and the bit-identity argument live in ``docs/architecture.md``
+(section "The core: one pass, three engines"); the guarantee is
+enforced by ``tests/test_parallel.py`` /
 ``tests/test_parallel_properties.py`` / ``tests/test_vectorized.py``.
 """
 
@@ -45,22 +48,19 @@ def parallel_subrelation_pass(
     max_pairs: int,
     reverse: bool = False,
     bootstrap_theta: float = 0.0,
-    pool: Optional["WorkerPool"] = None,
     kernel: Optional[VectorizedKernel] = None,
 ) -> SubsumptionMatrix[Relation]:
-    """One direction of the Eq. 12 relation pass, over ``pool`` when given.
+    """One direction of the Eq. 12 relation pass, in process.
 
-    ``pool`` must have been forked against ``kernel``, the vectorized
-    kernel that lowers ``view.store`` to the id arrays the workers
-    rebuild their view from.  Each worker scores relation rows with the
-    exact sequential code, and rows merge in relation registration
-    order (the order :func:`.subrelations.subrelation_pass` traverses),
-    so the matrix fills in the same insertion order as the sequential
-    pass, which runs whenever there is no pool or the store cannot be
-    lowered.
+    With ``kernel`` (built over this ontology pair) the rows come from
+    :meth:`VectorizedKernel.relation_scores`; without it the dict
+    reference :func:`.subrelations.subrelation_pass` runs.  Both fill
+    the matrix through :func:`.subrelations.apply_relation_scores` in
+    relation registration order with the same floats, so the routes are
+    bit-identical.  The relation pass has no pool route for any worker
+    count.
     """
-    lowered = kernel.lower_store(view.store) if pool is not None else None
-    if lowered is None:
+    if kernel is None:
         return subrelation_pass(
             ontology1,
             ontology2,
@@ -70,23 +70,13 @@ def parallel_subrelation_pass(
             reverse=reverse,
             bootstrap_theta=bootstrap_theta,
         )
-    relations = ontology1.relations(include_inverses=True)
     matrix: SubsumptionMatrix[Relation] = SubsumptionMatrix()
-    payload = {
-        "kind": "relations",
-        "store": lowered,
-        "threshold": view.store.truncation_threshold,
-        "reverse": reverse,
-        "max_pairs": max_pairs,
-    }
-    tasks = even_ranges(len(relations), pool.workers * SHARDS_PER_WORKER)
-    for scored in pool.run_pass(payload, tasks):
-        apply_relation_scores(
-            matrix,
-            [(relations[index], row) for index, row in scored],
-            truncation_threshold,
-            bootstrap_theta,
-        )
+    apply_relation_scores(
+        matrix,
+        kernel.relation_scores(view, reverse, max_pairs),
+        truncation_threshold,
+        bootstrap_theta,
+    )
     return matrix
 
 
@@ -122,9 +112,11 @@ def _run_pool_task(state: tuple, payload: dict, cache: dict, span: Tuple[int, in
         return kernel.score_ids(
             payload["ids"][lo:hi], payload["prepared"], payload["theta"]
         )
-    # Relation/class tasks score with the legacy dict code against a
-    # store rebuilt once per pass from the shipped id arrays (both row
-    # orderings preserved — see EquivalenceStore.backward_items).
+    # Class tasks score with the dict code against a store rebuilt once
+    # per pass from the shipped id arrays (both row orderings preserved
+    # — see EquivalenceStore.backward_items).
+    if kind != "classes":
+        raise ValueError(f"unknown pool task kind {kind!r}")
     view = cache.get("view")
     if view is None:
         store = kernel.rebuild_store(payload["store"], payload["threshold"])
@@ -132,45 +124,24 @@ def _run_pool_task(state: tuple, payload: dict, cache: dict, span: Tuple[int, in
         cache["view"] = view
     reverse = payload["reverse"]
     first, second = (ontology2, ontology1) if reverse else (ontology1, ontology2)
-    if kind == "relations":
-        relations = first.relations(include_inverses=True)
-        return [
-            (
-                index,
-                # score_relation is resolved lazily to keep the fork
-                # image identical to the parent's import state.
-                _score_one_relation(
-                    relations[index], first, second, view, payload["max_pairs"], reverse
-                ),
-            )
-            for index in range(lo, hi)
-        ]
-    if kind == "classes":
-        classes = cache.get("classes")
-        if classes is None:
-            # The inherited set object iterates identically in parent
-            # and child, so index ranges address the same classes.
-            classes = list(first.classes)
-            cache["classes"] = classes
-        closure = cache.get("closure")
-        if closure is None:
-            closure = closed_classes_of(second)
-            cache["closure"] = closure
-        return score_classes(
-            classes[lo:hi],
-            first,
-            view,
-            closure,
-            payload["max_instances"],
-            reverse=reverse,
-        )
-    raise ValueError(f"unknown pool task kind {kind!r}")
-
-
-def _score_one_relation(relation, first, second, view, max_pairs, reverse):
-    from .subrelations import score_relation
-
-    return score_relation(relation, first, second, view, max_pairs, reverse=reverse)
+    classes = cache.get("classes")
+    if classes is None:
+        # The inherited set object iterates identically in parent
+        # and child, so index ranges address the same classes.
+        classes = list(first.classes)
+        cache["classes"] = classes
+    closure = cache.get("closure")
+    if closure is None:
+        closure = closed_classes_of(second)
+        cache["closure"] = closure
+    return score_classes(
+        classes[lo:hi],
+        first,
+        view,
+        closure,
+        payload["max_instances"],
+        reverse=reverse,
+    )
 
 
 def _pool_worker_main(worker_index: int, task_queue, result_queue) -> None:

@@ -199,6 +199,11 @@ class EquivalenceStore:
         """All ``x`` with positive ``Pr(x ≡ right)`` (may be empty)."""
         return self._backward.get(right, {})
 
+    def rows(self, reverse: bool = False) -> Iterable[Tuple[Resource, Mapping[Resource, float]]]:
+        """``(instance, {counterpart: probability})`` rows in dict order:
+        the forward rows, or the backward (right-row) ones."""
+        return (self._backward if reverse else self._forward).items()
+
     def __len__(self) -> int:
         """Number of stored (left, right) pairs (O(1), cached)."""
         return self._count
@@ -301,19 +306,32 @@ class EquivalenceStore:
                 changed += 1
         return changed / len(keys)
 
-    def restricted_to_maximal(self) -> "EquivalenceStore":
+    def restricted_to_maximal(
+        self,
+        assignments: Optional[
+            Tuple[
+                Mapping[Resource, Tuple[Resource, float]],
+                Mapping[Resource, Tuple[Resource, float]],
+            ]
+        ] = None,
+    ) -> "EquivalenceStore":
         """A copy containing only the maximal assignment of each side.
 
         Section 5.2: "For each computation, our algorithm considers
         only the equalities of the previous maximal assignment and
         ignores all other equalities."  An entry survives if it is the
         best match of its left instance *or* of its right instance, so
-        the restricted view stays symmetric.
+        the restricted view stays symmetric.  ``assignments`` is this
+        store's ``(maximal_assignment(), maximal_assignment(reverse=True))``
+        when the caller already computed them.
         """
+        if assignments is None:
+            assignments = (self.maximal_assignment(), self.maximal_assignment(reverse=True))
+        forward, backward = assignments
         restricted = EquivalenceStore(self.truncation_threshold)
-        for left, (right, probability) in self.maximal_assignment().items():
+        for left, (right, probability) in forward.items():
             restricted.set(left, right, probability)
-        for right, (left, probability) in self.maximal_assignment(reverse=True).items():
+        for right, (left, probability) in backward.items():
             restricted.set(left, right, probability)
         return restricted
 

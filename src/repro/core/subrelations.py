@@ -20,6 +20,15 @@ Implementation notes (Section 5.2):
   (``max_pairs_per_relation``, paper value 10 000);
 * with the maximal-assignment restriction each node has at most one
   counterpart, which is what makes the sweep cheap.
+
+This module is the **reference** implementation.  Cold aligns score
+Eq. 12 on the vectorized kernel
+(:meth:`repro.core.vectorized.VectorizedKernel.relation_scores`),
+which ``tests/test_vectorized.py`` holds bit-identical to
+:func:`subrelation_pass`; the dict pass runs when the kernel is off
+(``scoring="dict"``, negative evidence, no numpy).
+:func:`statement_terms` also stays the per-statement cache of the warm
+path's :class:`~repro.core.incremental.IncrementalRelationPass`.
 """
 
 from __future__ import annotations
@@ -122,7 +131,7 @@ def apply_relation_scores(
     truncation_threshold: float,
     bootstrap_theta: float,
 ) -> None:
-    """Fold scored rows into ``matrix`` (also the pool's merge step)."""
+    """Fold scored rows into ``matrix`` (also the kernel route's)."""
     for relation, scores in scored:
         if scores is None:
             # No evidence: the relation stays at the bootstrap prior so

@@ -1,9 +1,10 @@
-"""Interned-ID vectorized Eq. 13 scoring kernel.
+"""Interned-ID vectorized kernel for Eq. 13 and Eq. 12.
 
-The dict engine in :mod:`repro.core.equivalence` walks the optimized
-Section 5.2 traversal one Python statement at a time.  This module
-freezes the same traversal into flat numpy arrays so a whole pass runs
-as a handful of vectorized gathers:
+The dict passes in :mod:`repro.core.equivalence` (Eq. 13) and
+:mod:`repro.core.subrelations` (Eq. 12) walk the optimized Section 5.2
+traversals one Python statement at a time.  This module freezes the
+same traversals into flat numpy arrays so a whole pass runs as a
+handful of vectorized gathers:
 
 * **Interning** — every node with a data statement gets a dense integer
   id per ontology (:meth:`Ontology.nodes_with_statements` order), every
@@ -19,6 +20,15 @@ as a handful of vectorized gathers:
   restricted store) into one candidate CSR and the two relation
   matrices into dense ``[sub_id, super_id]`` grids honouring per-sub
   defaults.  This is the only state a pass has to ship to workers.
+* **Eq. 12** — :meth:`VectorizedKernel.relation_scores` scores one
+  direction of the relation pass.  Its static arrays, built once per
+  direction and ``max_pairs`` cap, are the capped statements of each
+  relation in :meth:`Ontology.pairs` order and a sorted
+  ``(x', y') → r'`` match table over the other ontology (``r'`` in
+  ``relations_of(x')`` order, literal objects kept).  Per pass the
+  view's store rows plus the literal candidates become a candidate CSR
+  that, unlike the Eq. 13 one, keeps statement-less candidates: they
+  match nothing but still count in the Eq. 12 denominator.
 
 Bit-exactness with the dict path
 --------------------------------
@@ -40,7 +50,14 @@ engine's sequential-equality guarantees:
   yields the identical float;
 * candidates are emitted in first-touch traversal order per instance,
   so downstream stores fill in the same insertion order (later passes
-  accumulate floats over store dict order).
+  accumulate floats over store dict order);
+* Eq. 12 expands statement × x-candidates × y-candidates in the dict
+  loop's nested order, folds each statement's denominator and matched
+  products with ``np.multiply.reduceat``, and sums per ``(r, r')`` with
+  ``np.bincount(weights=…)``, which adds sequentially in statement
+  order; rows come out in relation order with ``r'`` in first-touch
+  order, so the matrix fills exactly like
+  :func:`~repro.core.subrelations.subrelation_pass`.
 
 ``tests/test_vectorized.py`` asserts the equality property; the kernel
 declines to run (``HAVE_NUMPY`` is false) when numpy is unavailable,
@@ -51,6 +68,7 @@ by the caller.
 
 from __future__ import annotations
 
+from itertools import islice
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from ..rdf.ontology import Ontology
@@ -60,6 +78,7 @@ from .functionality import FunctionalityOracle
 from .literal_index import LiteralIndex
 from .matrix import SubsumptionMatrix
 from .store import EquivalenceStore
+from .view import EquivalenceView
 
 try:  # pragma: no cover - exercised implicitly by every import
     import numpy as np
@@ -92,6 +111,64 @@ def _ragged(starts, counts):
     return pos, seg
 
 
+def _budget_bounds(cost):
+    """Contiguous ``(lo, hi)`` row ranges of at most ``CHUNK_BUDGET``
+    total ``cost`` each (a row costlier than the budget gets its own)."""
+    if len(cost) == 0:
+        return []
+    cumulative = np.cumsum(cost)
+    total = int(cumulative[-1])
+    if total <= CHUNK_BUDGET:
+        return [(0, len(cost))]
+    bounds = [0]
+    target = CHUNK_BUDGET
+    while target < total:
+        cut = int(np.searchsorted(cumulative, target, side="left")) + 1
+        if cut <= bounds[-1]:
+            cut = bounds[-1] + 1
+        if cut >= len(cost):
+            break
+        bounds.append(cut)
+        target = int(cumulative[cut - 1]) + CHUNK_BUDGET
+    bounds.append(len(cost))
+    return list(zip(bounds[:-1], bounds[1:]))
+
+
+def _csr_subset(indptr, keep):
+    """The ``indptr`` of a CSR once the slots where ``keep`` is false go."""
+    rows = len(indptr) - 1
+    owner = np.repeat(np.arange(rows, dtype=np.int64), np.diff(indptr))
+    subset = np.zeros(rows + 1, dtype=np.int64)
+    np.cumsum(np.bincount(owner[keep], minlength=rows), out=subset[1:])
+    return subset
+
+
+def _literal_csr(table, literals: LiteralIndex, targets: Dict[Node, int]):
+    """Clamped candidates of each literal of ``table`` (resources get
+    none) as ``(indptr, ids, probs)``; ids index ``targets``, with
+    ``len(targets)`` standing for a candidate without statements."""
+    missing = len(targets)
+    indptr = [0]
+    ids: List[int] = []
+    probs: List[float] = []
+    for node in table:
+        if isinstance(node, Literal):
+            for candidate, probability in literals.candidates(node):
+                ids.append(targets.get(candidate, missing))
+                probs.append(probability)
+        indptr.append(len(ids))
+    return (
+        np.array(indptr, dtype=np.int64),
+        np.array(ids, dtype=np.int64),
+        np.array(probs, dtype=np.float64),
+    )
+
+
+def _group_starts(sorted_keys):
+    """Start index of each run of equal values in ``sorted_keys``."""
+    return np.flatnonzero(np.concatenate(([True], sorted_keys[1:] != sorted_keys[:-1])))
+
+
 class PreparedPass:
     """Per-pass candidate CSR + dense relation grids (shippable).
 
@@ -120,6 +197,37 @@ class PreparedPass:
         self.level3_cost = level3_cost
 
 
+class RelationSide:
+    """Static Eq. 12 arrays of one direction (sub side → super side).
+
+    ``stmt_rel``/``stmt_x``/``stmt_y`` are the first ``max_pairs``
+    statements of each sub relation in :meth:`Ontology.pairs` order
+    (relations in registration order); ``lit_*`` is the CSR of every
+    sub-side literal's clamped candidates, ``len(super_nodes)`` standing
+    in for a candidate without statements; ``match_*`` is the
+    ``(x', y') → r'`` table of the super side, keys ``x'·width + y'``
+    sorted, each key's ``r'`` in ``relations_of(x')`` order.
+    """
+
+    __slots__ = (
+        "sub_table",
+        "sub_nodes",
+        "super_table",
+        "super_nodes",
+        "width",
+        "stmt_rel",
+        "stmt_x",
+        "stmt_y",
+        "lit_indptr",
+        "lit_ids",
+        "lit_probs",
+        "match_keys",
+        "match_start",
+        "match_count",
+        "match_rel",
+    )
+
+
 class VectorizedKernel:
     """Frozen statement arrays for one ontology pair (one `version` each).
 
@@ -135,12 +243,18 @@ class VectorizedKernel:
         fun1: FunctionalityOracle,
         fun2: FunctionalityOracle,
         literals_of_right: LiteralIndex,
+        literals_of_left: LiteralIndex,
     ) -> None:
         if not HAVE_NUMPY:  # pragma: no cover - guarded by callers
             raise RuntimeError("the vectorized kernel requires numpy")
         self.ontology1 = ontology1
         self.ontology2 = ontology2
         self.versions = (ontology1.version, ontology2.version)
+        self.literals_of_right = literals_of_right
+        self.literals_of_left = literals_of_left
+        #: Eq. 12 static arrays per ``(reverse, max_pairs)``, built on
+        #: the first relation pass that needs them.
+        self._relation_sides: Dict[Tuple[bool, int], RelationSide] = {}
 
         # -- node interners (iteration order of nodes_with_statements) --
         self.nodes1: Dict[Node, int] = {}
@@ -193,37 +307,37 @@ class VectorizedKernel:
         self.stmt_rel1 = np.array(rel1, dtype=np.int64)
         self.stmt_other1 = np.array(other1, dtype=np.int64)
 
-        # -- inner CSR: resource-valued statements of the right side ----
+        # -- the same CSR of the right side (Eq. 12 reads all of it) ----
         indptr2 = [0]
         rel2: List[int] = []
         other2: List[int] = []
         for node in self.table2:
             for relation, obj in ontology2.statements_about(node):
-                if isinstance(obj, Literal):
-                    continue  # the dict path skips literal x' candidates
                 rel2.append(self.rels2[relation])
                 other2.append(self.nodes2[obj])
             indptr2.append(len(rel2))
-        self.indptr2 = np.array(indptr2, dtype=np.int64)
-        self.stmt_rel2 = np.array(rel2, dtype=np.int64)
-        self.stmt_other2 = np.array(other2, dtype=np.int64)
+        self.all_indptr2 = np.array(indptr2, dtype=np.int64)
+        self.all_rel2 = np.array(rel2, dtype=np.int64)
+        self.all_other2 = np.array(other2, dtype=np.int64)
+
+        # -- inner CSR: resource-valued statements of the right side ----
+        # (the dict path skips literal x' candidates)
+        is_literal2 = np.array(
+            [isinstance(node, Literal) for node in self.table2], dtype=bool
+        )
+        resource = ~is_literal2[self.all_other2]
+        self.indptr2 = _csr_subset(self.all_indptr2, resource)
+        self.stmt_rel2 = self.all_rel2[resource]
+        self.stmt_other2 = self.all_other2[resource]
 
         # -- clamped literal candidates (static for the whole run) ------
-        lit_indptr = [0]
-        lit_ids: List[int] = []
-        lit_probs: List[float] = []
-        for node in self.table1:
-            if isinstance(node, Literal):
-                for candidate, probability in literals_of_right.candidates(node):
-                    target = self.nodes2.get(candidate)
-                    if target is None:
-                        continue  # no statements -> no contribution
-                    lit_ids.append(target)
-                    lit_probs.append(probability)
-            lit_indptr.append(len(lit_ids))
-        self.lit_indptr = np.array(lit_indptr, dtype=np.int64)
-        self.lit_ids = np.array(lit_ids, dtype=np.int64)
-        self.lit_probs = np.array(lit_probs, dtype=np.float64)
+        lit_indptr, lit_ids, lit_probs = _literal_csr(
+            self.table1, literals_of_right, self.nodes2
+        )
+        known = lit_ids < self.n2  # no statements -> no Eq. 13 contribution
+        self.lit_indptr = _csr_subset(lit_indptr, known)
+        self.lit_ids = lit_ids[known]
+        self.lit_probs = lit_probs[known]
         self.lit_counts = self.lit_indptr[1:] - self.lit_indptr[:-1]
         self.is_literal1 = np.array(
             [isinstance(node, Literal) for node in self.table1], dtype=bool
@@ -421,25 +535,9 @@ class VectorizedKernel:
 
     def _chunk_bounds(self, x_ids, prepared: PreparedPass):
         """Split a block on instance boundaries by projected level-3 work."""
-        if len(x_ids) == 0:
-            return []
-        cost = np.where(x_ids >= 0, prepared.level3_cost[np.maximum(x_ids, 0)], 0)
-        cumulative = np.cumsum(cost)
-        total = int(cumulative[-1])
-        if total <= CHUNK_BUDGET:
-            return [(0, len(x_ids))]
-        bounds = [0]
-        target = CHUNK_BUDGET
-        while target < total:
-            cut = int(np.searchsorted(cumulative, target, side="left")) + 1
-            if cut <= bounds[-1]:
-                cut = bounds[-1] + 1
-            if cut >= len(x_ids):
-                break
-            bounds.append(cut)
-            target = int(cumulative[cut - 1]) + CHUNK_BUDGET
-        bounds.append(len(x_ids))
-        return list(zip(bounds[:-1], bounds[1:]))
+        return _budget_bounds(
+            np.where(x_ids >= 0, prepared.level3_cost[np.maximum(x_ids, 0)], 0)
+        )
 
     def _score_chunk(self, x_ids, prepared: PreparedPass, truncation_threshold: float):
         ids = x_ids[x_ids >= 0]
@@ -485,9 +583,7 @@ class VectorizedKernel:
         # order inside each group, reduceat multiplies left-to-right
         perm = np.argsort(key, kind="stable")
         sorted_key = key[perm]
-        starts = np.flatnonzero(
-            np.concatenate(([True], sorted_key[1:] != sorted_key[:-1]))
-        )
+        starts = _group_starts(sorted_key)
         products = np.multiply.reduceat(factor[perm], starts)
         scores = 1.0 - np.maximum(products, _MIN_FACTOR)
         group_keys = sorted_key[starts]
@@ -520,3 +616,207 @@ class VectorizedKernel:
         return self.entries_for(
             *self.score_ids(self.ids_for(instances), prepared, truncation_threshold)
         )
+
+    # ------------------------------------------------------------------
+    # Eq. 12: the relation pass
+    # ------------------------------------------------------------------
+
+    def relation_scores(
+        self, view: EquivalenceView, reverse: bool, max_pairs: int
+    ) -> List[Tuple[Relation, Optional[Dict[Relation, float]]]]:
+        """One direction of Eq. 12: ``(r, {r': score} or None)`` per sub
+        relation, in relation order with ``r'`` in first-touch order —
+        exactly what :func:`~repro.core.subrelations.score_relation`
+        returns relation by relation, ready for
+        :func:`~repro.core.subrelations.apply_relation_scores`."""
+        side = self._relation_side(reverse, max_pairs)
+        starts, counts, cand_ids, cand_probs = self._relation_candidates(
+            side, view.store, reverse
+        )
+        x_start, x_count = starts[side.stmt_x], counts[side.stmt_x]
+        y_start, y_count = starts[side.stmt_y], counts[side.stmt_y]
+        num_supers = len(side.super_table)
+        denominator_parts: List[Tuple] = []
+        numerator_parts: List[Tuple] = []
+        touched = 0
+        for lo, hi in _budget_bounds(x_count * y_count):
+            # statement × x-candidates × y-candidates, the dict loop's order
+            local, stmt = _ragged(
+                np.zeros(hi - lo, dtype=np.int64), x_count[lo:hi] * y_count[lo:hi]
+            )
+            if len(local) == 0:
+                continue
+            ny = y_count[lo:hi][stmt]
+            ix = local // ny
+            pos_x = x_start[lo:hi][stmt] + ix
+            pos_y = y_start[lo:hi][stmt] + (local - ix * ny)
+            pair_probability = cand_probs[pos_x] * cand_probs[pos_y]
+            valid = pair_probability > 0.0
+            if not valid.any():
+                continue
+            stmt = stmt[valid] + lo
+            factor = 1.0 - pair_probability[valid]
+            firsts = _group_starts(stmt)
+            denominator_parts.append(
+                (stmt[firsts], 1.0 - np.multiply.reduceat(factor, firsts))
+            )
+            # matched (x', y') pairs, each expanded to its r' list
+            if len(side.match_keys) == 0:
+                continue
+            query = cand_ids[pos_x[valid]] * side.width + cand_ids[pos_y[valid]]
+            slot = np.minimum(
+                np.searchsorted(side.match_keys, query), len(side.match_keys) - 1
+            )
+            hits = np.where(side.match_keys[slot] == query, side.match_count[slot], 0)
+            pos_m, entry = _ragged(side.match_start[slot], hits)
+            if len(pos_m) == 0:
+                continue
+            key = stmt[entry] * num_supers + side.match_rel[pos_m]
+            perm = np.argsort(key, kind="stable")
+            sorted_key = key[perm]
+            groups = _group_starts(sorted_key)
+            products = np.multiply.reduceat(factor[entry][perm], groups)
+            group_key = sorted_key[groups]
+            numerator_parts.append(
+                (
+                    group_key // num_supers,
+                    group_key % num_supers,
+                    1.0 - products,
+                    touched + perm[groups],
+                )
+            )
+            touched += len(pos_m)
+        num_subs = len(side.sub_table)
+        if denominator_parts:
+            denominators = np.bincount(
+                side.stmt_rel[np.concatenate([part[0] for part in denominator_parts])],
+                weights=np.concatenate([part[1] for part in denominator_parts]),
+                minlength=num_subs,
+            )
+        else:
+            denominators = np.zeros(num_subs)
+        rows: Dict[int, Dict[Relation, float]] = {}
+        if numerator_parts:
+            stmt, sup, terms, first_touch = (
+                np.concatenate([part[k] for part in numerator_parts]) for k in range(4)
+            )
+            # per (r, r'): statements add up in statement order
+            keys, first, inverse = np.unique(
+                side.stmt_rel[stmt] * num_supers + sup,
+                return_index=True,
+                return_inverse=True,
+            )
+            numerators = np.bincount(inverse.ravel(), weights=terms, minlength=len(keys))
+            emit = np.argsort(first_touch[first], kind="stable")
+            sub = keys[emit] // num_supers
+            denominator = denominators[sub]
+            keep = denominator > 0.0
+            emit, sub = emit[keep], sub[keep]
+            scores = np.minimum(1.0, numerators[emit] / denominator[keep])
+            super_table = side.super_table
+            for r, r2, score in zip(
+                sub.tolist(), (keys[emit] % num_supers).tolist(), scores.tolist()
+            ):
+                rows.setdefault(r, {})[super_table[r2]] = score
+        return [
+            (relation, rows.get(index, {}) if denominator > 0.0 else None)
+            for index, (relation, denominator) in enumerate(
+                zip(side.sub_table, denominators.tolist())
+            )
+        ]
+
+    def _relation_candidates(self, side: RelationSide, store, reverse: bool):
+        """This pass's candidate CSR over the sub side's nodes:
+        ``(starts, counts, ids, probs)``, literal nodes reading the
+        static literal candidates and resources their store row (the
+        backward rows when ``reverse``), in row dict order."""
+        sub_nodes = side.sub_nodes
+        super_nodes = side.super_nodes
+        missing = len(super_nodes)
+        row_ids: List[int] = []
+        row_counts: List[int] = []
+        ids: List[int] = []
+        probs: List[float] = []
+        for node, row in store.rows(reverse):
+            row_ids.append(sub_nodes.get(node, -1))
+            row_counts.append(len(row))
+            ids.extend([super_nodes.get(candidate, missing) for candidate in row])
+            probs.extend(row.values())
+        offset = len(side.lit_ids)
+        starts = side.lit_indptr[:-1].copy()
+        counts = np.diff(side.lit_indptr)
+        if row_ids:
+            row_ids_a = np.array(row_ids, dtype=np.int64)
+            row_counts_a = np.array(row_counts, dtype=np.int64)
+            keep = row_ids_a >= 0
+            starts[row_ids_a[keep]] = offset + (np.cumsum(row_counts_a) - row_counts_a)[keep]
+            counts[row_ids_a[keep]] = row_counts_a[keep]
+        return (
+            starts,
+            counts,
+            np.concatenate((side.lit_ids, np.array(ids, dtype=np.int64))),
+            np.concatenate((side.lit_probs, np.array(probs, dtype=np.float64))),
+        )
+
+    def _relation_side(self, reverse: bool, max_pairs: int) -> RelationSide:
+        key = (reverse, max_pairs)
+        side = self._relation_sides.get(key)
+        if side is None:
+            side = self._relation_sides[key] = self._build_relation_side(reverse, max_pairs)
+        return side
+
+    def _build_relation_side(self, reverse: bool, max_pairs: int) -> RelationSide:
+        side = RelationSide()
+        if reverse:
+            sub_onto = self.ontology2
+            side.sub_table, side.sub_nodes = self.rel_table2, self.nodes2
+            side.super_table, side.super_nodes = self.rel_table1, self.nodes1
+            sub_node_table = self.table2
+            literals = self.literals_of_left
+        else:
+            sub_onto = self.ontology1
+            side.sub_table, side.sub_nodes = self.rel_table1, self.nodes1
+            side.super_table, side.super_nodes = self.rel_table2, self.nodes2
+            sub_node_table = self.table1
+            literals = self.literals_of_right
+        sub_nodes, super_nodes = side.sub_nodes, side.super_nodes
+        side.width = len(super_nodes) + 1
+
+        # -- the capped statements of every sub relation ----------------
+        rel_counts: List[int] = []
+        xs: List[int] = []
+        ys: List[int] = []
+        for relation in side.sub_table:
+            pairs = list(islice(sub_onto.pairs(relation), max_pairs))
+            xs.extend([sub_nodes[x] for x, _y in pairs])
+            ys.extend([sub_nodes[y] for _x, y in pairs])
+            rel_counts.append(len(pairs))
+        side.stmt_rel = np.repeat(
+            np.arange(len(side.sub_table), dtype=np.int64),
+            np.array(rel_counts, dtype=np.int64),
+        )
+        side.stmt_x = np.array(xs, dtype=np.int64)
+        side.stmt_y = np.array(ys, dtype=np.int64)
+
+        # -- clamped literal candidates, statement-less ones kept -------
+        side.lit_indptr, side.lit_ids, side.lit_probs = _literal_csr(
+            sub_node_table, literals, super_nodes
+        )
+
+        # -- the (x', y') → r' match table of the super side ------------
+        # Its statements_about CSR lists each x' in relations_of order,
+        # which the stable sort keeps within each (x', y') key.
+        if reverse:
+            indptr, rel, other = self.indptr1, self.stmt_rel1, self.stmt_other1
+        else:
+            indptr, rel, other = self.all_indptr2, self.all_rel2, self.all_other2
+        owner = np.repeat(np.arange(len(indptr) - 1, dtype=np.int64), np.diff(indptr))
+        keys = owner * side.width + other
+        order = np.argsort(keys, kind="stable")
+        sorted_keys = keys[order]
+        starts = _group_starts(sorted_keys) if len(keys) else np.empty(0, dtype=np.int64)
+        side.match_keys = sorted_keys[starts]
+        side.match_start = starts
+        side.match_count = np.diff(np.append(starts, len(keys))).astype(np.int64)
+        side.match_rel = rel[order]
+        return side

@@ -3,10 +3,11 @@
 The route's guarantee: for any worker count and task split, the pooled
 passes produce scores *equal* to the sequential passes, filled in the
 same insertion order.  These tests enforce it on the unit level (task
-partitioners, one instance/relation pass, warm-frontier scoring) and
+partitioners, one instance pass, warm-frontier scoring) and
 end-to-end on the integration fixtures (``workers=4`` against the
 session-cached sequential results).  Every route that the pool does not
-cover must run in process, without forking.
+cover must run in process, without forking — the relation pass among
+them, for every worker count.
 """
 
 from __future__ import annotations
@@ -303,8 +304,9 @@ def relation_pass_inputs(pass_inputs):
 
 
 class TestParallelRelationPass:
-    """``parallel_subrelation_pass`` is bit-identical to the sequential
-    relation pass with or without a pool."""
+    """The relation pass runs in process for every worker count: on the
+    kernel when the aligner has one, on the dict reference otherwise,
+    bit-identical to the sequential relation pass either way."""
 
     def kwargs(self):
         return dict(truncation_threshold=0.1, max_pairs=10_000, bootstrap_theta=0.1)
@@ -319,32 +321,36 @@ class TestParallelRelationPass:
         )
         assert matrix_scores(fallback, first) == matrix_scores(sequential, first)
 
-    @needs_pool
+    @needs_kernel
     def test_sharded_single_worker_matches_sequential(self, relation_pass_inputs):
+        """A single-worker run scores the relation pass on its kernel."""
         ontology1, ontology2, view = relation_pass_inputs
         sequential = subrelation_pass(ontology1, ontology2, view, **self.kwargs())
         with pass_aligner(ontology1, ontology2, 1) as aligner:
-            with WorkerPool(1, fork_state(aligner)) as pool:
-                sharded = parallel_subrelation_pass(
-                    ontology1, ontology2, view, pool=pool, kernel=aligner._kernel,
-                    **self.kwargs()
-                )
-        assert list(sharded.items()) == list(sequential.items())
-        assert matrix_scores(sharded, ontology1) == matrix_scores(sequential, ontology1)
+            kernel_pass = parallel_subrelation_pass(
+                ontology1, ontology2, view, kernel=aligner._kernel, **self.kwargs()
+            )
+        assert list(kernel_pass.items()) == list(sequential.items())
+        assert matrix_scores(kernel_pass, ontology1) == matrix_scores(sequential, ontology1)
 
     @pytest.mark.parametrize("backend", BACKENDS)
     @pytest.mark.parametrize("workers", [2, 4])
     @pytest.mark.parametrize("reverse", [False, True])
     def test_backends_match_sequential(self, relation_pass_inputs, backend, workers, reverse):
+        """``workers >= 2`` runs the relation pass in process, never on
+        the pool, and equals the ``workers=1`` pass."""
         ontology1, ontology2, view = relation_pass_inputs
         first = ontology2 if reverse else ontology1
         with backend_aligner(ontology1, ontology2, workers, backend) as (aligner, ran):
-            pooled = aligner._relation_pass(view, reverse=reverse)
-            assert ran() == pooled_route_expected(backend)
+            parallel = aligner._relation_pass(view, reverse=reverse)
+            assert not ran()
+        with pass_aligner(ontology1, ontology2, 1) as aligner:
+            single = aligner._relation_pass(view, reverse=reverse)
         second = ontology1 if reverse else ontology2
         sequential = subrelation_pass(first, second, view, reverse=reverse, **self.kwargs())
-        assert list(pooled.items()) == list(sequential.items())
-        assert matrix_scores(pooled, first) == matrix_scores(sequential, first)
+        assert list(parallel.items()) == list(single.items()) == list(sequential.items())
+        assert matrix_scores(parallel, first) == matrix_scores(single, first)
+        assert matrix_scores(single, first) == matrix_scores(sequential, first)
 
     def test_full_align_with_workers_matches_sequential(self, person_pair, person_result):
         """End-to-end: every pass on the pool, exact."""

@@ -201,6 +201,19 @@ class TestMaximalAssignment:
         # b->x is maximal for neither side: dropped
         assert restricted.get(R("b"), R("x")) == 0.0
 
+    def test_restricted_to_maximal_from_known_assignments(self):
+        """Handing in the store's own assignments gives the same store,
+        rows in the same order (the cold loop passes the ones it has)."""
+        store = EquivalenceStore()
+        store.set(R("a"), R("x"), 0.9)
+        store.set(R("a"), R("y"), 0.5)
+        store.set(R("b"), R("y"), 0.4)
+        assignments = (store.maximal_assignment(), store.maximal_assignment(reverse=True))
+        reused = store.restricted_to_maximal(assignments)
+        fresh = store.restricted_to_maximal()
+        assert list(reused.items()) == list(fresh.items())
+        assert list(reused.backward_items()) == list(fresh.backward_items())
+
     def test_repr(self):
         assert "0 pairs" in repr(EquivalenceStore())
 
