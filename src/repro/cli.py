@@ -115,7 +115,6 @@ def _build_config(args: argparse.Namespace) -> ParisConfig:
         max_iterations=args.max_iterations,
         use_negative_evidence=args.negative_evidence,
         use_name_prior=args.name_prior,
-        workers=args.workers,
     )
 
 
@@ -135,7 +134,7 @@ def cmd_align(args: argparse.Namespace) -> int:
     _log.info("result written", path=str(out_dir), sameas_links=links)
     if args.print_pairs:
         # Total order: probability ties sort by name, so the output does
-        # not depend on store insertion order (sequential vs. pooled).
+        # not depend on store insertion order.
         for entity, counterpart, probability in sorted(
             result.instance_pairs(args.threshold),
             key=lambda p: (-p[2], str(p[0]), str(p[1])),
@@ -285,11 +284,7 @@ def cmd_demo(args: argparse.Namespace) -> int:
         "movies": yago_imdb_pair,
     }
     pair = makers[args.benchmark]()
-    config = ParisConfig(
-        max_iterations=4,
-        convergence_threshold=0.0,
-        workers=args.workers,
-    )
+    config = ParisConfig(max_iterations=4, convergence_threshold=0.0)
     result = align(pair.ontology1, pair.ontology2, config)
     print(render_iteration_table(result, pair.gold))
     print()
@@ -305,8 +300,6 @@ def cmd_serve(args: argparse.Namespace) -> int:
     from .service.server import run_server
     from .service.subs import SubscriptionManager
 
-    from dataclasses import replace
-
     state_dir = Path(args.state_dir)
     resumable = state_dir.is_dir() and latest_version(state_dir) is not None
     if resumable:
@@ -315,11 +308,9 @@ def cmd_serve(args: argparse.Namespace) -> int:
                 "resuming snapshot; ignoring ontology arguments",
                 state_dir=str(state_dir),
             )
-        state = load_state(state_dir)
         # Model knobs (theta, similarity, ...) are part of the snapshot
-        # and must not drift under a resumed state; the runtime-only
-        # worker count follows the command line, as for a cold start.
-        state.config = replace(state.config, workers=args.workers)
+        # and must not drift under a resumed state.
+        state = load_state(state_dir)
         _log.info(
             "resumed alignment state (model settings come from the snapshot)",
             version=state.version,
@@ -472,7 +463,6 @@ def cmd_replica(args: argparse.Namespace) -> int:
         poll_interval=args.poll_ms / 1000.0,
         batch=args.replica_batch,
         snapshot_every=args.snapshot_every,
-        config_overrides={"workers": args.workers},
     )
     _log.info(
         "replica bootstrapped",
@@ -938,16 +928,6 @@ def cmd_wal_compact(args: argparse.Namespace) -> int:
     return 0
 
 
-def add_parallel_options(subparser: argparse.ArgumentParser) -> None:
-    """``--workers``: size of the fork-once worker pool (repro.core.parallel).
-
-    Pooled passes are bit-identical to the sequential ones, so the flag
-    only trades wall-clock for processes.
-    """
-    subparser.add_argument("--workers", type=int, default=1,
-                           help="pass worker processes (default 1: sequential)")
-
-
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="repro",
@@ -983,7 +963,6 @@ def build_parser() -> argparse.ArgumentParser:
                               help="seed relation priors from relation names")
     align_parser.add_argument("--print-pairs", action="store_true",
                               help="print matched instance pairs to stdout")
-    add_parallel_options(align_parser)
     align_parser.set_defaults(handler=cmd_align)
 
     def add_model_options(subparser: argparse.ArgumentParser) -> None:
@@ -993,7 +972,6 @@ def build_parser() -> argparse.ArgumentParser:
                                default="identity")
         subparser.add_argument("--negative-evidence", action="store_true")
         subparser.add_argument("--name-prior", action="store_true")
-        add_parallel_options(subparser)
 
     multi_parser = commands.add_parser(
         "multi", help="align three or more ontologies into entity clusters"
@@ -1043,7 +1021,6 @@ def build_parser() -> argparse.ArgumentParser:
     demo_parser = commands.add_parser("demo", help="run a paper benchmark")
     demo_parser.add_argument("benchmark",
                              choices=["person", "restaurant", "kb", "movies"])
-    add_parallel_options(demo_parser)
     demo_parser.set_defaults(handler=cmd_demo)
 
     serve_parser = commands.add_parser(
@@ -1131,7 +1108,6 @@ def build_parser() -> argparse.ArgumentParser:
                                      "Nth applied batch (0: only on shutdown; "
                                      "needs --state-dir)")
     _add_audit_options(replica_parser)
-    add_parallel_options(replica_parser)
     replica_parser.set_defaults(handler=cmd_replica)
 
     route_parser = commands.add_parser(

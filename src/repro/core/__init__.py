@@ -11,8 +11,8 @@ Public entry points:
   :func:`subrelation_pass`, :func:`subclass_pass`) for ablations and
   step-by-step inspection,
 * :func:`parallel_subrelation_pass`, the relation pass as the aligner
-  runs it (on the vectorized kernel when given one), bit-identical to
-  :func:`subrelation_pass`,
+  runs it (on the vectorized kernel when given one, in process),
+  bit-identical to :func:`subrelation_pass`,
 * the incremental machinery behind the alignment service
   (:class:`IncrementalRelationPass` and
   :meth:`ParisAligner.warm_align` — delta-driven warm-start fixpoints
@@ -35,12 +35,11 @@ from .functionality import (
 from .literal_index import LiteralIndex
 from .matrix import SubsumptionMatrix
 from .multi import EntityCluster, MultiAligner, MultiAlignmentResult, align_many
-from .parallel import parallel_subrelation_pass
 from .priors import name_prior_matrix, name_similarity, name_tokens
 from .result import AlignmentResult, Assignment, IterationSnapshot
 from .store import EquivalenceStore
 from .subclasses import closed_classes_of, score_class, subclass_pass
-from .subrelations import score_relation, subrelation_pass
+from .subrelations import parallel_subrelation_pass, score_relation, subrelation_pass
 from .view import EquivalenceView
 
 __all__ = [

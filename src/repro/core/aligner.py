@@ -13,19 +13,15 @@ Convergence is declared when fewer than ``convergence_threshold`` of
 the instances change their maximal assignment (Section 6.1).  After the
 fixpoint, class inclusions are computed once (Eq. 17, Section 4.3).
 
-The instance and relation passes run on the bit-identical vectorized
-kernel (:mod:`repro.core.vectorized`) unless ``scoring="dict"`` or
-negative evidence turns it off.  With ``ParisConfig.workers >= 2`` the
-instance and class passes run on the persistent fork-once worker pool
-(:mod:`repro.core.parallel`), mirroring the paper's "in parallel on all
-available processors" (Section 5.1/6.2); the relation pass stays in
-process.  Rows are
-scored independently against frozen previous-iteration views and
-merged in task order, so pooled scores are bit-identical to the
-sequential passes.  Passes the pool does not cover run sequentially:
-negative evidence, ``scoring="dict"`` and platforms without ``fork``.
-The guarantee is enforced by ``tests/test_parallel.py``,
-``tests/test_parallel_properties.py`` and ``tests/test_vectorized.py``.
+Every pass has one route, in the calling process.  The instance and
+relation passes run on the vectorized kernel
+(:mod:`repro.core.vectorized`) unless negative evidence (Eq. 14) is on;
+the dict passes are the Eq. 14 route and the reference the kernel is
+held bit-identical to (``tests/test_vectorized.py``).  The class pass
+(Eq. 17) runs the dict code.  The paper runs its passes "in parallel on
+all available processors" (Section 5.1); a worker pool did so here
+until it measured below 1.2x on every recorded run
+(``docs/architecture.md``).
 
 Incremental service mode
 ------------------------
@@ -61,11 +57,11 @@ from .incremental import (
 )
 from .literal_index import LiteralIndex
 from .matrix import SubsumptionMatrix
-from .parallel import SHARDS_PER_WORKER, WorkerPool, even_ranges, parallel_subrelation_pass
 from .result import AlignmentResult, IterationSnapshot
 from .store import EquivalenceStore
 from .subclasses import IncrementalClassPass, subclass_pass
-from .vectorized import HAVE_NUMPY, VectorizedKernel
+from .subrelations import parallel_subrelation_pass
+from .vectorized import VectorizedKernel
 from .view import EquivalenceView
 
 #: Warm passes without a new minimum per-pass change before the loop
@@ -79,10 +75,6 @@ WARM_STALL_WINDOW = 10
 #: while a small frontier is cheaper to score on the dict path (which
 #: is bit-identical, so mixing engines across passes is safe).
 KERNEL_REBUILD_MIN_FRONTIER = 512
-
-#: Minimum warm-pass frontier for which fork-starting (or reusing) the
-#: worker pool beats scoring the frontier in-process with the kernel.
-POOL_MIN_FRONTIER = 1024
 
 
 class ParisAligner:
@@ -128,9 +120,6 @@ class ParisAligner:
         #: Vectorized scoring kernel, built lazily and rebuilt when the
         #: ontology versions move (see _kernel_for / _warm_kernel).
         self._kernel: Optional[VectorizedKernel] = None
-        #: Persistent fork-once worker pool; alive for at most one
-        #: align()/warm_align() run (closed in their finally blocks).
-        self._pool: Optional[WorkerPool] = None
         #: Root span of the most recent align()/warm_align() run — the
         #: live staged profile `/stats` serves as ``last_align_profile``.
         self._last_align_span: Optional[Span] = None
@@ -142,16 +131,13 @@ class ParisAligner:
         return node.to_dict() if node is not None else None
 
     # ------------------------------------------------------------------
-    # engine selection (vectorized kernel + persistent pool)
+    # engine selection (vectorized kernel or dict reference)
     # ------------------------------------------------------------------
 
     def _kernel_allowed(self) -> bool:
-        config = self.config
-        if config.scoring == "dict" or not HAVE_NUMPY:
-            return False
         # Eq. 14 reads arbitrary statements per surviving candidate;
         # the kernel only covers the positive-evidence traversal.
-        return not config.use_negative_evidence
+        return not self.config.use_negative_evidence
 
     def _kernel_for(self) -> Optional[VectorizedKernel]:
         """The current kernel, (re)built if the ontologies moved."""
@@ -188,55 +174,6 @@ class ParisAligner:
             return None
         return self._kernel_for()
 
-    def _ensure_pool(self, kernel: VectorizedKernel) -> Optional[WorkerPool]:
-        """The persistent pool for this run, forked against ``kernel``.
-
-        Returns ``None`` for ``workers < 2`` or without ``fork``
-        (the passes then run sequentially); an existing
-        pool is reused only while its fork image matches the kernel's
-        ontology versions — anything staler is closed and re-forked.
-        """
-        config = self.config
-        if config.workers < 2:
-            return None
-        import multiprocessing
-
-        if "fork" not in multiprocessing.get_all_start_methods():
-            return None
-        pool = self._pool
-        if pool is not None and pool.versions == kernel.versions:
-            return pool
-        self._close_pool()
-        pool = WorkerPool(
-            config.workers,
-            (self.ontology1, self.ontology2, self.literals2, self.literals1, kernel),
-            versions=kernel.versions,
-        )
-        self._pool = pool
-        return pool
-
-    def _live_pool(self) -> Tuple[Optional[VectorizedKernel], Optional[WorkerPool]]:
-        """``(kernel, pool)`` for a class pass.
-
-        That pass reuses a fresh kernel but never builds one, so the
-        pool (``None`` when there is none) runs only after an instance
-        pass built the kernel for the current ontology versions.
-        """
-        kernel = self._kernel
-        if kernel is None or not kernel.fresh():
-            return None, None
-        return kernel, self._ensure_pool(kernel)
-
-    def _close_pool(self) -> None:
-        pool = self._pool
-        if pool is not None:
-            self._pool = None
-            pool.close()
-
-    def close(self) -> None:
-        """Release the worker pool (safe to call at any time)."""
-        self._close_pool()
-
     # ------------------------------------------------------------------
 
     def _view_store(
@@ -263,15 +200,10 @@ class ParisAligner:
         rel12: SubsumptionMatrix[Relation],
         rel21: SubsumptionMatrix[Relation],
     ) -> EquivalenceStore:
-        """One instance pass, routed to the fastest bit-exact engine.
-
-        With the vectorized kernel available the scores come from
-        :meth:`VectorizedKernel.score_ids` — in-process, or sharded
-        over the persistent pool for ``workers > 1``.  Both fill the
-        store in the sequential emission order, so every route is
-        bit-identical to the dict reference pass (which remains the
-        fallback).
-        """
+        """One instance pass: on the vectorized kernel
+        (:meth:`VectorizedKernel.score_ids`), which fills the store in
+        the dict pass's emission order, or on the dict reference pass
+        when the kernel is off (negative evidence)."""
         config = self.config
         kernel = self._kernel_for()
         if kernel is None:
@@ -288,30 +220,9 @@ class ParisAligner:
             )
         with span("kernel.prepare"):
             prepared = kernel.prepare_pass(view.store, rel12, rel21)
-        store = EquivalenceStore(config.theta)
-        pool = self._ensure_pool(kernel)
-        if pool is not None:
-            payload = {
-                "kind": "instances",
-                "prepared": prepared,
-                "theta": config.theta,
-                "ids": kernel.ordered_ids,
-            }
-            tasks = kernel.task_ranges(
-                kernel.ordered_ids, prepared, config.workers * SHARDS_PER_WORKER
-            )
-            # Merging interleaves with result arrival, so the merge cost
-            # rides the score span as an annotation instead of a child.
-            with span("kernel.score", engine="pool", tasks=len(tasks)) as sp:
-                merge_seconds = 0.0
-                for result in pool.run_pass(payload, tasks):
-                    merge_started = time.perf_counter()
-                    store.update(kernel.entries_for(*result))
-                    merge_seconds += time.perf_counter() - merge_started
-                sp.annotate(merge_s=round(merge_seconds, 6))
-            return store
-        with span("kernel.score", engine="inprocess"):
+        with span("kernel.score"):
             scored = kernel.score_ids(kernel.ordered_ids, prepared, config.theta)
+        store = EquivalenceStore(config.theta)
         with span("kernel.merge"):
             store.update(kernel.entries_for(*scored))
         return store
@@ -319,9 +230,9 @@ class ParisAligner:
     def _relation_pass(
         self, view: EquivalenceView, reverse: bool = False
     ) -> SubsumptionMatrix[Relation]:
-        """One direction of the relation pass, in process: on the
-        vectorized kernel wherever the instance pass uses it, on the
-        dict reference otherwise (bit-identical either way)."""
+        """One direction of the relation pass: on the vectorized kernel
+        wherever the instance pass uses it, on the dict reference
+        otherwise (bit-identical either way)."""
         config = self.config
         first, second = (
             (self.ontology2, self.ontology1) if reverse else (self.ontology1, self.ontology2)
@@ -340,39 +251,16 @@ class ParisAligner:
     def _class_pass(
         self, view: EquivalenceView, reverse: bool = False
     ) -> SubsumptionMatrix[Resource]:
-        """One direction of the Eq. 17 class pass, over the pool like
-        the relation pass.  Classes traverse in set order on both
-        routes, so the matrix insertion order matches the sequential
-        pass."""
+        """One direction of the Eq. 17 class pass (dict code)."""
         config = self.config
-        theta = config.theta
         first, second = (
             (self.ontology2, self.ontology1) if reverse else (self.ontology1, self.ontology2)
         )
-        kernel, pool = self._live_pool()
-        lowered = kernel.lower_store(view.store) if pool is not None else None
-        if lowered is not None:
-            classes = list(first.classes)
-            matrix: SubsumptionMatrix[Resource] = SubsumptionMatrix()
-            payload = {
-                "kind": "classes",
-                "store": lowered,
-                "threshold": view.store.truncation_threshold,
-                "reverse": reverse,
-                "max_instances": config.max_pairs_per_relation,
-            }
-            tasks = even_ranges(len(classes), config.workers * SHARDS_PER_WORKER)
-            for scored in pool.run_pass(payload, tasks):
-                for cls, scores in scored:
-                    for cls2, score in scores.items():
-                        if score >= theta:
-                            matrix.set(cls, cls2, score)
-            return matrix
         return subclass_pass(
             first,
             second,
             view,
-            truncation_threshold=theta,
+            truncation_threshold=config.theta,
             max_instances=config.max_pairs_per_relation,
             reverse=reverse,
         )
@@ -386,10 +274,8 @@ class ParisAligner:
     ) -> List[Tuple[Resource, Resource, float]]:
         """Score a warm pass's dirty frontier (entries in input order).
 
-        Routes to the kernel when it is fresh (or worth rebuilding),
-        through the pool only for frontiers big enough to amortize the
-        fork; the sequential dict path covers everything else
-        bit-identically.
+        Routes to the kernel when it is fresh (or worth rebuilding);
+        the dict path covers everything else bit-identically.
         """
         config = self.config
         kernel = self._warm_kernel(len(ordered_dirty))
@@ -408,30 +294,8 @@ class ParisAligner:
             )
         with span("kernel.prepare"):
             prepared = kernel.prepare_pass(view.store, rel12, rel21)
-        ids = kernel.ids_for(ordered_dirty)
-        if len(ordered_dirty) >= POOL_MIN_FRONTIER:
-            pool = self._ensure_pool(kernel)
-            if pool is not None:
-                payload = {
-                    "kind": "instances",
-                    "prepared": prepared,
-                    "theta": config.theta,
-                    "ids": ids,
-                }
-                tasks = kernel.task_ranges(
-                    ids, prepared, config.workers * SHARDS_PER_WORKER
-                )
-                entries: List[Tuple[Resource, Resource, float]] = []
-                with span("kernel.score", engine="pool", tasks=len(tasks)) as sp:
-                    merge_seconds = 0.0
-                    for result in pool.run_pass(payload, tasks):
-                        merge_started = time.perf_counter()
-                        entries.extend(kernel.entries_for(*result))
-                        merge_seconds += time.perf_counter() - merge_started
-                    sp.annotate(merge_s=round(merge_seconds, 6))
-                return entries
-        with span("kernel.score", engine="inprocess"):
-            scored = kernel.score_ids(ids, prepared, config.theta)
+        with span("kernel.score"):
+            scored = kernel.score_ids(kernel.ids_for(ordered_dirty), prepared, config.theta)
         with span("kernel.merge"):
             return kernel.entries_for(*scored)
 
@@ -496,137 +360,102 @@ class ParisAligner:
             "align.cold", instances=len(self.ontology1.instances)
         ) as profile:
             self._last_align_span = profile
-            try:
-                return self._align_loop(
-                    config,
-                    theta,
-                    rel12,
-                    rel21,
-                    store,
-                    previous_store,
-                    previous_assignment,
-                    assignment_history,
-                    snapshots,
-                    snap_prev12,
-                    snap_prev21,
-                    converged,
+            # One restricted view per store: the view the relation pass
+            # builds serves the next instance pass and the class pass (the
+            # store is not mutated in between).
+            view = self._view(store)
+            for iteration in range(1, config.max_iterations + 1):
+                started = time.perf_counter()
+                with span(
+                    "pass.instance",
+                    iteration=iteration,
+                    frontier=len(self.ontology1.instances),
+                ):
+                    new_store = self._instance_pass(view, rel12, rel21)
+                    store = self._dampen(store, new_store)
+                assignment12 = store.maximal_assignment()
+                assignment21 = store.maximal_assignment(reverse=True)
+                change = (
+                    EquivalenceStore.assignment_change(previous_assignment, assignment12)
+                    if iteration > 1
+                    else None
                 )
-            finally:
-                # The pool's fork image is only valid for this run's
-                # ontology state; workers release with the run.
-                self._close_pool()
-
-    def _align_loop(
-        self,
-        config: ParisConfig,
-        theta: float,
-        rel12: SubsumptionMatrix[Relation],
-        rel21: SubsumptionMatrix[Relation],
-        store: EquivalenceStore,
-        previous_store: EquivalenceStore,
-        previous_assignment,
-        assignment_history: list,
-        snapshots: List[IterationSnapshot],
-        snap_prev12: Dict[Resource, Tuple[Resource, float]],
-        snap_prev21: Dict[Resource, Tuple[Resource, float]],
-        converged: bool,
-    ) -> AlignmentResult:
-        # One restricted view per store: the view the relation pass
-        # builds serves the next instance pass and the class pass (the
-        # store is not mutated in between).
-        view = self._view(store)
-        for iteration in range(1, config.max_iterations + 1):
-            started = time.perf_counter()
-            with span(
-                "pass.instance",
-                iteration=iteration,
-                frontier=len(self.ontology1.instances),
-            ):
-                new_store = self._instance_pass(view, rel12, rel21)
-                store = self._dampen(store, new_store)
-            assignment12 = store.maximal_assignment()
-            assignment21 = store.maximal_assignment(reverse=True)
-            change = (
-                EquivalenceStore.assignment_change(previous_assignment, assignment12)
-                if iteration > 1
-                else None
-            )
-            stationary = (
-                config.score_stationarity
-                and iteration > 1
-                and store.max_difference(previous_store) <= config.warm_tolerance
-            )
-            previous_store = store
-            previous_assignment = assignment12
-            cycle = (
-                config.detect_cycles
-                and not config.score_stationarity
-                and len(assignment_history) >= 2
-                and self._same_targets(assignment12, assignment_history[-2])
-            )
-            assignment_history.append(assignment12)
-            if len(assignment_history) > 3:
-                assignment_history.pop(0)
-            # Relation pass uses the fresh equivalences ("These two
-            # steps are iterated until convergence", Section 5.1).  The
-            # second round uses the computed values and no longer θ.
-            with span("pass.relation", iteration=iteration):
-                view = self._view(store, (assignment12, assignment21))
-                rel12 = self._relation_pass(view)
-                rel21 = self._relation_pass(view, reverse=True)
-            duration = time.perf_counter() - started
-            if config.keep_snapshots:
-                snapshots.append(
-                    IterationSnapshot.capture(
-                        index=iteration,
-                        duration_seconds=duration,
-                        change_fraction=change,
-                        num_equivalences=len(store),
-                        assignment12=assignment12,
-                        assignment21=assignment21,
-                        relations12=rel12,
-                        relations21=rel21,
-                        previous=snapshots[-1] if snapshots else None,
-                        previous12=snap_prev12,
-                        previous21=snap_prev21,
+                stationary = (
+                    config.score_stationarity
+                    and iteration > 1
+                    and store.max_difference(previous_store) <= config.warm_tolerance
+                )
+                previous_store = store
+                previous_assignment = assignment12
+                cycle = (
+                    config.detect_cycles
+                    and not config.score_stationarity
+                    and len(assignment_history) >= 2
+                    and self._same_targets(assignment12, assignment_history[-2])
+                )
+                assignment_history.append(assignment12)
+                if len(assignment_history) > 3:
+                    assignment_history.pop(0)
+                # Relation pass uses the fresh equivalences ("These two
+                # steps are iterated until convergence", Section 5.1).  The
+                # second round uses the computed values and no longer θ.
+                with span("pass.relation", iteration=iteration):
+                    view = self._view(store, (assignment12, assignment21))
+                    rel12 = self._relation_pass(view)
+                    rel21 = self._relation_pass(view, reverse=True)
+                duration = time.perf_counter() - started
+                if config.keep_snapshots:
+                    snapshots.append(
+                        IterationSnapshot.capture(
+                            index=iteration,
+                            duration_seconds=duration,
+                            change_fraction=change,
+                            num_equivalences=len(store),
+                            assignment12=assignment12,
+                            assignment21=assignment21,
+                            relations12=rel12,
+                            relations21=rel21,
+                            previous=snapshots[-1] if snapshots else None,
+                            previous12=snap_prev12,
+                            previous21=snap_prev21,
+                        )
                     )
-                )
-                snap_prev12, snap_prev21 = assignment12, assignment21
-            if config.score_stationarity:
-                # Numeric stationarity replaces both the assignment
-                # criterion and cycle detection (warm-start reference
-                # mode; see the config docstring).
-                if stationary:
+                    snap_prev12, snap_prev21 = assignment12, assignment21
+                if config.score_stationarity:
+                    # Numeric stationarity replaces both the assignment
+                    # criterion and cycle detection (warm-start reference
+                    # mode; see the config docstring).
+                    if stationary:
+                        converged = True
+                        break
+                    continue
+                if change is not None and change < config.convergence_threshold:
                     converged = True
                     break
-                continue
-            if change is not None and change < config.convergence_threshold:
-                converged = True
-                break
-            if cycle:
-                # Period-2 oscillation between equally plausible
-                # matches: the fixpoint will not settle further.
-                converged = True
-                break
-        # Classes are aligned once, from the final assignment
-        # (Section 4.3 / 5.1: "In a last step, the equivalences between
-        # classes are computed by Equation (17)").
-        with span("pass.class"):
-            classes12 = self._class_pass(view)
-            classes21 = self._class_pass(view, reverse=True)
-        return AlignmentResult(
-            left_name=self.ontology1.name,
-            right_name=self.ontology2.name,
-            instances=store,
-            assignment12=store.maximal_assignment(),
-            assignment21=store.maximal_assignment(reverse=True),
-            relations12=rel12,
-            relations21=rel21,
-            classes12=classes12,
-            classes21=classes21,
-            converged=converged,
-            iterations=snapshots,
-        )
+                if cycle:
+                    # Period-2 oscillation between equally plausible
+                    # matches: the fixpoint will not settle further.
+                    converged = True
+                    break
+            # Classes are aligned once, from the final assignment
+            # (Section 4.3 / 5.1: "In a last step, the equivalences between
+            # classes are computed by Equation (17)").
+            with span("pass.class"):
+                classes12 = self._class_pass(view)
+                classes21 = self._class_pass(view, reverse=True)
+            return AlignmentResult(
+                left_name=self.ontology1.name,
+                right_name=self.ontology2.name,
+                instances=store,
+                assignment12=store.maximal_assignment(),
+                assignment21=store.maximal_assignment(reverse=True),
+                relations12=rel12,
+                relations21=rel21,
+                classes12=classes12,
+                classes21=classes21,
+                converged=converged,
+                iterations=snapshots,
+            )
 
     # ------------------------------------------------------------------
     # warm-start fixpoint (incremental service mode)
@@ -642,49 +471,6 @@ class ParisAligner:
         )
 
     def warm_align(
-        self,
-        store: EquivalenceStore,
-        rel12_cache: IncrementalRelationPass,
-        rel21_cache: IncrementalRelationPass,
-        dirty_instances: Iterable[Resource] = (),
-        seed_nodes1: Iterable[Node] = (),
-        seed_nodes2: Iterable[Node] = (),
-        delta_statements1: Iterable[Tuple[Relation, Node, Node]] = (),
-        delta_statements2: Iterable[Tuple[Relation, Node, Node]] = (),
-        view_maintainer: Optional[RestrictedViewMaintainer] = None,
-        class12_cache: Optional[IncrementalClassPass] = None,
-        class21_cache: Optional[IncrementalClassPass] = None,
-        mutate_store: bool = False,
-    ) -> AlignmentResult:
-        """Resume the fixpoint from a previous run's state after a delta.
-
-        Thin lifecycle wrapper: the actual fixpoint lives in
-        :meth:`_warm_align_impl` (see its docstring for the full
-        parameter and convergence semantics); this layer only
-        guarantees that a worker pool forked for a large-frontier pass
-        never outlives the run whose ontology state it inherited.
-        """
-        with root_span("align.warm") as profile:
-            self._last_align_span = profile
-            try:
-                return self._warm_align_impl(
-                    store,
-                    rel12_cache,
-                    rel21_cache,
-                    dirty_instances,
-                    seed_nodes1,
-                    seed_nodes2,
-                    delta_statements1,
-                    delta_statements2,
-                    view_maintainer,
-                    class12_cache,
-                    class21_cache,
-                    mutate_store,
-                )
-            finally:
-                self._close_pool()
-
-    def _warm_align_impl(
         self,
         store: EquivalenceStore,
         rel12_cache: IncrementalRelationPass,
@@ -777,199 +563,201 @@ class ParisAligner:
         A genuinely converging run trips neither: its changes shrink
         (near-)geometrically until the stationarity criterion fires.
         """
-        config = self.config
-        theta = config.theta
-        tolerance = config.warm_tolerance
-        force_full = config.use_negative_evidence
-        dirty: Set[Resource] = set(dirty_instances)
-        changed_left: Set[Node] = set(seed_nodes1)
-        changed_right: Set[Node] = set(seed_nodes2)
-        pending12: Iterable[Tuple[Relation, Node, Node]] = list(delta_statements1)
-        pending21: Iterable[Tuple[Relation, Node, Node]] = list(delta_statements2)
-        working = store if mutate_store else store.copy()
-        maintainer: Optional[RestrictedViewMaintainer] = None
-        if config.restrict_to_maximal_assignment:
-            maintainer = view_maintainer or RestrictedViewMaintainer(working)
-            if maintainer.store is not working:
-                raise ValueError(
-                    "view_maintainer must maintain the store being warmed "
-                    "(pass mutate_store=True for a resident maintainer)"
-                )
-            view_store = maintainer.view_store
-        else:
-            view_store = working
-        snapshots: List[IterationSnapshot] = []
-        # Snapshot chain base: the pre-delta assignments.  Each pass's
-        # snapshot then stores only its assignment delta, so a resident
-        # service with keep_snapshots on pays O(frontier) per pass, not
-        # O(matched) copies.
-        snap_prev12: Dict[Resource, Tuple[Resource, float]] = {}
-        snap_prev21: Dict[Resource, Tuple[Resource, float]] = {}
-        if config.keep_snapshots:
-            snap_prev12, snap_prev21 = current_assignments(maintainer, working)
-        previous_log: Optional[Dict[Tuple[Resource, Resource], Tuple[float, float]]] = None
-        # Members whose view rows moved at all (any non-zero change):
-        # the exact invalidation set of the class-row caches.
-        changed_members1: Set[Resource] = set()
-        changed_members2: Set[Resource] = set()
-        pairs_touched = 0
-        best_change = float("inf")
-        stalled_passes = 0
-        converged = False
-        for iteration in range(1, config.warm_max_iterations + 1):
-            started = time.perf_counter()
-            with span("pass.warm", iteration=iteration) as pass_span:
-                view = self.make_view(view_store)
-                changes12 = rel12_cache.refresh(view, changed_left, pending12)
-                changes21 = rel21_cache.refresh(view, changed_right, pending21)
-                pending12 = pending21 = ()
-                full_pass = force_full
-                for relation, row_change in changes12.items():
-                    # A left relation's row prices statements of exactly its
-                    # subjects (Eq. 13 reads rel12[r, ·] and rel21[·, r]
-                    # only for relations r of the instance being scored).
-                    if row_change.max_delta > tolerance:
-                        dirty.update(self._instance_subjects(relation))
-                for _relation2, row_change in changes21.items():
-                    if row_change.max_delta <= tolerance:
-                        continue
-                    if row_change.default_changed:
-                        full_pass = True
-                        continue
-                    for relation in row_change.changed_supers:
-                        dirty.update(self._instance_subjects(relation))
-                instances = self.ontology1.instances
-                if full_pass or len(dirty) >= config.warm_full_pass_fraction * len(
-                    instances
-                ):
-                    dirty |= instances
-                ordered_dirty = ordered_instances(dirty)
-                # The frontier is only known after expansion — annotate
-                # late so the span line still carries it.
-                pass_span.annotate(frontier=len(ordered_dirty))
-                entries = self._score_frontier(
-                    ordered_dirty, view, rel12_cache.matrix, rel21_cache.matrix
-                )
-                overlay = working.overlay()
-                for x in ordered_dirty:
-                    overlay.clear_left(x)
-                if config.dampening > 0.0:
-                    self._blend_rows(working, overlay, ordered_dirty, entries)
-                else:
-                    overlay.update(entries)
-                # View maintenance replaces the old full restricted-view
-                # rebuild + full store diff: only the touched rows (and the
-                # rights they mention) are reconsidered.
-                if maintainer is not None:
-                    view_changes = maintainer.apply(overlay)
-                else:
-                    view_changes = {
-                        (left, right): (old, new)
-                        for left, right, old, new in overlay.row_changes()
-                    }
-                pairs_touched += overlay.pairs_touched + len(view_changes)
-                max_change = 0.0
-                changed_left = set()
-                changed_right = set()
-                for (left, right), (old_p, new_p) in view_changes.items():
-                    delta = abs(new_p - old_p)
-                    max_change = max(max_change, delta)
-                    changed_members1.add(left)
-                    changed_members2.add(right)
-                    if delta > tolerance:
-                        changed_left.add(left)
-                        changed_right.add(right)
-                # Next frontier: 1-hop neighbourhood of every node whose
-                # view row moved — their Eq. 13 inputs are now stale.
-                dirty = set()
-                for node in changed_left:
-                    for _relation, other in self.ontology1.statements_about(node):
-                        if isinstance(other, Resource):
-                            dirty.add(other)
-                working = overlay.commit()
-                pass_span.annotate(max_change=round(max_change, 9))
-            duration = time.perf_counter() - started
-            if max_change < best_change:
-                best_change = max_change
-                stalled_passes = 0
-            else:
-                stalled_passes += 1
-            cycle = config.detect_cycles and (
-                stalled_passes >= WARM_STALL_WINDOW
-                or (
-                    previous_log is not None
-                    and self._view_cycled(
-                        previous_log, view_changes, view_store, tolerance
+        with root_span("align.warm") as profile:
+            self._last_align_span = profile
+            config = self.config
+            theta = config.theta
+            tolerance = config.warm_tolerance
+            force_full = config.use_negative_evidence
+            dirty: Set[Resource] = set(dirty_instances)
+            changed_left: Set[Node] = set(seed_nodes1)
+            changed_right: Set[Node] = set(seed_nodes2)
+            pending12: Iterable[Tuple[Relation, Node, Node]] = list(delta_statements1)
+            pending21: Iterable[Tuple[Relation, Node, Node]] = list(delta_statements2)
+            working = store if mutate_store else store.copy()
+            maintainer: Optional[RestrictedViewMaintainer] = None
+            if config.restrict_to_maximal_assignment:
+                maintainer = view_maintainer or RestrictedViewMaintainer(working)
+                if maintainer.store is not working:
+                    raise ValueError(
+                        "view_maintainer must maintain the store being warmed "
+                        "(pass mutate_store=True for a resident maintainer)"
                     )
-                )
-            )
-            previous_log = view_changes
+                view_store = maintainer.view_store
+            else:
+                view_store = working
+            snapshots: List[IterationSnapshot] = []
+            # Snapshot chain base: the pre-delta assignments.  Each pass's
+            # snapshot then stores only its assignment delta, so a resident
+            # service with keep_snapshots on pays O(frontier) per pass, not
+            # O(matched) copies.
+            snap_prev12: Dict[Resource, Tuple[Resource, float]] = {}
+            snap_prev21: Dict[Resource, Tuple[Resource, float]] = {}
             if config.keep_snapshots:
-                assignment12, assignment21 = current_assignments(maintainer, working)
-                snapshots.append(
-                    IterationSnapshot.capture(
-                        index=iteration,
-                        duration_seconds=duration,
-                        change_fraction=None,
-                        num_equivalences=len(working),
-                        assignment12=assignment12,
-                        assignment21=assignment21,
-                        # Copies: the cache matrices keep mutating in
-                        # place on later passes (and later deltas).
-                        relations12=rel12_cache.matrix.copy(),
-                        relations21=rel21_cache.matrix.copy(),
-                        previous=snapshots[-1] if snapshots else None,
-                        previous12=snap_prev12,
-                        previous21=snap_prev21,
+                snap_prev12, snap_prev21 = current_assignments(maintainer, working)
+            previous_log: Optional[Dict[Tuple[Resource, Resource], Tuple[float, float]]] = None
+            # Members whose view rows moved at all (any non-zero change):
+            # the exact invalidation set of the class-row caches.
+            changed_members1: Set[Resource] = set()
+            changed_members2: Set[Resource] = set()
+            pairs_touched = 0
+            best_change = float("inf")
+            stalled_passes = 0
+            converged = False
+            for iteration in range(1, config.warm_max_iterations + 1):
+                started = time.perf_counter()
+                with span("pass.warm", iteration=iteration) as pass_span:
+                    view = self.make_view(view_store)
+                    changes12 = rel12_cache.refresh(view, changed_left, pending12)
+                    changes21 = rel21_cache.refresh(view, changed_right, pending21)
+                    pending12 = pending21 = ()
+                    full_pass = force_full
+                    for relation, row_change in changes12.items():
+                        # A left relation's row prices statements of exactly its
+                        # subjects (Eq. 13 reads rel12[r, ·] and rel21[·, r]
+                        # only for relations r of the instance being scored).
+                        if row_change.max_delta > tolerance:
+                            dirty.update(self._instance_subjects(relation))
+                    for _relation2, row_change in changes21.items():
+                        if row_change.max_delta <= tolerance:
+                            continue
+                        if row_change.default_changed:
+                            full_pass = True
+                            continue
+                        for relation in row_change.changed_supers:
+                            dirty.update(self._instance_subjects(relation))
+                    instances = self.ontology1.instances
+                    if full_pass or len(dirty) >= config.warm_full_pass_fraction * len(
+                        instances
+                    ):
+                        dirty |= instances
+                    ordered_dirty = ordered_instances(dirty)
+                    # The frontier is only known after expansion — annotate
+                    # late so the span line still carries it.
+                    pass_span.annotate(frontier=len(ordered_dirty))
+                    entries = self._score_frontier(
+                        ordered_dirty, view, rel12_cache.matrix, rel21_cache.matrix
+                    )
+                    overlay = working.overlay()
+                    for x in ordered_dirty:
+                        overlay.clear_left(x)
+                    if config.dampening > 0.0:
+                        self._blend_rows(working, overlay, ordered_dirty, entries)
+                    else:
+                        overlay.update(entries)
+                    # View maintenance replaces the old full restricted-view
+                    # rebuild + full store diff: only the touched rows (and the
+                    # rights they mention) are reconsidered.
+                    if maintainer is not None:
+                        view_changes = maintainer.apply(overlay)
+                    else:
+                        view_changes = {
+                            (left, right): (old, new)
+                            for left, right, old, new in overlay.row_changes()
+                        }
+                    pairs_touched += overlay.pairs_touched + len(view_changes)
+                    max_change = 0.0
+                    changed_left = set()
+                    changed_right = set()
+                    for (left, right), (old_p, new_p) in view_changes.items():
+                        delta = abs(new_p - old_p)
+                        max_change = max(max_change, delta)
+                        changed_members1.add(left)
+                        changed_members2.add(right)
+                        if delta > tolerance:
+                            changed_left.add(left)
+                            changed_right.add(right)
+                    # Next frontier: 1-hop neighbourhood of every node whose
+                    # view row moved — their Eq. 13 inputs are now stale.
+                    dirty = set()
+                    for node in changed_left:
+                        for _relation, other in self.ontology1.statements_about(node):
+                            if isinstance(other, Resource):
+                                dirty.add(other)
+                    working = overlay.commit()
+                    pass_span.annotate(max_change=round(max_change, 9))
+                duration = time.perf_counter() - started
+                if max_change < best_change:
+                    best_change = max_change
+                    stalled_passes = 0
+                else:
+                    stalled_passes += 1
+                cycle = config.detect_cycles and (
+                    stalled_passes >= WARM_STALL_WINDOW
+                    or (
+                        previous_log is not None
+                        and self._view_cycled(
+                            previous_log, view_changes, view_store, tolerance
+                        )
                     )
                 )
-                snap_prev12, snap_prev21 = assignment12, assignment21
-            if max_change <= tolerance:
-                converged = True
-                break
-            if cycle:
-                # Oscillation between equally plausible states:
-                # stationarity will never arrive (the same situation
-                # the batch path's cycle detection stops).
-                converged = True
-                break
-        final_view = self.make_view(view_store)
-        if changed_left or changed_right:
-            # Non-stationary exit (cycle break or iteration cap): the
-            # last pass's view changes were never folded into the
-            # relation caches.  Refresh now so the returned matrices —
-            # and the caches a resident service reuses for the *next*
-            # delta — reflect the final store, exactly as the batch
-            # path recomputes its matrices after the last instance
-            # pass.  (On a stationary exit both sets are empty.)
-            rel12_cache.refresh(final_view, changed_left)
-            rel21_cache.refresh(final_view, changed_right)
-        with span("pass.class", incremental=class12_cache is not None):
-            if class12_cache is not None:
-                class12_cache.invalidate_members(changed_members1)
-                classes12 = class12_cache.matrix(final_view)
-            else:
-                classes12 = self._class_pass(final_view)
-            if class21_cache is not None:
-                class21_cache.invalidate_members(changed_members2)
-                classes21 = class21_cache.matrix(final_view)
-            else:
-                classes21 = self._class_pass(final_view, reverse=True)
-        final_assignment12, final_assignment21 = current_assignments(maintainer, working)
-        return AlignmentResult(
-            left_name=self.ontology1.name,
-            right_name=self.ontology2.name,
-            instances=working,
-            assignment12=final_assignment12,
-            assignment21=final_assignment21,
-            relations12=rel12_cache.matrix,
-            relations21=rel21_cache.matrix,
-            classes12=classes12,
-            classes21=classes21,
-            converged=converged,
-            iterations=snapshots,
-            pairs_touched=pairs_touched,
-        )
+                previous_log = view_changes
+                if config.keep_snapshots:
+                    assignment12, assignment21 = current_assignments(maintainer, working)
+                    snapshots.append(
+                        IterationSnapshot.capture(
+                            index=iteration,
+                            duration_seconds=duration,
+                            change_fraction=None,
+                            num_equivalences=len(working),
+                            assignment12=assignment12,
+                            assignment21=assignment21,
+                            # Copies: the cache matrices keep mutating in
+                            # place on later passes (and later deltas).
+                            relations12=rel12_cache.matrix.copy(),
+                            relations21=rel21_cache.matrix.copy(),
+                            previous=snapshots[-1] if snapshots else None,
+                            previous12=snap_prev12,
+                            previous21=snap_prev21,
+                        )
+                    )
+                    snap_prev12, snap_prev21 = assignment12, assignment21
+                if max_change <= tolerance:
+                    converged = True
+                    break
+                if cycle:
+                    # Oscillation between equally plausible states:
+                    # stationarity will never arrive (the same situation
+                    # the batch path's cycle detection stops).
+                    converged = True
+                    break
+            final_view = self.make_view(view_store)
+            if changed_left or changed_right:
+                # Non-stationary exit (cycle break or iteration cap): the
+                # last pass's view changes were never folded into the
+                # relation caches.  Refresh now so the returned matrices —
+                # and the caches a resident service reuses for the *next*
+                # delta — reflect the final store, exactly as the batch
+                # path recomputes its matrices after the last instance
+                # pass.  (On a stationary exit both sets are empty.)
+                rel12_cache.refresh(final_view, changed_left)
+                rel21_cache.refresh(final_view, changed_right)
+            with span("pass.class", incremental=class12_cache is not None):
+                if class12_cache is not None:
+                    class12_cache.invalidate_members(changed_members1)
+                    classes12 = class12_cache.matrix(final_view)
+                else:
+                    classes12 = self._class_pass(final_view)
+                if class21_cache is not None:
+                    class21_cache.invalidate_members(changed_members2)
+                    classes21 = class21_cache.matrix(final_view)
+                else:
+                    classes21 = self._class_pass(final_view, reverse=True)
+            final_assignment12, final_assignment21 = current_assignments(maintainer, working)
+            return AlignmentResult(
+                left_name=self.ontology1.name,
+                right_name=self.ontology2.name,
+                instances=working,
+                assignment12=final_assignment12,
+                assignment21=final_assignment21,
+                relations12=rel12_cache.matrix,
+                relations21=rel21_cache.matrix,
+                classes12=classes12,
+                classes21=classes21,
+                converged=converged,
+                iterations=snapshots,
+                pairs_touched=pairs_touched,
+            )
 
     @staticmethod
     def _view_cycled(

@@ -6,10 +6,9 @@ tuning parameters**: the only knobs are the bootstrap/truncation value
 similarity function (application-dependent; the identity function is
 the paper's default and works well).  Everything else in this class
 exposes the fixed implementation choices of Section 5 so that the
-Section 6.3 / Appendix A ablations can toggle them, plus two engine
-knobs that trade speed but never change a score: ``workers`` (the
-sequential passes or the fork-once worker pool) and ``scoring`` (the
-dict reference or the vectorized kernel).
+Section 6.3 / Appendix A ablations can toggle them.  No field picks a
+scoring engine: the aligner runs the vectorized kernel wherever it
+applies and the dict reference passes elsewhere, bit-identically.
 """
 
 from __future__ import annotations
@@ -18,9 +17,6 @@ from dataclasses import dataclass, field
 
 from ..literals import IdentitySimilarity, LiteralSimilarity
 from .functionality import FunctionalityDefinition
-
-#: Eq. 13 scoring engines selectable via ``ParisConfig.scoring``.
-SCORING_MODES = ("auto", "dict", "vectorized")
 
 
 @dataclass
@@ -83,26 +79,6 @@ class ParisConfig:
         Record per-iteration maximal assignments for Table-3/5 style
         per-iteration evaluation (costs memory proportional to the
         number of matched instances per iteration).
-    workers:
-        Worker processes for the passes (Section 5.1 runs them "in
-        parallel on all available processors").  ``1`` (default) runs
-        the sequential passes; larger values run every pass the
-        vectorized kernel covers on the persistent fork-once worker
-        pool of :mod:`repro.core.parallel`, with scores bit-identical
-        to the sequential passes.  Negative evidence,
-        ``scoring="dict"`` and platforms without ``fork`` run
-        sequentially whatever the worker count.
-    scoring:
-        Which Eq. 13 scoring engine the aligner uses.  ``"auto"``
-        (default) picks the interned-ID vectorized kernel
-        (:mod:`repro.core.vectorized`) whenever numpy is available and
-        negative evidence is off, falling back to the dict reference
-        implementation otherwise; ``"dict"`` forces the reference path;
-        ``"vectorized"`` requires the kernel and raises if numpy is
-        missing.  Both engines produce bit-identical scores (the kernel
-        mirrors the dict path's float operations and fold order —
-        enforced by ``tests/test_vectorized.py``), so this knob trades
-        speed, never results.
     score_stationarity:
         Replace the assignment-change convergence criterion with
         *numeric stationarity*: iterate until no stored probability
@@ -140,8 +116,6 @@ class ParisConfig:
     dampening: float = 0.0
     detect_cycles: bool = True
     keep_snapshots: bool = True
-    workers: int = 1
-    scoring: str = "auto"
     score_stationarity: bool = False
     warm_tolerance: float = 1e-12
     warm_full_pass_fraction: float = 0.5
@@ -167,8 +141,6 @@ class ParisConfig:
             )
         if not isinstance(self.functionality, FunctionalityDefinition):
             raise TypeError("functionality must be a FunctionalityDefinition")
-        if self.workers < 1:
-            raise ValueError(f"workers must be >= 1, got {self.workers}")
         if not 0.0 <= self.warm_tolerance < 1.0:
             raise ValueError(f"warm_tolerance must be in [0, 1), got {self.warm_tolerance}")
         if not 0.0 < self.warm_full_pass_fraction <= 1.0:
@@ -178,18 +150,3 @@ class ParisConfig:
             )
         if self.warm_max_iterations < 1:
             raise ValueError("warm_max_iterations must be >= 1")
-        if self.scoring not in SCORING_MODES:
-            raise ValueError(
-                f"scoring must be one of {SCORING_MODES}, got {self.scoring!r}"
-            )
-        if self.scoring == "vectorized":
-            from .vectorized import HAVE_NUMPY
-
-            if not HAVE_NUMPY:
-                raise ValueError("scoring='vectorized' requires numpy")
-            if self.use_negative_evidence:
-                raise ValueError(
-                    "scoring='vectorized' cannot run negative evidence "
-                    "(Eq. 14 reads arbitrary statements); use scoring='auto' "
-                    "or 'dict'"
-                )

@@ -4,10 +4,9 @@ The *reference implementation* of the per-instance equivalence score:
 per-instance Python dicts, one statement pair at a time, using the
 optimized Section 5.2 traversal (``O(n·m²·e)``).  The production path
 is the bit-identical interned-ID numpy kernel in
-:mod:`repro.core.vectorized` (selected via ``ParisConfig.scoring``);
-this module remains the only engine for Eq. 14 negative evidence.
-Formulas, traversal and engine-equivalence notes:
-``docs/architecture.md`` (section "The core: one pass, three
+:mod:`repro.core.vectorized`; this module remains the only engine for
+Eq. 14 negative evidence.  Formulas, traversal and engine-equivalence
+notes: ``docs/architecture.md`` (section "The core: one pass, two
 engines").
 """
 
@@ -31,11 +30,10 @@ _MIN_FACTOR = 1e-12
 def ordered_instances(instances: Iterable[Resource]) -> List[Resource]:
     """Instances in the canonical traversal order (sorted by name).
 
-    The sequential pass and the vectorized kernel (in process or over
-    the worker pool) MUST use this one ordering: later-iteration passes
-    accumulate floats over store dict order, so bit-identity between
-    the engines holds only while they fill the store in the same
-    insertion order.
+    The dict pass and the vectorized kernel MUST use this one
+    ordering: later-iteration passes accumulate floats over store dict
+    order, so bit-identity between the engines holds only while they
+    fill the store in the same insertion order.
     """
     return sorted(instances, key=lambda instance: instance.name)
 

@@ -9,7 +9,7 @@ probabilities, truncated at ``θ``, in both directions.
 The *maximal assignment* (Section 4.2) maps each instance to the single
 equivalent with the highest score; exact ties break deterministically
 on the counterpart name, so the assignment never depends on insertion
-order (in particular not on the worker pool's task-merge order).
+order.
 
 Copy-on-write overlays
 ----------------------
@@ -139,11 +139,9 @@ class EquivalenceStore:
     def update(self, entries: Iterable[Tuple[Resource, Resource, float]]) -> None:
         """Bulk-:meth:`set` ``(left, right, probability)`` entries in order.
 
-        This is the merge step of the worker pool
-        (:mod:`repro.core.parallel`): task results are applied in task
-        order, so the stored values — and therefore the maximal
-        assignment, whose exact ties additionally break on the
-        counterpart name — do not depend on worker scheduling.
+        This is the merge step of the vectorized instance pass: entries
+        arrive in the dict pass's emission order, so the rows fill (and
+        later passes fold floats) exactly as on the dict route.
         """
         for left, right, probability in entries:
             self.set(left, right, probability)
@@ -212,20 +210,6 @@ class EquivalenceStore:
         """Iterate all ``(left, right, probability)`` entries."""
         for left, row in self._forward.items():
             for right, probability in row.items():
-                yield left, right, probability
-
-    def backward_items(self) -> Iterator[Tuple[Resource, Resource, float]]:
-        """Iterate all entries in *backward* (right-row) dict order.
-
-        The reverse relation/class passes read ``equals_of_right`` rows
-        and multiply floats in their iteration order, which is the
-        original ``set``-call order — not necessarily the order a
-        rebuild from :meth:`items` would produce.  The persistent worker
-        pool therefore ships both orderings so a worker-side store can
-        fill its forward *and* backward rows exactly as the original.
-        """
-        for right, row in self._backward.items():
-            for left, probability in row.items():
                 yield left, right, probability
 
     def diff(

@@ -91,33 +91,6 @@ def score_class(
     return {cls2: min(1.0, total / examined) for cls2, total in numerators.items()}
 
 
-def score_classes(
-    classes: Iterable[Resource],
-    ontology1: Ontology,
-    view: EquivalenceView,
-    classes_of_right: Mapping[Resource, Set[Resource]],
-    max_instances: int,
-    reverse: bool = False,
-) -> list:
-    """Score a batch of classes; the task unit of the worker pool.
-
-    Each class's row depends only on the frozen inputs (its extension
-    and the previous view), never on other classes, so any partition of
-    the class list yields the same rows — the Eq. 17 analogue of
-    :func:`repro.core.equivalence.score_instances`.  Returns
-    ``(cls, scores)`` pairs in input order.
-    """
-    return [
-        (
-            cls,
-            score_class(
-                cls, ontology1, view, classes_of_right, max_instances, reverse=reverse
-            ),
-        )
-        for cls in classes
-    ]
-
-
 def subclass_pass(
     ontology1: Ontology,
     ontology2: Ontology,

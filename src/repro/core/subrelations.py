@@ -21,24 +21,28 @@ Implementation notes (Section 5.2):
 * with the maximal-assignment restriction each node has at most one
   counterpart, which is what makes the sweep cheap.
 
-This module is the **reference** implementation.  Cold aligns score
-Eq. 12 on the vectorized kernel
+:func:`subrelation_pass` is the **reference** implementation.  Cold
+aligns score Eq. 12 through :func:`parallel_subrelation_pass` on the
+vectorized kernel
 (:meth:`repro.core.vectorized.VectorizedKernel.relation_scores`),
 which ``tests/test_vectorized.py`` holds bit-identical to
-:func:`subrelation_pass`; the dict pass runs when the kernel is off
-(``scoring="dict"``, negative evidence, no numpy).
+:func:`subrelation_pass`; the dict pass runs only under negative
+evidence, where the aligner builds no kernel.
 :func:`statement_terms` also stays the per-statement cache of the warm
 path's :class:`~repro.core.incremental.IncrementalRelationPass`.
 """
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, Optional, Tuple
+from typing import TYPE_CHECKING, Dict, Iterable, Optional, Tuple
 
 from ..rdf.ontology import Ontology
 from ..rdf.terms import Node, Relation
 from .matrix import SubsumptionMatrix
 from .view import EquivalenceView
+
+if TYPE_CHECKING:
+    from .vectorized import VectorizedKernel
 
 
 def statement_terms(
@@ -165,4 +169,44 @@ def subrelation_pass(
     for relation in ontology1.relations(include_inverses=True):
         scores = score_relation(relation, ontology1, ontology2, view, max_pairs, reverse=reverse)
         apply_relation_scores(matrix, ((relation, scores),), truncation_threshold, bootstrap_theta)
+    return matrix
+
+
+def parallel_subrelation_pass(
+    ontology1: Ontology,
+    ontology2: Ontology,
+    view: EquivalenceView,
+    truncation_threshold: float,
+    max_pairs: int,
+    reverse: bool = False,
+    bootstrap_theta: float = 0.0,
+    kernel: Optional["VectorizedKernel"] = None,
+) -> SubsumptionMatrix[Relation]:
+    """One direction of the Eq. 12 relation pass, as the aligner runs it.
+
+    With ``kernel`` (built over this ontology pair) the rows come from
+    :meth:`VectorizedKernel.relation_scores`; without it
+    :func:`subrelation_pass` runs.  Both fill the matrix through
+    :func:`apply_relation_scores` in relation registration order with
+    the same floats, so the routes are bit-identical.  Both run in the
+    calling process; profilers wrap this function by name as the
+    relation-pass layer.
+    """
+    if kernel is None:
+        return subrelation_pass(
+            ontology1,
+            ontology2,
+            view,
+            truncation_threshold,
+            max_pairs,
+            reverse=reverse,
+            bootstrap_theta=bootstrap_theta,
+        )
+    matrix: SubsumptionMatrix[Relation] = SubsumptionMatrix()
+    apply_relation_scores(
+        matrix,
+        kernel.relation_scores(view, reverse, max_pairs),
+        truncation_threshold,
+        bootstrap_theta,
+    )
     return matrix

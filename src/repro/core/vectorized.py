@@ -19,7 +19,7 @@ handful of vectorized gathers:
   the previous iteration's view (clamped literal candidates + the
   restricted store) into one candidate CSR and the two relation
   matrices into dense ``[sub_id, super_id]`` grids honouring per-sub
-  defaults.  This is the only state a pass has to ship to workers.
+  defaults.
 * **Eq. 12** — :meth:`VectorizedKernel.relation_scores` scores one
   direction of the relation pass.  Its static arrays, built once per
   direction and ``max_pairs`` cap, are the capped statements of each
@@ -33,8 +33,8 @@ handful of vectorized gathers:
 Bit-exactness with the dict path
 --------------------------------
 The kernel reproduces the dict engine's floats *bit for bit*, which is
-what lets the aligner switch backends without disturbing the parallel
-engine's sequential-equality guarantees:
+what lets the aligner mix it with the dict passes (negative evidence,
+small warm frontiers) without disturbing any equality guarantee:
 
 * every factor is computed by the same left-to-right IEEE operations
   (``1 - (s·fun⁻¹)·p``) element-wise, with the same ``> 0`` guards;
@@ -59,17 +59,18 @@ engine's sequential-equality guarantees:
   order, so the matrix fills exactly like
   :func:`~repro.core.subrelations.subrelation_pass`.
 
-``tests/test_vectorized.py`` asserts the equality property; the kernel
-declines to run (``HAVE_NUMPY`` is false) when numpy is unavailable,
-and negative evidence (Eq. 14) stays on the dict path — its penalty
-term reads arbitrary statements and is applied per surviving candidate
-by the caller.
+``tests/test_vectorized.py`` asserts the equality property.  numpy is a
+declared requirement of the package.  Negative evidence (Eq. 14) stays
+on the dict path: its penalty term reads arbitrary statements and is
+applied per surviving candidate by the caller.
 """
 
 from __future__ import annotations
 
 from itertools import islice
 from typing import Dict, List, Optional, Sequence, Tuple
+
+import numpy as np
 
 from ..rdf.ontology import Ontology
 from ..rdf.terms import Literal, Node, Relation, Resource
@@ -79,14 +80,6 @@ from .literal_index import LiteralIndex
 from .matrix import SubsumptionMatrix
 from .store import EquivalenceStore
 from .view import EquivalenceView
-
-try:  # pragma: no cover - exercised implicitly by every import
-    import numpy as np
-
-    HAVE_NUMPY = True
-except ImportError:  # pragma: no cover - the container bakes numpy in
-    np = None  # type: ignore[assignment]
-    HAVE_NUMPY = False
 
 #: Target number of innermost (level-3) expansion entries per chunk;
 #: bounds the transient flat arrays to tens of MB regardless of corpus
@@ -170,12 +163,9 @@ def _group_starts(sorted_keys):
 
 
 class PreparedPass:
-    """Per-pass candidate CSR + dense relation grids (shippable).
-
-    Everything a worker needs beyond the fork-inherited static kernel:
-    small arrays proportional to the matched pairs and literal
-    candidates, never to the ontologies.
-    """
+    """Per-pass candidate CSR + dense relation grids: small arrays
+    proportional to the matched pairs and literal candidates, never to
+    the ontologies."""
 
     __slots__ = (
         "view_starts",
@@ -231,9 +221,9 @@ class RelationSide:
 class VectorizedKernel:
     """Frozen statement arrays for one ontology pair (one `version` each).
 
-    Built by :class:`~repro.core.aligner.ParisAligner` when the
-    ``scoring`` config resolves to the vectorized backend; workers
-    inherit it read-only through the fork of the persistent pool.
+    Built by :class:`~repro.core.aligner.ParisAligner` for every run
+    without negative evidence, and rebuilt when an ontology version
+    moves.
     """
 
     def __init__(
@@ -245,8 +235,6 @@ class VectorizedKernel:
         literals_of_right: LiteralIndex,
         literals_of_left: LiteralIndex,
     ) -> None:
-        if not HAVE_NUMPY:  # pragma: no cover - guarded by callers
-            raise RuntimeError("the vectorized kernel requires numpy")
         self.ontology1 = ontology1
         self.ontology2 = ontology2
         self.versions = (ontology1.version, ontology2.version)
@@ -359,74 +347,6 @@ class VectorizedKernel:
         return np.array(
             [nodes1.get(instance, -1) for instance in instances], dtype=np.int64
         )
-
-    # ------------------------------------------------------------------
-
-    def lower_store(self, store: EquivalenceStore):
-        """Both orderings of a view store as compact id arrays.
-
-        Returns ``(fwd_left, fwd_right, fwd_prob, bwd_left, bwd_right,
-        bwd_prob)``; the forward triple is in :meth:`EquivalenceStore.items`
-        order and the backward one in
-        :meth:`EquivalenceStore.backward_items` order, so a worker can
-        rebuild a store whose row dicts iterate exactly like the
-        original's.  Returns ``None`` when the store mentions a node
-        the kernel never interned (no statements) — callers then fall
-        back to shipping nothing and using the legacy path.
-        """
-        nodes1 = self.nodes1
-        nodes2 = self.nodes2
-        forward = list(store.items())
-        backward = list(store.backward_items())
-        try:
-            fwd_left = np.array([nodes1[l] for l, _r, _p in forward], dtype=np.int64)
-            fwd_right = np.array([nodes2[r] for _l, r, _p in forward], dtype=np.int64)
-            bwd_left = np.array([nodes1[l] for l, _r, _p in backward], dtype=np.int64)
-            bwd_right = np.array([nodes2[r] for _l, r, _p in backward], dtype=np.int64)
-        except KeyError:
-            return None
-        fwd_prob = np.array([p for _l, _r, p in forward], dtype=np.float64)
-        bwd_prob = np.array([p for _l, _r, p in backward], dtype=np.float64)
-        return fwd_left, fwd_right, fwd_prob, bwd_left, bwd_right, bwd_prob
-
-    def rebuild_store(self, lowered, truncation_threshold: float) -> EquivalenceStore:
-        """Worker-side inverse of :meth:`lower_store` (exact row orders)."""
-        fwd_left, fwd_right, fwd_prob, bwd_left, bwd_right, bwd_prob = lowered
-        table1 = self.table1
-        table2 = self.table2
-        store = EquivalenceStore(truncation_threshold)
-        forward = store._forward
-        for left, right, probability in zip(
-            fwd_left.tolist(), fwd_right.tolist(), fwd_prob.tolist()
-        ):
-            forward.setdefault(table1[left], {})[table2[right]] = probability
-        backward = store._backward
-        for left, right, probability in zip(
-            bwd_left.tolist(), bwd_right.tolist(), bwd_prob.tolist()
-        ):
-            backward.setdefault(table2[right], {})[table1[left]] = probability
-        store._count = len(fwd_prob)
-        return store
-
-    def task_ranges(self, x_ids, prepared: "PreparedPass", num_tasks: int):
-        """Contiguous ``(lo, hi)`` ranges over ``x_ids`` with roughly
-        equal projected level-3 work — the pool's instance-task shards.
-        Empty ranges are dropped; boundaries fall on instance edges so
-        any split preserves the sequential emission order when results
-        merge in task order."""
-        n = len(x_ids)
-        if n == 0:
-            return []
-        num_tasks = max(1, min(num_tasks, n))
-        cost = np.where(x_ids >= 0, prepared.level3_cost[np.maximum(x_ids, 0)], 0)
-        cumulative = np.maximum(cost, 1).cumsum()
-        total = int(cumulative[-1])
-        bounds = [0]
-        for k in range(1, num_tasks):
-            cut = int(np.searchsorted(cumulative, total * k / num_tasks))
-            bounds.append(max(cut, bounds[-1]))
-        bounds.append(n)
-        return [(lo, hi) for lo, hi in zip(bounds[:-1], bounds[1:]) if hi > lo]
 
     # ------------------------------------------------------------------
 

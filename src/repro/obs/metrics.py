@@ -21,8 +21,8 @@ this repo's serving stack (primary, replicas, router — see
   serve it as ``GET /metrics``.
 
 Everything is thread-safe: one lock per family serializes child
-creation and updates (handler threads, the batcher flush loop, the
-replica tail thread and worker-pool feeders all write concurrently).
+creation and updates (handler threads, the batcher flush loop and the
+replica tail thread all write concurrently).
 
 Histograms use fixed **log-scale latency buckets**
 (:data:`LATENCY_BUCKETS`, ~1 ms to ~2 min in half-decade steps) unless

@@ -37,7 +37,7 @@ from .logging import get_logger
 from .metrics import REGISTRY
 
 #: Every span's duration feeds this one histogram, labelled by span name
-#: (names are a small fixed set — pass/kernel/pool/wal/batcher stages —
+#: (names are a small fixed set — pass/kernel/wal/batcher stages —
 #: so cardinality stays bounded).
 SPAN_SECONDS = REGISTRY.histogram(
     "repro_span_duration_seconds",
@@ -95,8 +95,8 @@ class Span:
 
 
 def current_span() -> Optional[Span]:
-    """The innermost active span on this thread, if any — used by deep
-    call sites (kernel, pool) to annotate without plumbing handles."""
+    """The innermost active span on this thread, if any — lets deep
+    call sites annotate without plumbing handles."""
     stack = _stack()
     return stack[-1] if stack else None
 

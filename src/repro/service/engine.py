@@ -286,7 +286,7 @@ class AlignmentService:
 
         Validation failures (bad triples) raise ``ValueError`` before
         anything is touched.  A failure *after* mutation started (e.g.
-        a broken worker pool mid-warm-pass) poisons the service: the
+        an exception mid-warm-pass) poisons the service: the
         in-memory structures may be inconsistent, so every later call
         fails fast instead of silently serving — or snapshotting — a
         corrupted state.

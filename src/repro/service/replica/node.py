@@ -37,7 +37,6 @@ from __future__ import annotations
 
 import threading
 import time
-from dataclasses import replace
 from pathlib import Path
 from typing import Dict, Optional, Union
 
@@ -123,10 +122,6 @@ class ReplicaNode:
     batch:
         Most WAL records fetched (and coalesced into one warm pass)
         per poll.
-    config_overrides:
-        Runtime-only config fields to replace on the bootstrapped
-        state (the CLI passes the worker count, as ``repro serve``
-        does on resume — model knobs always come from the snapshot).
     """
 
     def __init__(
@@ -136,14 +131,12 @@ class ReplicaNode:
         poll_interval: float = 0.05,
         batch: int = 256,
         snapshot_every: int = 0,
-        config_overrides: Optional[Dict[str, object]] = None,
     ) -> None:
         self.source = source
         self.state_dir = Path(state_dir) if state_dir is not None else None
         self.poll_interval = poll_interval
         self.batch = batch
         self.snapshot_every = snapshot_every
-        self.config_overrides = dict(config_overrides or {})
         self.follower = make_follower(source)
         #: Change-subscription manager this node publishes into
         #: (:meth:`attach_subscriptions`); survives engine swaps.
@@ -196,8 +189,6 @@ class ReplicaNode:
             return self._source_offset
 
     def _build_service(self, state: AlignmentState) -> AlignmentService:
-        if self.config_overrides:
-            state.config = replace(state.config, **self.config_overrides)
         service = AlignmentService.from_state(state)
         service.provenance = self.provenance
         set_active_ring(self.provenance)

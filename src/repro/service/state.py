@@ -11,8 +11,7 @@ pickled to a *state directory*:
   so a crash mid-snapshot never corrupts the resumable state.
 
 Everything in the state is plain dictionaries over the slotted term
-types, which pickle via their ``__reduce__`` (the same property the worker
-pool's result queue relies on).  Derived structures
+types, which pickle via their ``__reduce__``.  Derived structures
 (functionality oracles, literal indexes, incremental relation caches,
 the restricted-view maintainer and the class-row caches) are *not*
 stored; :class:`repro.service.engine.AlignmentService` rebuilds them

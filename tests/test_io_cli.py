@@ -118,28 +118,6 @@ class TestCli:
         assert main(["convert", str(target), str(back)]) == 0
         assert back.read_text()
 
-    def test_workers_flag_output_byte_identical(self, nt_files, tmp_path, capsys):
-        """`align --workers 4` writes byte-identical output to `--workers 1`
-        (without ``fork`` both run the sequential route)."""
-        left, right = nt_files
-        outputs = {}
-        for workers in (1, 4):
-            out = tmp_path / f"alignment-w{workers}"
-            code = main([
-                "align", left, right, "--out", str(out),
-                "--workers", str(workers), "--print-pairs",
-            ])
-            assert code == 0
-            captured = capsys.readouterr()
-            files = {
-                path.name: path.read_bytes() for path in sorted(out.iterdir())
-            }
-            outputs[workers] = (files, captured.out)
-        assert set(outputs[1][0]) == set(outputs[4][0])
-        for name, blob in outputs[1][0].items():
-            assert outputs[4][0][name] == blob, f"{name} differs between 1/4 workers"
-        assert outputs[1][1] == outputs[4][1]  # printed pairs identical too
-
     def test_missing_file_errors(self, tmp_path):
         with pytest.raises(SystemExit):
             main(["align", "/nonexistent.nt", "/nonexistent2.nt",
@@ -158,37 +136,18 @@ class TestCli:
 
 
 class TestParallelOptionsWiring:
-    """Every alignment-running subcommand accepts the parallel knobs."""
+    """Subcommand argument wiring."""
 
-    @pytest.mark.parametrize(
-        "argv",
-        [
-            ["align", "l.nt", "r.nt"],
-            ["multi", "a.nt", "b.nt", "c.nt"],
-            ["explain", "l.nt", "r.nt", "x", "y"],
-            ["demo", "person"],
-            ["serve", "l.nt", "r.nt", "--state-dir", "state"],
-        ],
-    )
-    def test_parallel_flags_parse(self, argv):
+    def test_retired_engine_flags_are_rejected(self):
+        """Every pass has one route: no worker, shard or backend flags."""
         from repro.cli import build_parser
 
-        parser = build_parser()
-        args = parser.parse_args(argv + ["--workers", "3"])
-        assert args.workers == 3
-
-    def test_parallel_defaults_are_sequential(self):
-        from repro.cli import build_parser
-
-        args = build_parser().parse_args(["demo", "kb"])
-        assert args.workers == 1
-        # The pool is the one parallel route: no shard or backend knobs.
-        for retired in ("--shard-size", "--parallel-backend"):
+        for retired in ("--workers", "--shard-size", "--parallel-backend"):
             with pytest.raises(SystemExit):
                 build_parser().parse_args(["align", "l.nt", "r.nt", retired, "1"])
 
-    def test_demo_runs_with_workers(self, capsys):
-        assert main(["demo", "person", "--workers", "2"]) == 0
+    def test_demo_runs(self, capsys):
+        assert main(["demo", "person"]) == 0
         captured = capsys.readouterr()
         assert "instances:" in captured.out
 
@@ -278,7 +237,7 @@ class TestParallelOptionsWiring:
                 "replica", "http://primary:8765",
                 "--state-dir", "rep1", "--port", "0",
                 "--poll-ms", "20", "--replica-batch", "64",
-                "--snapshot-every", "5", "--workers", "2",
+                "--snapshot-every", "5",
             ]
         )
         assert args.source == "http://primary:8765"
@@ -286,7 +245,6 @@ class TestParallelOptionsWiring:
         assert args.poll_ms == 20.0
         assert args.replica_batch == 64
         assert args.snapshot_every == 5
-        assert args.workers == 2
         assert args.handler.__name__ == "cmd_replica"
         defaults = build_parser().parse_args(["replica", "statedir"])
         assert defaults.state_dir is None and defaults.port == 8766

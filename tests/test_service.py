@@ -261,32 +261,42 @@ class TestStateStore:
         assert report.converged and report.version == 1
         assert resumed.pair("p4a", "q4a")["probability"] > 0.9
 
-    def test_snapshot_with_retired_engine_knobs_still_loads(self):
-        """Snapshots written while ``ParisConfig`` still had
-        ``shard_size``/``parallel_backend`` pickle those keys in the
-        config's ``__dict__``; they must load, resume, serve deltas and
-        survive the ``replace(config, workers=...)`` that resume and
-        replica bootstrap apply."""
-        import pickle
-        from dataclasses import replace
-
-        from repro.service.state import STATE_FORMAT, load_state_bytes
+    def test_snapshot_with_retired_engine_knobs_still_loads(self, tmp_path):
+        """Snapshots written while ``ParisConfig`` still had the engine
+        knobs ``shard_size``/``parallel_backend``/``workers``/``scoring``
+        pickle those keys in the config's ``__dict__``.  Nothing reads
+        them any more: the state must resume and serve deltas, and a
+        replica bootstrapped from it must catch up with the primary."""
+        from repro.service.replica import ReplicaNode
+        from repro.service.stream import WriteAheadLog
 
         left, right = family_pair(4)
         state = AlignmentService.cold_start(left, right, ParisConfig()).state
-        state.config.__dict__.update(shard_size=None, parallel_backend="process")
-        old_bytes = pickle.dumps({"format": STATE_FORMAT, "state": state})
+        state.config.__dict__.update(
+            shard_size=None, parallel_backend="process", workers=4, scoring="dict"
+        )
+        state_dir = tmp_path / "state"
+        save_state(state, state_dir)
 
-        loaded = load_state_bytes(old_bytes)
-        assert loaded.config.__dict__["parallel_backend"] == "process"
-        reconfigured = replace(loaded.config, workers=2)
-        assert reconfigured.workers == 2
-        assert "shard_size" not in reconfigured.__dict__
+        loaded = load_state(state_dir)
+        assert loaded.config.__dict__["workers"] == 4
+        assert loaded.config.__dict__["scoring"] == "dict"
         resumed = AlignmentService.from_state(loaded)
         add1, add2 = family_addition(4, 1)
-        report = resumed.apply_delta(Delta(add1=tuple(add1), add2=tuple(add2)))
+        delta = Delta(add1=tuple(add1), add2=tuple(add2))
+        wal = WriteAheadLog(state_dir / "wal.ndjson")
+        offset = wal.append(delta, "writer", 1)
+        report = resumed.apply_delta(delta, wal_offset=offset)
         assert report.converged and report.version == 1
         assert resumed.pair("p4a", "q4a")["probability"] > 0.9
+
+        replica = ReplicaNode(state_dir)
+        assert replica.applied_offset == 0
+        replica.catch_up(offset)
+        assert replica.applied_offset == offset
+        assert not list(replica.service.state.store.diff(resumed.state.store, 1e-9))
+        assert replica.service.pair("p4a", "q4a")["probability"] > 0.9
+        wal.close()
 
     def test_resnapshot_same_version_is_atomic_replace(self, tmp_path):
         """The shutdown snapshot re-saves the current version over an

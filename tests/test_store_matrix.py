@@ -212,7 +212,9 @@ class TestMaximalAssignment:
         reused = store.restricted_to_maximal(assignments)
         fresh = store.restricted_to_maximal()
         assert list(reused.items()) == list(fresh.items())
-        assert list(reused.backward_items()) == list(fresh.backward_items())
+        assert [(right, list(row.items())) for right, row in reused.rows(reverse=True)] == [
+            (right, list(row.items())) for right, row in fresh.rows(reverse=True)
+        ]
 
     def test_repr(self):
         assert "0 pairs" in repr(EquivalenceStore())

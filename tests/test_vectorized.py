@@ -4,51 +4,125 @@ The kernel (`repro.core.vectorized`) must be *bit-identical* to the
 dict path — same entries, same insertion order, same floats — because
 later iterations accumulate products over store dict order and the
 1e-12 warm/cold equality guarantees of the service stack inherit from
-it.  Hypothesis drives the same seeded ontology generator the parallel
-properties use; every failure shrinks to a reproducible seed.
+it.  The aligner runs every pass on one route; the tests reach the dict
+route by switching the kernel off (``ParisAligner._kernel_allowed``),
+which is what negative evidence does.  Hypothesis drives a seeded
+random ontology generator, so every failure shrinks to a reproducible
+seed.
 """
 
 from __future__ import annotations
+
+import random
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from test_parallel_properties import pass_inputs, random_pair
-
-from repro import OntologyBuilder, ParisConfig, align
+from repro import OntologyBuilder, ParisAligner, ParisConfig, align
 from repro.core import aligner as aligner_module
 from repro.core.equivalence import instance_equivalence_pass, ordered_instances, score_instances
 from repro.core.functionality import FunctionalityOracle
 from repro.core.literal_index import LiteralIndex
-from repro.core.parallel import parallel_subrelation_pass
+from repro.core.matrix import SubsumptionMatrix
 from repro.core.store import EquivalenceStore
-from repro.core.subrelations import subrelation_pass
-from repro.core.vectorized import HAVE_NUMPY, VectorizedKernel
+from repro.core.subrelations import parallel_subrelation_pass, subrelation_pass
+from repro.core.vectorized import VectorizedKernel
 from repro.core.view import EquivalenceView
-from repro.literals import EditDistanceSimilarity
+from repro.literals import EditDistanceSimilarity, IdentitySimilarity
 from repro.rdf.terms import Relation, Resource
 
-pytestmark = pytest.mark.skipif(not HAVE_NUMPY, reason="kernel requires numpy")
-
 TOLERANCE = 1e-12
+
+#: Small pools so random ontologies overlap enough to produce matches.
+_VALUES = ["Alice", "Bob", "Carol", "Dave", "Erin", "1959", "1961", "Tupelo"]
+_LEFT_RELATIONS = ["born", "name", "city", "year"]
+_RIGHT_RELATIONS = ["birth", "label", "place", "date"]
+
+
+def random_pair(seed: int):
+    """Two random small ontologies with partially overlapping literals."""
+    rng = random.Random(seed)
+    left = OntologyBuilder("left")
+    right = OntologyBuilder("right")
+    num_entities = rng.randint(2, 8)
+    for n in range(num_entities):
+        for _ in range(rng.randint(1, 4)):
+            left.value(f"p{n}", rng.choice(_LEFT_RELATIONS), rng.choice(_VALUES))
+        # The right-hand twin keeps some of the left's facts (same
+        # literals through different relation names) and adds noise.
+        for _ in range(rng.randint(0, 4)):
+            right.value(f"x{n}", rng.choice(_RIGHT_RELATIONS), rng.choice(_VALUES))
+        if rng.random() < 0.7:
+            right.value(f"x{n}", rng.choice(_RIGHT_RELATIONS), rng.choice(_VALUES))
+    # Occasional entity links on both sides (resource-valued facts).
+    for _ in range(rng.randint(0, num_entities)):
+        a, b = rng.randrange(num_entities), rng.randrange(num_entities)
+        left.fact(f"p{a}", "knows", f"p{b}")
+        if rng.random() < 0.5:
+            right.fact(f"x{a}", "friend", f"x{b}")
+    return left.build(), right.build()
+
+
+def pass_inputs(pair):
+    """First-iteration instance-pass inputs over ``pair`` (empty store)."""
+    left, right = pair
+    similarity = IdentitySimilarity()
+    view = EquivalenceView(
+        EquivalenceStore(),
+        LiteralIndex(right, similarity),
+        LiteralIndex(left, similarity),
+    )
+    return (
+        left,
+        right,
+        view,
+        FunctionalityOracle(left),
+        FunctionalityOracle(right),
+        SubsumptionMatrix.bootstrap(0.1),
+        SubsumptionMatrix.bootstrap(0.1),
+        0.1,
+    )
 
 
 def make_kernel(left, right, view, fun1, fun2):
     return VectorizedKernel(left, right, fun1, fun2, view._right_index, view._left_index)
 
 
-def result_snapshot(result):
-    """Every scored surface of an alignment, order-independent."""
-    return tuple(
-        sorted((str(a), str(b), p) for a, b, p in matrix.items())
-        for matrix in (
-            result.instances,
-            result.relations12,
-            result.relations21,
-            result.classes12,
-            result.classes21,
-        )
+def dict_route(patch):
+    """Switch the kernel off for every aligner, as negative evidence does."""
+    patch.setattr(ParisAligner, "_kernel_allowed", lambda self: False)
+
+
+def dict_align(left, right, config=None):
+    """``align`` on the dict reference passes."""
+    with pytest.MonkeyPatch.context() as patch:
+        dict_route(patch)
+        return align(left, right, config)
+
+
+def relation_snapshot(matrix):
+    """A relation matrix in full: entries, per-sub defaults and the
+    reverse index, each in insertion order, floats compared with ``==``."""
+    return (
+        list(matrix.items()),
+        list(matrix._sub_defaults.items()),
+        [(sup, list(row.items())) for sup, row in matrix._by_super.items()],
+    )
+
+
+def exact_snapshot(result):
+    """Every scored surface of an alignment, in insertion order."""
+    return (
+        list(result.instances.items()),
+        [(right, list(row.items())) for right, row in result.instances.rows(reverse=True)],
+        relation_snapshot(result.relations12),
+        relation_snapshot(result.relations21),
+        list(result.classes12.items()),
+        list(result.classes21.items()),
+        result.assignment12,
+        result.assignment21,
+        result.converged,
     )
 
 
@@ -72,23 +146,28 @@ class TestKernelExactness:
     def test_full_align_matches_dict_engine(self):
         for seed in range(8):
             left, right = random_pair(seed)
-            reference = align(left, right, ParisConfig(scoring="dict"))
-            vectorized = align(left, right, ParisConfig(scoring="vectorized"))
-            assert result_snapshot(vectorized) == result_snapshot(reference)
+            reference = dict_align(left, right)
+            vectorized = align(left, right)
+            assert exact_snapshot(vectorized) == exact_snapshot(reference)
 
-    def test_store_lowering_roundtrip_preserves_order(self):
-        left, right, view, fun1, fun2, rel12, rel21, theta = pass_inputs(random_pair(7))
-        kernel = make_kernel(left, right, view, fun1, fun2)
-        prepared = kernel.prepare_pass(view.store, rel12, rel21)
-        store = EquivalenceStore()
-        store.update(kernel.entries_for(*kernel.score_ids(kernel.ordered_ids, prepared, theta)))
-        lowered = kernel.lower_store(store)
-        assert lowered is not None
-        rebuilt = kernel.rebuild_store(lowered, store.truncation_threshold)
-        # Both dict orders survive the array round-trip: forward rows…
-        assert list(rebuilt.items()) == list(store.items())
-        # …and the backward rows the reverse relation pass folds over.
-        assert list(rebuilt.backward_items()) == list(store.backward_items())
+    def test_full_align_with_classes_matches_dict_engine(self):
+        """Typed fixture: the class pass reads the kernel's store exactly
+        as it reads the dict pass's."""
+        from repro.datasets.incremental import family_pair
+
+        left, right = family_pair(4, with_classes=True)
+        vectorized = align(left, right)
+        assert exact_snapshot(vectorized) == exact_snapshot(dict_align(left, right))
+        assert list(vectorized.classes12.items())
+
+    @given(seed=st.integers(min_value=0, max_value=10**9))
+    @settings(max_examples=15, deadline=None)
+    def test_random_ontologies_full_align_equal(self, seed):
+        left, right = random_pair(seed)
+        config = ParisConfig(max_iterations=3)
+        assert exact_snapshot(align(left, right, config)) == exact_snapshot(
+            dict_align(left, right, config)
+        )
 
     def test_ids_for_marks_statementless_instances(self):
         left, right, view, fun1, fun2, _rel12, _rel21, _theta = pass_inputs(random_pair(3))
@@ -96,16 +175,6 @@ class TestKernelExactness:
         ids = kernel.ids_for([next(iter(left.instances)), Resource("never-seen")])
         assert ids[0] >= 0
         assert ids[1] == -1
-
-
-def relation_snapshot(matrix):
-    """A relation matrix in full: entries, per-sub defaults and the
-    reverse index, each in insertion order, floats compared with ``==``."""
-    return (
-        list(matrix.items()),
-        list(matrix._sub_defaults.items()),
-        [(sup, list(row.items())) for sup, row in matrix._by_super.items()],
-    )
 
 
 def relation_passes(left, right, view, reverse, max_pairs=10_000):
@@ -216,45 +285,82 @@ class TestRelationKernelExactness:
 
 
 class TestEngineSelection:
-    def test_vectorized_scoring_rejects_negative_evidence(self):
-        with pytest.raises(ValueError, match="negative evidence"):
-            ParisConfig(scoring="vectorized", use_negative_evidence=True)
-
-    def test_unknown_scoring_mode_rejected(self):
-        with pytest.raises(ValueError, match="scoring"):
-            ParisConfig(scoring="simd")
+    def test_default_config_runs_on_the_kernel(self):
+        """The switch the dict-route tests use really takes the kernel
+        off (otherwise they would compare the kernel with itself)."""
+        left, right = random_pair(5)
+        aligner = ParisAligner(left, right)
+        aligner.align()
+        assert aligner._kernel is not None
+        with pytest.MonkeyPatch.context() as patch:
+            dict_route(patch)
+            aligner = ParisAligner(left, right)
+            aligner.align()
+        assert aligner._kernel is None
 
     def test_negative_evidence_auto_falls_back_to_dict(self):
         left, right = random_pair(11)
-        reference = align(left, right, ParisConfig(scoring="dict", use_negative_evidence=True))
-        auto = align(left, right, ParisConfig(scoring="auto", use_negative_evidence=True))
-        assert result_snapshot(auto) == result_snapshot(reference)
+        config = ParisConfig(use_negative_evidence=True)
+        aligner = ParisAligner(left, right, config)
+        result = aligner.align()
+        assert aligner._kernel is None
+        assert exact_snapshot(result) == exact_snapshot(dict_align(left, right, config))
 
 
-class TestWorkerPoolPath:
-    def test_pool_align_matches_sequential(self, monkeypatch):
-        """The persistent-pool engine must be exact.
+@pytest.fixture(scope="module")
+def kb_pass_inputs():
+    """First-iteration inputs over a mid-sized benchmark pair."""
+    from repro.datasets import yago_dbpedia_pair
 
-        The gates that keep the pool away from tiny inputs are lowered
-        so these small fixtures actually exercise the fork/dispatch/
-        merge machinery end to end.
-        """
-        monkeypatch.setattr(aligner_module, "POOL_MIN_FRONTIER", 0)
+    pair = yago_dbpedia_pair(num_persons=120, num_works=60, seed=17)
+    return pass_inputs((pair.ontology1, pair.ontology2))
+
+
+class TestAlignerRoutes:
+    """The aligner's own pass methods, kernel route against dict route."""
+
+    @pytest.mark.parametrize("reverse", [False, True])
+    def test_relation_pass_matches_dict(self, kb_pass_inputs, reverse, monkeypatch):
+        """Each direction of the relation pass, over a view filled by a
+        bootstrap instance pass: the kernel route, the dict route and
+        ``subrelation_pass`` fill the same matrix."""
+        left, right, view = kb_pass_inputs[:3]
+        filled = EquivalenceView(
+            instance_equivalence_pass(*kb_pass_inputs).restricted_to_maximal(),
+            view._right_index,
+            view._left_index,
+        )
+        first, second = (right, left) if reverse else (left, right)
+        expected = subrelation_pass(
+            first, second, filled, 0.1, 10_000, reverse=reverse, bootstrap_theta=0.1
+        )
+        on_kernel = ParisAligner(left, right)._relation_pass(filled, reverse=reverse)
+        dict_route(monkeypatch)
+        on_dict = ParisAligner(left, right)._relation_pass(filled, reverse=reverse)
+        assert relation_snapshot(on_kernel) == relation_snapshot(expected)
+        assert relation_snapshot(on_dict) == relation_snapshot(expected)
+
+    def test_warm_frontier_subsets_match_dict(self, kb_pass_inputs, monkeypatch):
+        """A warm pass's frontier scores the same entries, in input
+        order, on the kernel and on the dict path."""
+        left, right, view, _fun1, _fun2, rel12, rel21, _theta = kb_pass_inputs
+        subset = ordered_instances(left.instances)[:40]
+        expected = score_instances(subset, *kb_pass_inputs)
+        # Below KERNEL_REBUILD_MIN_FRONTIER a fresh aligner has no kernel
+        # and does not build one for 40 instances: the dict path scores.
+        aligner = ParisAligner(left, right)
+        assert aligner._score_frontier(subset, view, rel12, rel21) == expected
+        assert aligner._kernel is None
+        # With the gate lowered the same frontier builds the kernel.
         monkeypatch.setattr(aligner_module, "KERNEL_REBUILD_MIN_FRONTIER", 0)
-        for seed in (0, 5, 9):
-            left, right = random_pair(seed)
-            reference = align(left, right, ParisConfig(scoring="dict"))
-            pooled = align(left, right, ParisConfig(workers=2))
-            assert result_snapshot(pooled) == result_snapshot(reference)
+        assert aligner._score_frontier(subset, view, rel12, rel21) == expected
+        assert aligner._kernel is not None
 
-    def test_pool_align_with_classes_matches_sequential(self, monkeypatch):
-        """Typed fixture: the pooled Eq. 17 class pass must be exact too."""
-        from repro.datasets.incremental import family_pair
+    def test_person_fixture_exact(self, person_pair, person_result):
+        reference = dict_align(person_pair.ontology1, person_pair.ontology2)
+        assert exact_snapshot(person_result) == exact_snapshot(reference)
 
-        monkeypatch.setattr(aligner_module, "POOL_MIN_FRONTIER", 0)
-        monkeypatch.setattr(aligner_module, "KERNEL_REBUILD_MIN_FRONTIER", 0)
-        left, right = family_pair(4, with_classes=True)
-        reference = align(left, right, ParisConfig(scoring="dict"))
-        pooled = align(left, right, ParisConfig(workers=2))
-        assert result_snapshot(pooled) == result_snapshot(reference)
-        assert result_snapshot(pooled)[3]  # classes12 actually non-empty
+    def test_kb_fixture_exact(self, kb_pair, kb_result):
+        config = ParisConfig(max_iterations=4, convergence_threshold=0.0)
+        reference = dict_align(kb_pair.ontology1, kb_pair.ontology2, config)
+        assert exact_snapshot(kb_result) == exact_snapshot(reference)
