@@ -5,7 +5,7 @@ replica processes** tailing the primary's WAL must serve **≥ 2× the
 aggregate HTTP reads/second** of a single node, while the same write
 load runs concurrently:
 
-* the single-node path is ``repro serve --wal`` as-is: every
+* the single-node path is ``repro serve`` as-is: every
   ``GET /pair`` is handled in the write process and waits on the one
   engine lock whenever a warm pass is absorbing a delta — under
   back-to-back writes the lock is held almost continuously;
@@ -213,7 +213,6 @@ def serve_args(work: Path, state_dir: Path) -> list:
         str(work / "left.nt"),
         str(work / "right.nt"),
         "--state-dir", str(state_dir),
-        "--wal",
         "--wal-segment-bytes", str(1 << 16),
         "--max-lag-ms", "1",
         "--snapshot-every", "0",

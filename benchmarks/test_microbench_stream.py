@@ -6,10 +6,10 @@ fixture, a burst of small deltas through the WAL + coalescing batcher
 the one-synchronous-POST-per-delta path, *at equal per-delta
 durability*:
 
-* the status-quo path (what ``repro serve`` without streaming does,
-  ``snapshot_every=1``) pays one warm convergence **and one O(corpus)
-  state snapshot** per delta — the snapshot being its only durability
-  between restarts;
+* the per-delta snapshot path (one engine apply per delta, made
+  durable without a log: ``snapshot_every=1``) pays one warm
+  convergence **and one O(corpus) state snapshot** per delta — the
+  snapshot being its only durability between restarts;
 * the streaming path pays one O(delta) fsync'd WAL append per delta —
   the same crash-durability point — and one warm fixpoint over the
   whole coalesced burst.
@@ -82,9 +82,9 @@ def test_batcher_throughput_vs_one_post_per_delta(tmp_path):
     batched_rounds = []
     batches = 0
     for _round in range(ROUNDS):
-        # The status quo: one synchronous apply per delta plus the
-        # per-delta snapshot that is its only durability (the default
-        # POST /delta deployment, snapshot_every=1).
+        # The per-delta snapshot path: one engine apply per delta plus
+        # the snapshot that is its only durability without a log
+        # (snapshot_every=1).
         singles = burst_deltas(next_family)
         next_family += BURST * DELTA_FAMILIES
         started = time.perf_counter()

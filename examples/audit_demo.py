@@ -1,6 +1,6 @@
 """End-to-end demo of fleet correctness auditing.
 
-Boots a three-node fleet — a primary (``repro serve --wal``) and the
+Boots a three-node fleet — a primary (``repro serve``) and the
 read router as subprocesses, plus **two in-process read replicas**
 (so one of them can be corrupted from inside, which no HTTP surface
 allows) — writes through the router, then:
@@ -116,7 +116,6 @@ def main() -> int:
                 "--log-format", "json",
                 "serve", str(work / "left.nt"), str(work / "right.nt"),
                 "--state-dir", str(work / "state"),
-                "--wal",
                 "--max-lag-ms", "20",
                 "--snapshot-every", "0",
                 "--audit-interval-ms", "200",

@@ -1,7 +1,7 @@
 """End-to-end demo of the observability surface.
 
 Boots the three serving roles as subprocesses — a primary
-(``repro serve --wal``), one read replica (``repro replica``) and the
+(``repro serve``), one read replica (``repro replica``) and the
 read router (``repro route``) — pushes a few deltas and reads through
 the router, then scrapes ``GET /metrics`` from *all three* roles and
 cross-checks the core series against each role's ``GET /stats``:
@@ -53,7 +53,6 @@ def main() -> int:
                 "--log-format", "json",
                 "serve", str(work / "left.nt"), str(work / "right.nt"),
                 "--state-dir", str(state_dir),
-                "--wal",
                 "--max-lag-ms", "20",
                 "--snapshot-every", "0",
             )

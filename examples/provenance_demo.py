@@ -1,7 +1,7 @@
 """End-to-end demo of delta provenance and the staleness SLO surface.
 
 Boots the three serving roles as subprocesses — a primary
-(``repro serve --wal``), one read replica (``repro replica``) and the
+(``repro serve``), one read replica (``repro replica``) and the
 read router (``repro route``) — then pushes a delta through the router
 with an explicit ``X-Request-Id`` and follows it through the whole
 pipeline:
@@ -64,7 +64,6 @@ def main() -> int:
                 "--log-format", "json",
                 "serve", str(work / "left.nt"), str(work / "right.nt"),
                 "--state-dir", str(work / "state"),
-                "--wal",
                 "--max-lag-ms", "20",
                 "--snapshot-every", "0",
             )

@@ -1,7 +1,7 @@
 """End-to-end demo of multi-replica serving.
 
 Boots the full replication topology as subprocesses — a primary
-(``repro serve --wal --wal-segment-bytes``), two read replicas
+(``repro serve --wal-segment-bytes``), two read replicas
 (``repro replica``: one tailing the shared state directory, one log
 shipping over HTTP), and the read router (``repro route``) — then
 exercises the whole contract from the outside: a write POSTed to the
@@ -45,7 +45,6 @@ def main() -> int:
             primary = fleet.spawn(
                 "serve", str(work / "left.nt"), str(work / "right.nt"),
                 "--state-dir", str(state_dir),
-                "--wal",
                 "--wal-segment-bytes", "2048",
                 "--wal-group-commit-ms", "2",
                 "--max-lag-ms", "20",

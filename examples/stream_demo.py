@@ -1,6 +1,6 @@
 """End-to-end demo of streaming delta ingestion.
 
-Boots ``repro serve --wal --watch`` as a subprocess on a generated
+Boots ``repro serve --watch`` as a subprocess on a generated
 fixture, appends NDJSON deltas to the watched file, polls ``GET
 /stats`` until the applied WAL offset catches up with the appended
 one, asserts the new pairs converged via ``GET /pair``, exercises the
@@ -42,7 +42,6 @@ def main() -> int:
             str(work / "right.nt"),
             "--state-dir",
             str(work / "state"),
-            "--wal",
             "--watch",
             str(watch),
             "--max-batch",

@@ -8,7 +8,7 @@
     python -m repro demo {person,restaurant,kb,movies}
     python -m repro convert input.nt output.tsv
     python -m repro serve left.nt right.nt --state-dir dir --port 8765 \
-        [--wal] [--watch deltas.ndjson] [--max-batch 32] [--max-lag-ms 50] \
+        [--watch deltas.ndjson] [--max-batch 32] [--max-lag-ms 0] \
         [--wal-segment-bytes 16777216] [--wal-group-commit-ms 5]
     python -m repro replay dir/wal.ndjson --state-dir dir
     python -m repro replica http://primary:8765 --port 8766 --state-dir rep1
@@ -27,12 +27,13 @@ experiments on its synthetic benchmark and prints the report tables.
 (:mod:`repro.service`): it cold-aligns the inputs once (or resumes the
 newest snapshot in ``--state-dir``), then absorbs ``POST /delta``
 batches via the warm-start fixpoint and answers ``GET /pair`` /
-``GET /alignment`` queries from the live state.  ``--wal`` / ``--watch``
-put the streaming ingestion pipeline (:mod:`repro.service.stream`) in
-front of the engine: tailed NDJSON files or spool directories feed the
-same admission-controlled queue as ``POST /delta``, accepted deltas are
-write-ahead-logged before application, and the coalescing batcher
-merges queued writes so one warm pass absorbs many of them.  ``replay``
+``GET /alignment`` queries from the live state.  Every write goes
+through the streaming ingestion pipeline (:mod:`repro.service.stream`):
+accepted deltas are write-ahead-logged to ``STATE_DIR/wal.ndjson``
+(fsync'd before the acknowledgement), an admission-controlled queue
+takes ``POST /delta`` and the ``--watch`` sources (tailed NDJSON files
+or spool directories) alike, and the coalescing batcher merges queued
+writes so one warm pass absorbs many of them.  ``replay``
 is the matching offline recovery tool: it reapplies a WAL's
 un-snapshotted suffix onto the newest snapshot and snapshots the
 caught-up state.
@@ -298,6 +299,7 @@ def cmd_demo(args: argparse.Namespace) -> int:
 def cmd_serve(args: argparse.Namespace) -> int:
     from .service import AlignmentService, latest_version, load_state
     from .service.server import run_server
+    from .service.stream import StreamStack
     from .service.subs import SubscriptionManager
 
     state_dir = Path(args.state_dir)
@@ -340,46 +342,18 @@ def cmd_serve(args: argparse.Namespace) -> int:
     service.add_change_listener(subs.publish)
     subs.provenance = service.provenance
     subs.advance(service.state.version, service.state.wal_offset)
-    stream = None
-    if args.wal or args.watch:
-        from .service.stream import (
-            DeltaBatcher,
-            StreamStack,
-            WriteAheadLog,
-            make_source,
-            replay_wal,
-        )
-
-        wal = None
-        if args.wal:
-            wal = WriteAheadLog(
-                state_dir / "wal.ndjson",
-                segment_bytes=args.wal_segment_bytes,
-                group_commit=args.wal_group_commit_ms / 1000.0,
-            )
-            # Wired before replay so replayed records land in the ring
-            # (as non-live timelines) and later fsyncs stamp "durable".
-            wal.provenance = service.provenance
-            replayed = replay_wal(service, wal, max_batch=args.max_batch)
-            if replayed:
-                _log.info(
-                    "replayed un-snapshotted WAL records",
-                    records=replayed,
-                    offset=service.state.wal_offset,
-                )
-        # The --snapshot-every policy is installed by build_server as
-        # the batcher's on_batch_applied hook (once per applied batch).
-        batcher = DeltaBatcher(
-            service,
-            wal=wal,
-            max_queue=args.max_queue,
-            max_batch=args.max_batch,
-            max_lag=args.max_lag_ms / 1000.0,
-        )
-        sources = [make_source(batcher, path) for path in args.watch]
-        for source in sources:
-            _log.info("streaming deltas", source=source.source_id)
-        stream = StreamStack(batcher=batcher, wal=wal, sources=sources)
+    # Replays the WAL before the port opens.  The --snapshot-every
+    # policy becomes the batcher's on_batch_applied hook (build_server).
+    stream = StreamStack.open(
+        service,
+        state_dir,
+        segment_bytes=args.wal_segment_bytes,
+        group_commit=args.wal_group_commit_ms / 1000.0,
+        max_queue=args.max_queue,
+        max_batch=args.max_batch,
+        max_lag=args.max_lag_ms / 1000.0,
+        watch=args.watch,
+    )
     auditor = _build_auditor(args, lambda: service, role="primary")
     return run_server(
         service,
@@ -1039,7 +1013,8 @@ def build_parser() -> argparse.ArgumentParser:
     serve_parser.add_argument("--snapshot-every", type=int, default=1,
                               help="snapshot state after every Nth delta "
                                    "(0: only on shutdown or POST /snapshot; "
-                                   "the natural choice with --wal)")
+                                   "durability comes from the WAL either "
+                                   "way)")
     serve_parser.add_argument("--left-name", default=None)
     serve_parser.add_argument("--right-name", default=None)
     serve_parser.add_argument("--watch", action="append", default=[],
@@ -1049,18 +1024,18 @@ def build_parser() -> argparse.ArgumentParser:
                                    "as a spool of NDJSON files, anything "
                                    "else is tailed as an append-only NDJSON "
                                    "file (may not exist yet); repeatable")
+    # No-op (every primary writes STATE_DIR/wal.ndjson), still accepted
+    # so existing command lines keep parsing.
     serve_parser.add_argument("--wal", action="store_true",
-                              help="write-ahead-log every accepted delta to "
-                                   "STATE_DIR/wal.ndjson (fsync'd before "
-                                   "application) and replay the "
-                                   "un-snapshotted suffix on startup")
+                              help=argparse.SUPPRESS)
     serve_parser.add_argument("--max-batch", type=int, default=32,
                               help="most queued deltas the batcher coalesces "
                                    "into one warm pass (default 32)")
-    serve_parser.add_argument("--max-lag-ms", type=float, default=50.0,
+    serve_parser.add_argument("--max-lag-ms", type=float, default=0.0,
                               help="longest a queued delta waits before its "
                                    "batch is flushed regardless of size "
-                                   "(default 50)")
+                                   "(default 0: flush as soon as the "
+                                   "batcher is free)")
     serve_parser.add_argument("--max-queue", type=int, default=256,
                               help="admission bound: deltas beyond this many "
                                    "queued are rejected with 429 + "
@@ -1215,7 +1190,8 @@ def build_parser() -> argparse.ArgumentParser:
         help="offline recovery: reapply a serve WAL's un-snapshotted "
              "suffix onto the newest snapshot",
     )
-    replay_parser.add_argument("wal", help="WAL file written by serve --wal")
+    replay_parser.add_argument("wal", help="WAL file written by serve "
+                                           "(STATE_DIR/wal.ndjson)")
     replay_parser.add_argument("--state-dir", required=True,
                                help="state directory holding the snapshots")
     replay_parser.add_argument("--max-batch", type=int, default=256,

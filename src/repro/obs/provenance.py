@@ -320,8 +320,10 @@ class ProvenanceRing:
                 self._stamp(entry, "replica_applied" if entry.remote else "applied", now)
 
     def stamp_traces(self, stage: str, traces: Iterable[str], ts: Optional[float] = None) -> None:
-        """Stamp by trace id — the WAL-less batcher path, where entries
-        have no offset to sweep by."""
+        """Stamp by trace id, for entries that have no offset to sweep
+        by.  No serving path calls it any more (every batch carries a
+        WAL offset); it stays only while the benchmark's layer table
+        still wraps it."""
         now = time.time() if ts is None else ts
         with self._lock:
             for trace in traces:

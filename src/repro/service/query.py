@@ -24,7 +24,7 @@ paginated/top-k/neighborhood query surface (see ``docs/api.md``):
   a consistent snapshot.
 * **Read tags / ETags** — :func:`read_etag` derives the entity tag
   every read endpoint sends from the applied WAL offset (falling back
-  to the state version when no WAL is in use).  A replica at WAL
+  to the state version while no WAL record has been applied).  A replica at WAL
   offset K serves the same scores as the primary at offset K (the
   1e-9 replication contract), so the tag is comparable across nodes:
   routers and CDNs may cache a response and revalidate it with
@@ -79,11 +79,13 @@ Row = Tuple[str, str, float]
 def read_etag(version: int, wal_offset: int) -> str:
     """The entity tag of every read endpoint's current state.
 
-    Keyed on the applied WAL offset when a WAL is in use — replica at
-    offset K ≡ primary at offset K, so the tag validates across the
-    whole fleet — and on the state version otherwise (single-node
-    deployments without a log).  Weak (``W/``) because cross-node
-    payloads agree to 1e-9, not necessarily byte-for-byte.
+    Keyed on the applied WAL offset — replica at offset K ≡ primary at
+    offset K, so the tag validates across the whole fleet — and on the
+    state version while that offset is 0: an empty log, a snapshot
+    written before the WAL existed, or an engine fed through
+    :meth:`~repro.service.engine.AlignmentService.apply_delta` without
+    a log.  Weak (``W/``) because cross-node payloads agree to 1e-9,
+    not necessarily byte-for-byte.
     """
     if wal_offset:
         return f'W/"w{wal_offset}"'

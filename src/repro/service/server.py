@@ -10,12 +10,9 @@ A :class:`ThreadingHTTPServer` over :class:`~repro.service.engine.AlignmentServi
   process :data:`~repro.obs.metrics.REGISTRY` (request latencies, WAL
   offsets, span durations, …; see ROADMAP.md "Observability")
 * ``GET  /stats``                    — ingestion/work counters (queue depth,
-  WAL offsets, cumulative ``pairs_touched``).  Always carries an
-  ``ingest`` sub-payload: without a stream stack it reports a zero
-  queue and the engine's WAL offset, so routers and monitors read one
-  shape whether or not ``--watch``/``--wal`` are on.  A replica server
-  adds a ``replication`` sub-payload (applied/source offsets,
-  ``lag_ms``).
+  WAL offsets, cumulative ``pairs_touched``).  A primary adds its
+  stream stack's ``ingest`` sub-payload, a replica a ``replication``
+  sub-payload (applied/source offsets, ``lag_ms``).
 * ``GET  /pair/<left>/<right>``      — one pair's probability (URL-quoted names)
 * ``GET  /alignment``                — the maximal assignment, served from the
   engine's secondary :class:`~repro.service.query.QueryIndex`:
@@ -36,12 +33,11 @@ offset and honours ``If-None-Match`` with a 304 (``docs/api.md``,
   suffix was compacted away (re-bootstrap from a snapshot)
 * ``GET  /snapshot/latest``          — the newest snapshot file verbatim
   (replica bootstrap; pickle, trusted-cluster only)
-* ``POST /delta``                    — apply a JSON delta batch (see
-  :meth:`repro.service.delta.Delta.from_json`), warm-start the fixpoint,
-  snapshot the new state if a state directory is configured.  With a
-  streaming batcher attached the delta goes through the shared ingest
-  queue instead (same queue as the ``--watch`` sources): it is WAL'd,
-  coalesced with its neighbours, and the response carries its *batch's*
+* ``POST /delta``                    — submit a JSON delta batch (see
+  :meth:`repro.service.delta.Delta.from_json`) to the primary's shared
+  ingest queue (the same queue as the ``--watch`` sources): it is
+  WAL-appended and fsync'd, coalesced with its neighbours and applied
+  by one warm-start pass, and the response carries its *batch's*
   report.  Optional ``?source=<id>&seq=<n>`` query parameters tag the
   delta for idempotent redelivery (a duplicate gets ``{"duplicate":
   true}``), and a full queue answers ``429`` with a ``Retry-After``
@@ -57,6 +53,9 @@ atomically under the readers.
 Concurrency: request handlers run on one thread each; the engine
 serializes mutation and reads behind its own lock, so a long warm pass
 never corrupts a concurrent query (it just waits).
+
+A primary always has a :class:`~repro.service.stream.StreamStack`
+(WAL → batcher → engine); ``server.stream is None`` only on replicas.
 
 ``run_server`` adds the process plumbing for ``repro serve``: SIGTERM /
 SIGINT stop the streaming sources, drain the ingest queue, take a final
@@ -87,7 +86,7 @@ from .query import (
     parse_cursor,
     read_etag,
 )
-from .stream import QueueFullError, StreamStack
+from .stream import QueueFullError, StreamStack, WriteAheadLog
 from .subs import SubscriptionManager
 from ..io.alignment_io import render_assignment_rows
 from ..obs import get_event_logger
@@ -149,17 +148,6 @@ def _alignment_json_chunks(keys, threshold: float, meta: dict):
 
     yield from iter_row_chunks(keys, render)
     yield b"]}"
-
-
-def _should_snapshot(report, snapshot_every: int) -> bool:
-    """The one snapshot policy, shared by the synchronous POST path
-    and the streaming batcher's per-batch hook: snapshot versions that
-    actually changed something, every ``snapshot_every``-th version."""
-    return (
-        snapshot_every > 0
-        and report.applied_add + report.applied_remove > 0
-        and report.version % snapshot_every == 0
-    )
 
 
 class AlignmentRequestHandler(ObservedHandlerMixin, BaseHTTPRequestHandler):
@@ -338,20 +326,10 @@ class AlignmentRequestHandler(ObservedHandlerMixin, BaseHTTPRequestHandler):
                 return
             payload = self.service.stats()
             payload["role"] = "replica" if replica is not None else "primary"
-            stream = self.server.stream  # type: ignore[attr-defined]
-            if stream is not None:
-                payload["ingest"] = stream.stats()
-            else:
-                # No stream stack: report the same shape with a zero
-                # queue and the engine's own WAL offset, so routers and
-                # monitors never special-case plain servers.
-                payload["ingest"] = {
-                    "queue_depth": 0,
-                    "streaming": False,
-                    "wal_appended": payload["wal_offset"],
-                }
             if replica is not None:
                 payload["replication"] = replica.stats()
+            else:
+                payload["ingest"] = self.server.stream.stats()  # type: ignore[attr-defined]
             auditor = getattr(self.server, "auditor", None)
             if auditor is not None:
                 payload["audit"] = auditor.stats()
@@ -658,10 +636,10 @@ class AlignmentRequestHandler(ObservedHandlerMixin, BaseHTTPRequestHandler):
         from .stream.wal import WalCorruptionError, WalGapError
 
         stream = self.server.stream  # type: ignore[attr-defined]
-        wal = stream.wal if stream is not None else None
-        if wal is None:
-            self._error(404, "server runs without a write-ahead log")
+        if stream is None:
+            self._error(404, "a replica ships no write-ahead log; ask the primary")
             return
+        wal = stream.wal
         query = parse_qs(url.query)
         try:
             after = int(query.get("from", ["0"])[0])
@@ -750,9 +728,7 @@ class AlignmentRequestHandler(ObservedHandlerMixin, BaseHTTPRequestHandler):
                 self._error(500, f"snapshot failed: {error}")
                 return
             reclaimed = maybe_compact_wal(
-                self.service,
-                self.server.stream,  # type: ignore[attr-defined]
-                covered=covered,
+                self.server.stream.wal, covered  # type: ignore[attr-defined]
             )
             self._send_json({"snapshot": str(path), "wal_bytes_compacted": reclaimed})
             return
@@ -777,29 +753,22 @@ class AlignmentRequestHandler(ObservedHandlerMixin, BaseHTTPRequestHandler):
         except ValueError:
             self._error(400, "seq must be an integer")
             return
-        stream = self.server.stream  # type: ignore[attr-defined]
         raw = self._read_body(length)
         if raw is None:
             return
         try:
             payload = json.loads(raw.decode("utf-8"))
             delta = Delta.from_json(payload)
-            if stream is not None:
-                # Shared ingest queue: WAL'd, coalesced, admission-
-                # controlled; the response is the composed batch's
-                # report (None = idempotently dropped duplicate).  The
-                # request id becomes the delta's provenance trace.
-                report = stream.batcher.submit(
-                    delta, source=source, seq=seq, wait=True, trace=self.request_id
-                )
-                if report is None:
-                    self._send_json({"duplicate": True, "source": source, "seq": seq})
-                    return
-            else:
-                # apply_delta validates the whole batch before
-                # mutating, so a rejected delta leaves the live state
-                # untouched.
-                report = self.service.apply_delta(delta)
+            # Shared ingest queue: WAL'd, coalesced, admission-
+            # controlled; the response is the composed batch's report
+            # (None = idempotently dropped duplicate).  The request id
+            # becomes the delta's provenance trace.
+            report = self.server.stream.batcher.submit(  # type: ignore[attr-defined]
+                delta, source=source, seq=seq, wait=True, trace=self.request_id
+            )
+            if report is None:
+                self._send_json({"duplicate": True, "source": source, "seq": seq})
+                return
         except (ValueError, UnicodeDecodeError) as error:
             self._error(400, f"bad delta: {error}")
             return
@@ -820,25 +789,7 @@ class AlignmentRequestHandler(ObservedHandlerMixin, BaseHTTPRequestHandler):
             # failure; report it instead of killing the handler thread.
             self._error(500, f"delta failed mid-apply: {error!r}")
             return
-        state_dir = self.server.state_dir  # type: ignore[attr-defined]
-        snapshot_every = self.server.snapshot_every  # type: ignore[attr-defined]
-        payload = report.to_json()
-        if (
-            # With a streaming batcher the snapshot policy runs once
-            # per applied batch in the batcher's on_batch_applied hook;
-            # snapshotting here would repeat it for every HTTP waiter
-            # that shared the batch.
-            stream is None
-            and state_dir is not None
-            and _should_snapshot(report, snapshot_every)
-        ):
-            try:
-                self.service.snapshot(state_dir)
-            except OSError as error:
-                # The delta itself succeeded; tell the client both
-                # facts instead of dropping the connection.
-                payload["snapshot_error"] = str(error)
-        self._send_json(payload)
+        self._send_json(report.to_json())
 
     def _route_post_subscription(self, path: str) -> None:
         """Webhook registry: register / remove a change subscription."""
@@ -884,27 +835,20 @@ class AlignmentRequestHandler(ObservedHandlerMixin, BaseHTTPRequestHandler):
         self._send_json(subs.subscribe(url, entity, float(epsilon)), status=201)
 
 
-def maybe_compact_wal(
-    service: AlignmentService,
-    stream: Optional[StreamStack],
-    covered: Optional[int] = None,
-) -> int:
-    """Auto-compaction trigger: after a snapshot made ``wal_offset``
+def maybe_compact_wal(wal: WriteAheadLog, covered: int) -> int:
+    """Auto-compaction trigger: after a snapshot made ``covered``
     durable, sealed WAL segments at or below it are dead weight.  Only
     fires on a segmented log (``--wal-segment-bytes``); returns the
     bytes reclaimed.
 
     ``covered`` must be an offset some *persisted* snapshot covers.
-    Callers racing the ingest thread (``POST /snapshot``) capture it
-    *before* snapshotting — the snapshot can only cover more, so the
-    compaction stays conservative; reading ``state.wal_offset`` after
-    the snapshot could see a newer offset no snapshot has persisted
-    yet and delete segments a crash-restart still needs."""
-    wal = stream.wal if stream is not None else None
-    if wal is None or not wal.segment_bytes:
+    Callers racing the ingest thread capture it *before* snapshotting —
+    the snapshot can only cover more, so the compaction stays
+    conservative; reading ``state.wal_offset`` after the snapshot could
+    see a newer offset no snapshot has persisted yet and delete
+    segments a crash-restart still needs."""
+    if not wal.segment_bytes:
         return 0
-    if covered is None:
-        covered = service.state.wal_offset
     reclaimed, _deleted = wal.compact(covered)
     return reclaimed
 
@@ -924,33 +868,36 @@ def build_server(
 ) -> ThreadingHTTPServer:
     """Create (but do not start) the HTTP server.
 
+    A primary needs ``stream``, the :class:`~repro.service.stream.StreamStack`
+    (see :meth:`~repro.service.stream.StreamStack.open`) that every
+    ``POST /delta`` goes through; the caller starts and stops it.  A
+    replica (``replica``, a :class:`~repro.service.replica.ReplicaNode`)
+    takes none: it is read-only, the engine is resolved through the
+    node per request, and every ``POST`` answers 403.
+
     ``port=0`` binds an ephemeral port — read it back from
     ``server.server_address`` (the in-process tests do).
     ``handler_timeout`` bounds how long one handler thread waits on a
     client's socket (request line or body); a stalled upload gets a
     ``408`` instead of pinning the thread forever.  ``None`` disables
     the deadline (trusted-network deployments only).
-    ``snapshot_every=N`` snapshots after every Nth version (a full
-    state pickle is O(corpus), so large deployments raise this or set
-    0 to snapshot only on shutdown / ``POST /snapshot`` — with a WAL
-    attached, 0 is the natural choice: durability comes from the log).
-    ``stream`` routes ``POST /delta`` through the streaming batcher's
-    shared queue instead of applying synchronously (the caller starts
-    and stops the stack); the ``snapshot_every`` policy then runs once
-    per applied *batch* via the batcher's ``on_batch_applied`` hook —
-    installed here unless the caller already set one — instead of in
-    the request handler, where every HTTP waiter sharing a batch would
-    repeat it.  Each policy snapshot also triggers WAL compaction
+    ``snapshot_every=N`` snapshots after every Nth version that changed
+    something (a full state pickle is O(corpus), so large deployments
+    raise this or set 0 to snapshot only on shutdown / ``POST
+    /snapshot``; durability comes from the log either way).  The
+    policy runs once per applied *batch*, as the batcher's
+    ``on_batch_applied`` hook — installed here unless the caller
+    already set one — so HTTP waiters sharing a batch never repeat it.
+    Each policy snapshot also triggers WAL compaction
     (:func:`maybe_compact_wal`) on a segmented log.
-    ``replica`` (a :class:`~repro.service.replica.ReplicaNode`) makes
-    this a read-only replica server: the engine is resolved through
-    the node per request and every ``POST`` answers 403.
     ``subs`` is the change-subscription manager behind ``GET /watch``
     and the webhook registry; when omitted, one is created on
     ``state_dir`` and wired to the engine here (callers that replay a
     WAL before serving — ``repro serve`` — construct and attach their
     own first, so replayed changes reach persisted subscribers).
     """
+    if (replica is None) == (stream is None):
+        raise ValueError("a primary server needs a stream stack; a replica takes none")
     if replica is not None and service is None:
         service = replica.service
     if subs is None:
@@ -958,24 +905,19 @@ def build_server(
         if replica is not None:
             # Re-attached across re-bootstraps: the node swaps engines.
             replica.attach_subscriptions(subs)
-        elif service is not None:
+        else:
             service.add_change_listener(subs.publish)
             subs.advance(service.state.version, service.state.wal_offset)
-    # Provenance wiring: the WAL stamps "durable" and the subscription
-    # manager stamps "notified" into the engine's ring (on a replica,
-    # the node's ring — replica.service.provenance already points at
-    # it).
-    if service is not None:
-        if stream is not None and stream.wal is not None:
-            stream.wal.provenance = service.provenance
-        if subs.provenance is None:
-            subs.provenance = service.provenance
+    # Provenance wiring: the subscription manager stamps "notified"
+    # into the engine's ring (on a replica, the node's ring —
+    # replica.service.provenance already points at it).
+    if subs.provenance is None:
+        subs.provenance = service.provenance
     server = ThreadingHTTPServer((host, port), AlignmentRequestHandler)
     server.subs = subs  # type: ignore[attr-defined]
     server.service = service  # type: ignore[attr-defined]
     server.state_dir = Path(state_dir) if state_dir is not None else None  # type: ignore[attr-defined]
     server.verbose = verbose  # type: ignore[attr-defined]
-    server.snapshot_every = snapshot_every  # type: ignore[attr-defined]
     server.stream = stream  # type: ignore[attr-defined]
     server.replica = replica  # type: ignore[attr-defined]
     server.handler_timeout = handler_timeout  # type: ignore[attr-defined]
@@ -990,11 +932,15 @@ def build_server(
         and snapshot_every > 0
         and stream.batcher.on_batch_applied is None
     ):
-        def _snapshot_policy(report, _every=snapshot_every):
-            if _should_snapshot(report, _every):
+
+        def _snapshot_policy(report) -> None:
+            # Snapshot versions that actually changed something, every
+            # snapshot_every-th version.
+            changed = report.applied_add + report.applied_remove > 0
+            if changed and report.version % snapshot_every == 0:
                 covered = service.state.wal_offset
                 service.snapshot(state_dir)
-                maybe_compact_wal(service, stream, covered=covered)
+                maybe_compact_wal(stream.wal, covered)
 
         stream.batcher.on_batch_applied = _snapshot_policy
     return server
@@ -1030,16 +976,16 @@ def run_server(
     service: AlignmentService,
     host: str,
     port: int,
+    stream: StreamStack,
     state_dir: Optional[Union[str, Path]] = None,
     verbose: bool = True,
     snapshot_every: int = 1,
-    stream: Optional[StreamStack] = None,
     subs: Optional[SubscriptionManager] = None,
     auditor=None,
 ) -> int:
-    """Serve until SIGTERM/SIGINT; snapshot on the way out.
+    """Serve a primary until SIGTERM/SIGINT; snapshot on the way out.
 
-    With a :class:`~repro.service.stream.StreamStack`, its sources and
+    The :class:`~repro.service.stream.StreamStack`'s sources and
     batcher run for the server's lifetime; shutdown stops the sources,
     drains the queue through the engine, and only then snapshots — so
     the final snapshot's WAL offset covers everything ingested.
@@ -1070,8 +1016,7 @@ def run_server(
         version=service.state.version,
     )
 
-    if stream is not None:
-        stream.start()
+    stream.start()
     if auditor is not None:
         auditor.start()
     try:
@@ -1079,15 +1024,14 @@ def run_server(
     finally:
         if auditor is not None:
             auditor.stop()
-        if stream is not None:
-            # Sources stop, the queue drains through the engine, the
-            # WAL closes — before the snapshot records the offset.
-            stream.stop()
+        # Sources stop, the queue drains through the engine, the WAL
+        # closes — before the snapshot records the offset.
+        stream.stop()
         server.subs.close()  # type: ignore[attr-defined]
         if state_dir is not None:
             path = service.snapshot(state_dir)
             _log.info("state saved", path=str(path))
-            reclaimed = maybe_compact_wal(service, stream)
+            reclaimed = maybe_compact_wal(stream.wal, service.state.wal_offset)
             if reclaimed:
                 _log.info("compacted covered WAL segments", bytes=reclaimed)
     return 0

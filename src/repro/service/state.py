@@ -10,6 +10,9 @@ pickled to a *state directory*:
 * ``LATEST`` — a one-line pointer to the newest version, written last,
   so a crash mid-snapshot never corrupts the resumable state.
 
+Both are fsync'd before their rename and the directory after it: a
+primary deletes the WAL segments a published snapshot covers.
+
 Everything in the state is plain dictionaries over the slotted term
 types, which pickle via their ``__reduce__``.  Derived structures
 (functionality oracles, literal indexes, incremental relation caches,
@@ -116,6 +119,31 @@ def _state_path(directory: Path, version: int) -> Path:
     return directory / f"state-{version:08d}.pkl"
 
 
+def fsync_directory(directory: Path) -> None:
+    """Best-effort directory fsync so a rename survives a crash (a
+    platform that cannot open or fsync a directory is skipped)."""
+    try:
+        fd = os.open(directory, os.O_RDONLY)
+    except OSError:  # pragma: no cover - platform without dir-open
+        return
+    try:
+        os.fsync(fd)
+    except OSError:  # pragma: no cover - platform without dir-fsync
+        pass
+    finally:
+        os.close(fd)
+
+
+def _publish(tmp: Path, path: Path, write) -> None:
+    """Durable write-then-rename of what ``write(stream)`` puts in ``tmp``."""
+    with tmp.open("wb") as stream:
+        write(stream)
+        stream.flush()
+        os.fsync(stream.fileno())
+    os.replace(tmp, path)
+    fsync_directory(path.parent)
+
+
 def save_state(state: AlignmentState, directory: Union[str, Path]) -> Path:
     """Snapshot a state into ``directory``; returns the file written."""
     if isinstance(state.store, OverlayStore):
@@ -129,16 +157,19 @@ def save_state(state: AlignmentState, directory: Union[str, Path]) -> Path:
     # Write-then-rename: re-snapshotting an existing version (e.g. the
     # shutdown snapshot after a --snapshot-every save) must never leave
     # a truncated pickle behind the already-published LATEST pointer.
-    path_tmp = path.with_suffix(".pkl.tmp")
-    with path_tmp.open("wb") as stream:
-        pickle.dump({"format": STATE_FORMAT, "state": state}, stream)
-    os.replace(path_tmp, path)
-    # The pointer is written after the payload, and replaced atomically,
-    # so readers never see a LATEST that references a half-written
-    # snapshot — and a crash mid-update cannot leave a truncated marker.
-    marker_tmp = directory / (LATEST_MARKER + ".tmp")
-    marker_tmp.write_text(f"{state.version}\n", encoding="utf-8")
-    os.replace(marker_tmp, directory / LATEST_MARKER)
+    _publish(
+        path.with_suffix(".pkl.tmp"),
+        path,
+        lambda stream: pickle.dump({"format": STATE_FORMAT, "state": state}, stream),
+    )
+    # The pointer is published after the payload is durable, so no
+    # reader (nor a restart after power loss) sees a LATEST that names
+    # a half-written snapshot, or a truncated marker.
+    _publish(
+        directory / (LATEST_MARKER + ".tmp"),
+        directory / LATEST_MARKER,
+        lambda stream: stream.write(f"{state.version}\n".encode("utf-8")),
+    )
     return path
 
 

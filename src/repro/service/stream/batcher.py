@@ -22,8 +22,10 @@ WAL, so back-pressured writers retry without consuming durability.
 Idempotent redelivery: a writer may tag each delta with a
 monotonically increasing per-source sequence number; a redelivered
 (``seq`` at or below the source's high-water mark) delta is
-acknowledged but dropped.  The high-water marks are recovered from the
-WAL on restart, so redelivery stays idempotent across crashes.
+acknowledged but dropped.  A delta is durable the moment its WAL
+append is fsync'd, so the mark moves at admission, and the marks are
+recovered from the WAL on restart: redelivery stays idempotent across
+crashes.
 """
 
 from __future__ import annotations
@@ -87,7 +89,7 @@ class _Pending:
     """One queued delta and its completion slot."""
 
     delta: Delta
-    wal_offset: Optional[int]
+    wal_offset: int
     enqueued_at: float
     source: str = "http"
     seq: Optional[int] = None
@@ -105,9 +107,9 @@ class DeltaBatcher:
     service:
         The engine consuming composed batches.
     wal:
-        Optional write-ahead log; when given, every accepted delta is
-        fsync'd before it is queued, and the per-source sequence
-        high-water marks are recovered from it.
+        The write-ahead log: every accepted delta is fsync'd to it
+        before :meth:`submit` acknowledges it, and the per-source
+        sequence high-water marks are recovered from it.
     max_queue:
         Admission bound: queued-but-unapplied deltas beyond this are
         rejected with :class:`QueueFullError`.
@@ -115,7 +117,9 @@ class DeltaBatcher:
         Most deltas composed into one engine batch.
     max_lag:
         Longest time (seconds) the oldest queued delta may wait before
-        its batch is flushed regardless of size.
+        its batch is flushed regardless of size (``0``: flush as soon
+        as the flush loop is free; deltas that queue up behind a
+        running batch still coalesce into the next one).
     retry_after:
         The back-off hint carried by :class:`QueueFullError`.
     on_batch_applied:
@@ -130,10 +134,10 @@ class DeltaBatcher:
     def __init__(
         self,
         service: AlignmentService,
-        wal: Optional[WriteAheadLog] = None,
+        wal: WriteAheadLog,
         max_queue: int = 256,
         max_batch: int = 32,
-        max_lag: float = 0.05,
+        max_lag: float = 0.0,
         retry_after: float = 1.0,
         on_batch_applied: Optional[Callable[[DeltaReport], None]] = None,
     ) -> None:
@@ -152,7 +156,7 @@ class DeltaBatcher:
         self.on_batch_applied = on_batch_applied
         self._queue: Deque[_Pending] = deque()
         self._ready = threading.Condition()
-        self._last_seqs: Dict[str, int] = wal.last_seqs if wal is not None else {}
+        self._last_seqs: Dict[str, int] = wal.last_seqs
         self._in_flight = 0
         self._closed = False
         self._thread: Optional[threading.Thread] = None
@@ -196,7 +200,6 @@ class DeltaBatcher:
         ingest_ts = time.time()
         if trace is None:
             trace = new_trace_id()
-        offset = None
         duplicate = False
         with self._ready:
             if self._closed:
@@ -225,29 +228,20 @@ class DeltaBatcher:
                     "ingest_ts": ingest_ts,
                     "enqueue_ts": enqueue_ts,
                 }
-                offset = (
-                    self.wal.append(delta, source, seq, sync=False, prov=prov)
-                    if self.wal is not None
-                    else None
+                offset = self.wal.append(delta, source, seq, sync=False, prov=prov)
+                self.service.provenance.admit(
+                    trace,
+                    source=source,
+                    seq=seq,
+                    offset=offset,
+                    ingest_ts=ingest_ts,
+                    enqueue_ts=enqueue_ts,
                 )
-                ring = getattr(self.service, "provenance", None)
-                if ring is not None:
-                    ring.admit(
-                        trace,
-                        source=source,
-                        seq=seq,
-                        offset=offset,
-                        ingest_ts=ingest_ts,
-                        enqueue_ts=enqueue_ts,
-                    )
-                if seq is not None and self.wal is not None:
-                    # With a WAL the delta is durable the moment it is
-                    # admitted: a redelivery may be acked as duplicate
-                    # even if this batch later fails, because restart
-                    # replays it from the log.  Without a WAL the mark
-                    # only moves after a successful apply (see _apply)
-                    # — otherwise a failed batch + retry would be
-                    # acked as "duplicate" and the delta silently lost.
+                if seq is not None:
+                    # The delta is durable the moment it is admitted: a
+                    # redelivery may be acked as duplicate even if this
+                    # batch later fails, because restart replays it
+                    # from the log.
                     self._last_seqs[source] = seq
                 pending = _Pending(delta, offset, time.monotonic(), source, seq, trace)
                 self._queue.append(pending)
@@ -256,20 +250,17 @@ class DeltaBatcher:
                 QUEUE_DEPTH.set(len(self._queue) + self._in_flight)
                 self._ready.notify_all()
         if duplicate:
-            if self.wal is not None:
-                # The original record may still be buffered (its
-                # submitter is inside its group fsync): acking the
-                # duplicate promises durability, so join the fsync
-                # before answering.
-                self.wal.sync()
+            # The original record may still be buffered (its submitter
+            # is inside its group fsync): acking the duplicate promises
+            # durability, so join the fsync before answering.
+            self.wal.sync()
             return None
-        if offset is not None:
-            # Durability point: after this sync returns, the delta
-            # survives a crash (replayed from the WAL on restart).
-            # Concurrent submitters share the leader's fsync (see
-            # WriteAheadLog.sync), so per-delta ack-after-fsync costs
-            # one group commit, not one fsync each.
-            self.wal.sync(offset)
+        # Durability point: after this sync returns, the delta survives
+        # a crash (replayed from the WAL on restart).  Concurrent
+        # submitters share the leader's fsync (see WriteAheadLog.sync),
+        # so per-delta ack-after-fsync costs one group commit, not one
+        # fsync each.
+        self.wal.sync(offset)
         if not wait:
             return None
         if not pending.done.wait(timeout):
@@ -348,14 +339,13 @@ class DeltaBatcher:
         composed = compose_deltas(pending.delta for pending in batch)
         wal_offset = batch[-1].wal_offset
         try:
-            if wal_offset is not None:
-                # Never apply records an fsync has not covered: a crash
-                # after apply + snapshot but before the fsync would
-                # leave a snapshot claiming WAL offsets the log does
-                # not hold.  Inside the try: an fsync failure must
-                # reach the batch's waiters as an error, not kill the
-                # flush loop and hand them a success-shaped None.
-                self.wal.sync(wal_offset)
+            # Never apply records an fsync has not covered: a crash
+            # after apply + snapshot but before the fsync would leave a
+            # snapshot claiming WAL offsets the log does not hold.
+            # Inside the try: an fsync failure must reach the batch's
+            # waiters as an error, not kill the flush loop and hand
+            # them a success-shaped None.
+            self.wal.sync(wal_offset)
             report = self.service.apply_delta(composed, wal_offset=wal_offset)
         except BaseException as error:  # noqa: BLE001 - forwarded to waiters
             # The engine poisoned itself if mutation had started; every
@@ -368,27 +358,12 @@ class DeltaBatcher:
         self.coalesced += len(batch)
         BATCHES.inc()
         COALESCED.inc(len(batch))
-        ring = getattr(self.service, "provenance", None)
-        if ring is not None:
-            # Coalescing provenance: every member of the batch learns
-            # which traces shared its warm pass; without a WAL the
-            # engine has no offset to stamp, so applied is stamped here
-            # by trace instead.
-            traces = [pending.trace for pending in batch if pending.trace]
-            ring.note_merge(traces)
-            if wal_offset is None:
-                ring.stamp_traces("applied", traces)
-        if self.wal is None:
-            # WAL-less mode: the batch is now the durable fact, so the
-            # redelivery high-water marks may advance (admission-time
-            # marking would falsely ack deltas of a failed batch).
-            with self._ready:
-                for pending in batch:
-                    if pending.seq is None:
-                        continue
-                    last = self._last_seqs.get(pending.source)
-                    if last is None or pending.seq > last:
-                        self._last_seqs[pending.source] = pending.seq
+        # Coalescing provenance: every member of the batch learns which
+        # traces shared its warm pass (the engine stamps "applied" by
+        # WAL offset).
+        self.service.provenance.note_merge(
+            [pending.trace for pending in batch if pending.trace]
+        )
         for pending in batch:
             pending.report = report
         if self.on_batch_applied is not None:
@@ -423,7 +398,7 @@ class DeltaBatcher:
                 "rejected": self.rejected,
                 "batches": self.batches,
                 "coalesced_deltas": self.coalesced,
-                "wal_appended": self.wal.offset if self.wal is not None else None,
+                "wal_appended": self.wal.offset,
                 "max_queue": self.max_queue,
                 "max_batch": self.max_batch,
                 "max_lag_ms": self.max_lag * 1000.0,

@@ -124,6 +124,7 @@ from pathlib import Path
 from typing import Dict, Iterator, List, Optional, TextIO, Tuple, Union
 
 from ..delta import Delta
+from ..state import fsync_directory
 from ...obs import get_event_logger
 from ...obs.metrics import REGISTRY
 from ...obs.trace import span
@@ -239,20 +240,6 @@ def _decode_record(line: str, expected_offset: Optional[int]) -> WalRecord:
             f"offset {record.offset} where {expected_offset} was expected"
         )
     return record
-
-
-def _fsync_directory(directory: Path) -> None:
-    """Best-effort directory fsync so a rename survives a crash."""
-    try:
-        fd = os.open(directory, os.O_RDONLY)
-    except OSError:  # pragma: no cover - platform without dir-open
-        return
-    try:
-        os.fsync(fd)
-    except OSError:  # pragma: no cover - platform without dir-fsync
-        pass
-    finally:
-        os.close(fd)
 
 
 class WriteAheadLog:
@@ -630,12 +617,7 @@ class WriteAheadLog:
             if self._stream is None:
                 self._stream = self.path.open("a", encoding="utf-8")
             offset = self._offset + 1
-            record = {"offset": offset, "source": source, "delta": delta.to_json()}
-            if seq is not None:
-                record["seq"] = seq
-            if prov is not None:
-                record["v"] = 2
-                record["prov"] = dict(prov)
+            record = WalRecord(offset, source, seq, delta, prov).to_json()
             line = json.dumps(record, sort_keys=True) + "\n"
             self._stream.write(line)
             self._offset = offset
@@ -744,7 +726,7 @@ class WriteAheadLog:
             self._stream = None
         sealed = self._sealed_name(self._active_base)
         os.replace(self.path, sealed)
-        _fsync_directory(self.path.parent)
+        fsync_directory(self.path.parent)
         with self._commit:
             if self._offset > self._durable_offset:
                 self._durable_offset = self._offset
@@ -900,7 +882,7 @@ class WriteAheadLog:
                 reclaimed += size
                 deleted.append(path)
             if deleted:
-                _fsync_directory(self.path.parent)
+                fsync_directory(self.path.parent)
             return reclaimed, deleted
 
     def size_bytes(self) -> int:

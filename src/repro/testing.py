@@ -13,7 +13,9 @@ Subprocess nodes::
 
 In-process servers::
 
-    with serve_in_thread(build_server(service, "127.0.0.1", 0)) as url:
+    with serve_primary(service, state_dir) as server:
+        payload, headers = fetch_json(url_of(server, "/stats"))
+    with serve_in_thread(build_server(None, "127.0.0.1", 0, replica=node)) as url:
         payload, headers = fetch_json(url + "/stats")
 
 Every spawned node listens on a port :func:`free_port` picked, so no
@@ -35,6 +37,8 @@ from typing import Any, Callable, Iterator, List, Mapping, NamedTuple, Optional,
 from .client import request
 from .datasets.incremental import family_addition
 from .service.delta import Delta
+from .service.server import build_server
+from .service.stream import StreamStack
 
 
 def free_port() -> int:
@@ -188,6 +192,22 @@ def serve_in_thread(server) -> Iterator[str]:
         server.server_close()
         thread.join(timeout=10)
         assert not thread.is_alive(), "server thread did not stop"
+
+
+@contextmanager
+def serve_primary(
+    service, state_dir, stream_options: Optional[Mapping[str, Any]] = None, **server_options
+) -> Iterator[Any]:
+    """Serve ``service`` as a primary over ``state_dir`` on a daemon
+    thread; yield the server (its stack is ``server.stream``).
+    ``stream_options`` go to ``StreamStack.open``, ``server_options``
+    to ``build_server``.  On exit the server stops, then the stack."""
+    with StreamStack.open(service, state_dir, **(stream_options or {})) as stream:
+        server = build_server(
+            service, "127.0.0.1", 0, state_dir=state_dir, stream=stream, **server_options
+        )
+        with serve_in_thread(server):
+            yield server
 
 
 def family_delta(start: int, count: int = 1) -> Delta:

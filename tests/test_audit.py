@@ -42,8 +42,8 @@ from repro.service import AlignmentService, Delta, latest_version, load_state
 from repro.service.audit import StateAuditor
 from repro.service.replica import ReadRouter, ReplicaNode, build_router_server
 from repro.service.server import build_server
-from repro.service.stream import DeltaBatcher, StreamStack, WriteAheadLog
-from repro.testing import family_delta, serve_in_thread, url_of, wait_until
+from repro.service.stream import WriteAheadLog
+from repro.testing import family_delta, serve_in_thread, serve_primary, url_of, wait_until
 
 
 def corrupt_without_maintainer(service, scale=0.5):
@@ -434,14 +434,14 @@ class TestStateAuditor:
 
 class TestDigestEndpoint:
     @pytest.fixture()
-    def node(self):
+    def node(self, tmp_path):
         left, right = family_pair(6)
         service = AlignmentService.cold_start(left, right, ParisConfig())
-        for offset in range(1, 4):
-            service.apply_delta(family_delta(5 + offset), wal_offset=offset)
         auditor = StateAuditor(lambda: service, sample=0, full_every=1, seed=7)
-        server = build_server(service, "127.0.0.1", 0, auditor=auditor)
-        with serve_in_thread(server):
+        with serve_primary(service, tmp_path, snapshot_every=0, auditor=auditor) as server:
+            for offset in range(1, 4):
+                server.stream.batcher.submit(family_delta(5 + offset), wait=True)
+            assert service.state.wal_offset == 3
             yield {"service": service, "server": server, "auditor": auditor}
 
     def test_current_digest(self, node):
@@ -523,41 +523,35 @@ class TestFleet:
         primary = AlignmentService.cold_start(left, right, ParisConfig())
         state_dir = tmp_path / "state"
         primary.snapshot(state_dir)
-        wal = WriteAheadLog(state_dir / "wal.ndjson")
-        batcher = DeltaBatcher(primary, wal=wal, max_batch=8, max_lag=0.02)
-        stream = StreamStack(batcher=batcher, wal=wal).start()
-        primary_server = build_server(
-            primary, "127.0.0.1", 0, state_dir=state_dir,
-            stream=stream, snapshot_every=0,
-        )
-        replica = ReplicaNode(state_dir, batch=8).start()
-        replica_auditor = StateAuditor(
-            lambda: replica.service, sample=0, full_every=1,
-            role="replica", seed=7,
-        )
-        replica.auditor = replica_auditor
-        replica_server = build_server(
-            None, "127.0.0.1", 0, replica=replica, auditor=replica_auditor,
-        )
-        router = ReadRouter(
-            url_of(primary_server), [url_of(replica_server)],
-            check_interval=0.2, stats_ttl=0.05, retry_after=0.5,
-        )
-        router_server = build_router_server(router)
-        with serve_in_thread(primary_server), serve_in_thread(replica_server):
-            with serve_in_thread(router_server):
-                router.start()
-                yield {
-                    "primary": primary,
-                    "primary_server": primary_server,
-                    "replica": replica,
-                    "replica_auditor": replica_auditor,
-                    "replica_server": replica_server,
-                    "router_server": router_server,
-                }
-            router.stop()
+        options = {"max_batch": 8, "max_lag": 0.02}
+        with serve_primary(primary, state_dir, options, snapshot_every=0) as primary_server:
+            replica = ReplicaNode(state_dir, batch=8).start()
+            replica_auditor = StateAuditor(
+                lambda: replica.service, sample=0, full_every=1,
+                role="replica", seed=7,
+            )
+            replica.auditor = replica_auditor
+            replica_server = build_server(
+                None, "127.0.0.1", 0, replica=replica, auditor=replica_auditor,
+            )
+            router = ReadRouter(
+                url_of(primary_server), [url_of(replica_server)],
+                check_interval=0.2, stats_ttl=0.05, retry_after=0.5,
+            )
+            router_server = build_router_server(router)
+            with serve_in_thread(replica_server):
+                with serve_in_thread(router_server):
+                    router.start()
+                    yield {
+                        "primary": primary,
+                        "primary_server": primary_server,
+                        "replica": replica,
+                        "replica_auditor": replica_auditor,
+                        "replica_server": replica_server,
+                        "router_server": router_server,
+                    }
+                router.stop()
             replica.stop()
-        stream.stop()
 
     def write_and_settle(self, fleet, start=6, count=2):
         primary = fleet["primary"]

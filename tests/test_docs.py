@@ -1,12 +1,16 @@
-"""Documentation is part of the contract: routes and links are tested.
+"""Documentation is part of the contract: routes, links and commands
+are tested.
 
-Two checks keep ``docs/`` honest:
+Three checks keep ``docs/`` honest:
 
 * every route the servers actually dispatch (the ``ROUTES`` tables in
   ``service.server`` and ``service.replica.router``) is documented in
   ``docs/api.md`` — adding an endpoint without documenting it fails;
 * every relative markdown link (and in-page anchor) in the docs,
-  README and ROADMAP resolves.
+  README and ROADMAP resolves;
+* every ``$ python -m repro ...`` console command in README and
+  ``docs/`` parses with the real CLI parser — a renamed or removed
+  flag fails here instead of in a reader's terminal.
 
 These run in the CI ``docs-check`` job alongside the API examples.
 """
@@ -14,6 +18,7 @@ These run in the CI ``docs-check`` job alongside the API examples.
 from __future__ import annotations
 
 import re
+import shlex
 from pathlib import Path
 
 import pytest
@@ -30,12 +35,35 @@ DOCS = [
     REPO / "docs" / "architecture.md",
 ]
 
+#: Markdown files whose ``$ python -m repro ...`` lines must parse.
+CONSOLE_DOCS = [REPO / "README.md", *sorted((REPO / "docs").glob("*.md"))]
+_PROMPT = "$ python -m repro "
+
 _LINK = re.compile(r"(?<!\!)\[[^\]]+\]\(([^)\s]+)\)")
 _HEADING = re.compile(r"^#{1,6}\s+(.*)$", re.MULTILINE)
 
 
 def _escaped(route: str) -> str:
     return route.replace("<", "&lt;").replace(">", "&gt;")
+
+
+def _console_commands(text: str) -> list:
+    """The argument strings of every ``$ python -m repro ...`` line,
+    with backslash-continued lines joined."""
+    commands, current = [], None
+    for line in text.splitlines():
+        if current is not None:
+            current += " " + line.strip()
+        elif line.startswith(_PROMPT):
+            current = line[len(_PROMPT):]
+        else:
+            continue
+        if current.endswith("\\"):
+            current = current[:-1]
+            continue
+        commands.append(current)
+        current = None
+    return commands
 
 
 def _anchor_of(heading: str) -> str:
@@ -120,3 +148,23 @@ class TestMarkdownLinks:
             if f"`{name.removeprefix('repro_')}`" not in operations
         ]
         assert not missing, f"metrics missing from docs/operations.md: {missing}"
+
+
+class TestConsoleCommands:
+    def test_commands_are_found(self):
+        for name in ("README.md", "operations.md"):
+            path = next(path for path in CONSOLE_DOCS if path.name == name)
+            commands = _console_commands(path.read_text(encoding="utf-8"))
+            assert any(command.startswith("serve ") for command in commands), name
+
+    @pytest.mark.parametrize("path", CONSOLE_DOCS, ids=lambda p: p.name)
+    def test_console_commands_parse(self, path, capsys):
+        from repro.cli import build_parser
+
+        rejected = []
+        for command in _console_commands(path.read_text(encoding="utf-8")):
+            try:
+                build_parser().parse_args(shlex.split(command, comments=True))
+            except SystemExit:
+                rejected.append((command, capsys.readouterr().err.strip().splitlines()[-1]))
+        assert not rejected, f"commands in {path.name} the CLI rejects: {rejected}"

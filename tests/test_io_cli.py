@@ -195,7 +195,7 @@ class TestParallelOptionsWiring:
         )
         assert args.wal is False and args.watch == []
         assert args.max_batch == 32
-        assert args.max_lag_ms == 50.0
+        assert args.max_lag_ms == 0.0  # flush as soon as the batcher is free
         assert args.max_queue == 256
 
     def test_replay_parser(self):
@@ -434,22 +434,14 @@ class TestCliStatsUrlAndLogging:
 
     @pytest.fixture()
     def live_server(self, tiny_pair, tmp_path):
-        import threading
-
         from repro.core.config import ParisConfig
         from repro.service import AlignmentService
-        from repro.service.server import build_server
+        from repro.testing import serve_primary, url_of
 
         left, right = tiny_pair
         service = AlignmentService.cold_start(left, right, ParisConfig())
-        server = build_server(service, "127.0.0.1", 0, state_dir=tmp_path)
-        thread = threading.Thread(target=server.serve_forever, daemon=True)
-        thread.start()
-        host, port = server.server_address[:2]
-        yield f"http://{host}:{port}"
-        server.shutdown()
-        server.server_close()
-        thread.join(timeout=10)
+        with serve_primary(service, tmp_path) as server:
+            yield url_of(server)
 
     def test_stats_url_pretty_prints_service_stats(self, live_server, capsys):
         import json as json_module

@@ -34,8 +34,7 @@ from repro.obs.metrics import (
 from repro.service import AlignmentService
 from repro.service.replica import ReadRouter, ReplicaNode, build_router_server
 from repro.service.server import build_server
-from repro.service.stream import DeltaBatcher, StreamStack, WriteAheadLog
-from repro.testing import family_delta, serve_in_thread, url_of
+from repro.testing import family_delta, serve_in_thread, serve_primary, url_of
 
 
 # ----------------------------------------------------------------------
@@ -313,21 +312,15 @@ class TestMetricsEndpoint:
         primary = AlignmentService.cold_start(left, right, ParisConfig())
         state_dir = tmp_path / "state"
         primary.snapshot(state_dir)
-        wal = WriteAheadLog(state_dir / "wal.ndjson")
-        batcher = DeltaBatcher(primary, wal=wal, max_batch=8, max_lag=0.01)
-        stream = StreamStack(batcher=batcher, wal=wal).start()
-        primary_server = build_server(
-            primary, "127.0.0.1", 0, state_dir=state_dir,
-            stream=stream, snapshot_every=0,
-        )
-        replica = ReplicaNode(state_dir, batch=8)
-        replica_server = build_server(None, "127.0.0.1", 0, replica=replica)
-        router = ReadRouter(
-            url_of(primary_server), [url_of(replica_server)], check_interval=30.0
-        )
-        router_server = build_router_server(router)
-        with serve_in_thread(primary_server), serve_in_thread(replica_server):
-            with serve_in_thread(router_server):
+        options = {"max_batch": 8, "max_lag": 0.01}
+        with serve_primary(primary, state_dir, options, snapshot_every=0) as primary_server:
+            replica = ReplicaNode(state_dir, batch=8)
+            replica_server = build_server(None, "127.0.0.1", 0, replica=replica)
+            router = ReadRouter(
+                url_of(primary_server), [url_of(replica_server)], check_interval=30.0
+            )
+            router_server = build_router_server(router)
+            with serve_in_thread(replica_server), serve_in_thread(router_server):
                 yield {
                     "primary": primary,
                     "primary_server": primary_server,
@@ -335,8 +328,7 @@ class TestMetricsEndpoint:
                     "replica_server": replica_server,
                     "router_server": router_server,
                 }
-        replica.stop()
-        stream.stop()
+            replica.stop()
 
     def test_all_three_roles_serve_valid_exposition(self, cluster):
         for role in ("primary_server", "replica_server", "router_server"):

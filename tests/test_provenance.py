@@ -42,14 +42,20 @@ from repro.service import AlignmentService
 from repro.service.replica import ReadRouter, ReplicaNode, build_router_server
 from repro.service.server import build_server
 from repro.service.stream import (
-    DeltaBatcher,
     StreamStack,
     WalGapError,
     WriteAheadLog,
     replay_wal,
 )
 from repro.service.stream.wal import WalRecord
-from repro.testing import family_delta, fetch_json, serve_in_thread, url_of, wait_until
+from repro.testing import (
+    family_delta,
+    fetch_json,
+    serve_in_thread,
+    serve_primary,
+    url_of,
+    wait_until,
+)
 
 TOLERANCE = 1e-9
 
@@ -254,9 +260,8 @@ class TestBatcherProvenance:
     def test_traces_survive_coalescing(self, tmp_path):
         left, right = family_pair(6)
         service = AlignmentService.cold_start(left, right, ParisConfig())
-        wal = WriteAheadLog(tmp_path / "wal.ndjson")
-        wal.provenance = service.provenance
-        batcher = DeltaBatcher(service, wal=wal, max_batch=8, max_lag=0.01)
+        stream = StreamStack.open(service, tmp_path, max_batch=8, max_lag=0.01)
+        batcher = stream.batcher
         traces = [f"trace-{i}" for i in range(3)]
         before = leg_counts()
         # Queue three deltas before the flush loop exists, so one warm
@@ -265,10 +270,9 @@ class TestBatcherProvenance:
             batcher.submit(
                 family_delta(6 + index), "writer", index + 1, trace=trace
             )
-        batcher.start()
+        stream.start()
         assert batcher.flush(timeout=60.0)
-        batcher.close()
-        wal.close()
+        stream.stop()
         after = leg_counts()
         assert after["ingest_to_durable"] >= before["ingest_to_durable"] + 3
         assert after["durable_to_applied"] >= before["durable_to_applied"] + 3
@@ -279,17 +283,6 @@ class TestBatcherProvenance:
             assert timeline_is_monotone(payload["timeline"])
             for stage in ("ingest", "enqueue", "durable", "applied"):
                 assert stage in payload["timeline"], (trace, payload)
-
-    def test_wal_less_batcher_still_stamps_applied(self):
-        left, right = family_pair(6)
-        service = AlignmentService.cold_start(left, right, ParisConfig())
-        batcher = DeltaBatcher(service, max_batch=8, max_lag=0.01)
-        batcher.start()
-        batcher.submit(family_delta(6), "writer", 1, wait=True, trace="no-wal")
-        batcher.close()
-        payload = service.provenance.lookup_trace("no-wal")
-        assert "applied" in payload["timeline"]
-        assert payload["offset"] is None
 
 
 # ----------------------------------------------------------------------
@@ -385,17 +378,12 @@ class TestWalSchemaCompat:
         service = AlignmentService.cold_start(left, right, ParisConfig())
         state_dir = tmp_path / "state"
         service.snapshot(state_dir)
-        wal = WriteAheadLog(state_dir / "wal.ndjson")
-        wal.provenance = service.provenance
-        batcher = DeltaBatcher(service, wal=wal, max_batch=4, max_lag=0.01)
-        batcher.start()
-        for step in range(2):
-            batcher.submit(
-                family_delta(6 + step), "w", step + 1,
-                wait=True, trace=f"live-{step}",
-            )
-        batcher.close()
-        wal.close()
+        with StreamStack.open(service, state_dir, max_batch=4, max_lag=0.01) as stream:
+            for step in range(2):
+                stream.batcher.submit(
+                    family_delta(6 + step), "w", step + 1,
+                    wait=True, trace=f"live-{step}",
+                )
 
         left2, right2 = family_pair(6)
         restarted = AlignmentService.cold_start(left2, right2, ParisConfig())
@@ -503,33 +491,27 @@ class TestHttpProvenance:
         primary = AlignmentService.cold_start(left, right, ParisConfig())
         state_dir = tmp_path / "state"
         primary.snapshot(state_dir)
-        wal = WriteAheadLog(state_dir / "wal.ndjson")
-        batcher = DeltaBatcher(primary, wal=wal, max_batch=8, max_lag=0.02)
-        stream = StreamStack(batcher=batcher, wal=wal).start()
-        primary_server = build_server(
-            primary, "127.0.0.1", 0, state_dir=state_dir,
-            stream=stream, snapshot_every=0,
-        )
-        replica = ReplicaNode(state_dir, batch=8).start()
-        replica_server = build_server(None, "127.0.0.1", 0, replica=replica)
-        router = ReadRouter(
-            url_of(primary_server), [url_of(replica_server)],
-            check_interval=0.2, stats_ttl=0.05, retry_after=0.5,
-        )
-        router_server = build_router_server(router)
-        with serve_in_thread(primary_server), serve_in_thread(replica_server):
-            with serve_in_thread(router_server):
-                router.start()
-                yield {
-                    "primary": primary,
-                    "primary_server": primary_server,
-                    "replica": replica,
-                    "replica_server": replica_server,
-                    "router_server": router_server,
-                }
-            router.stop()
+        options = {"max_batch": 8, "max_lag": 0.02}
+        with serve_primary(primary, state_dir, options, snapshot_every=0) as primary_server:
+            replica = ReplicaNode(state_dir, batch=8).start()
+            replica_server = build_server(None, "127.0.0.1", 0, replica=replica)
+            router = ReadRouter(
+                url_of(primary_server), [url_of(replica_server)],
+                check_interval=0.2, stats_ttl=0.05, retry_after=0.5,
+            )
+            router_server = build_router_server(router)
+            with serve_in_thread(replica_server):
+                with serve_in_thread(router_server):
+                    router.start()
+                    yield {
+                        "primary": primary,
+                        "primary_server": primary_server,
+                        "replica": replica,
+                        "replica_server": replica_server,
+                        "router_server": router_server,
+                    }
+                router.stop()
             replica.stop()
-        stream.stop()
 
     def test_request_id_is_echoed_on_every_role(self, fleet):
         for key in ("primary_server", "replica_server", "router_server"):

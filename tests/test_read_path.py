@@ -27,8 +27,7 @@ from repro.io.alignment_io import render_assignment_rows
 from repro.service import AlignmentService
 from repro.service.replica import ReadRouter, ReplicaNode, build_router_server
 from repro.service.server import _alignment_json_chunks, build_server
-from repro.service.stream import WriteAheadLog
-from repro.testing import family_delta, fetch_json, serve_in_thread, url_of
+from repro.testing import family_delta, fetch_json, serve_in_thread, serve_primary, url_of
 
 
 READ_PATHS = (
@@ -46,10 +45,7 @@ READ_PATHS = (
 def primary(tmp_path):
     left, right = family_pair(5)
     service = AlignmentService.cold_start(left, right, ParisConfig())
-    server = build_server(
-        service, "127.0.0.1", 0, state_dir=tmp_path / "state", snapshot_every=0
-    )
-    with serve_in_thread(server):
+    with serve_primary(service, tmp_path / "state", snapshot_every=0) as server:
         yield server, service
     server.subs.close()
 
@@ -309,35 +305,29 @@ class TestReplicaAndRouter:
         primary = AlignmentService.cold_start(left, right, ParisConfig())
         state_dir = tmp_path / "state"
         primary.snapshot(state_dir)
-        wal = WriteAheadLog(state_dir / "wal.ndjson")
-        offset = wal.append(family_delta(6), "writer", 1)
-        primary.apply_delta(family_delta(6), wal_offset=offset)
-        primary_server = build_server(
-            primary, "127.0.0.1", 0, state_dir=state_dir, snapshot_every=0
-        )
-        replica = ReplicaNode(state_dir, batch=8)
-        replica.catch_up(offset)
-        replica_server = build_server(None, "127.0.0.1", 0, replica=replica)
-        router = ReadRouter(
-            url_of(primary_server),
-            [url_of(replica_server)],
-            check_interval=0.2,
-            stats_ttl=0.05,
-        )
-        router_server = build_router_server(router)
-        with serve_in_thread(primary_server), serve_in_thread(replica_server):
-            with serve_in_thread(router_server):
+        with serve_primary(primary, state_dir, snapshot_every=0) as primary_server:
+            primary_server.stream.batcher.submit(family_delta(6), "writer", 1, wait=True)
+            replica = ReplicaNode(state_dir, batch=8)
+            replica.catch_up(1)
+            replica_server = build_server(None, "127.0.0.1", 0, replica=replica)
+            router = ReadRouter(
+                url_of(primary_server),
+                [url_of(replica_server)],
+                check_interval=0.2,
+                stats_ttl=0.05,
+            )
+            router_server = build_router_server(router)
+            with serve_in_thread(replica_server), serve_in_thread(router_server):
                 router.start()
                 yield {
                     "primary_server": primary_server,
                     "replica_server": replica_server,
                     "router_server": router_server,
                 }
-            router.stop()
+                router.stop()
             replica.stop()
         primary_server.subs.close()
         replica_server.subs.close()
-        wal.close()
 
     @pytest.mark.parametrize("role", ["replica_server", "router_server"])
     def test_304_on_every_read_endpoint_all_roles(self, cluster, role):

@@ -35,12 +35,17 @@ from repro.service.replica import (
 from repro.service.server import build_server
 from repro.service.state import load_state_bytes
 from repro.service.stream import (
-    DeltaBatcher,
-    StreamStack,
     WalGapError,
     WriteAheadLog,
 )
-from repro.testing import family_delta, fetch_json, serve_in_thread, url_of, wait_until
+from repro.testing import (
+    family_delta,
+    fetch_json,
+    serve_in_thread,
+    serve_primary,
+    url_of,
+    wait_until,
+)
 
 TOLERANCE = 1e-9
 
@@ -54,12 +59,18 @@ def assert_stores_match(first, second, tolerance=TOLERANCE):
         )
 
 
-def make_primary(tmp_path, base=6, segment_bytes=0):
-    """A snapshotted primary + WAL, the fixture every replica needs."""
+def snapshotted_primary(tmp_path, base=6):
+    """A cold-started primary engine, snapshotted into its state dir."""
     left, right = family_pair(base)
     primary = AlignmentService.cold_start(left, right, ParisConfig())
     state_dir = tmp_path / "state"
     primary.snapshot(state_dir)
+    return primary, state_dir
+
+
+def make_primary(tmp_path, base=6, segment_bytes=0):
+    """A snapshotted primary + WAL, the fixture every replica needs."""
+    primary, state_dir = snapshotted_primary(tmp_path, base)
     wal = WriteAheadLog(state_dir / "wal.ndjson", segment_bytes=segment_bytes)
     return primary, state_dir, wal
 
@@ -308,16 +319,10 @@ class TestReplicaFailureModes:
 class TestPrimaryReplicationEndpoints:
     @pytest.fixture()
     def stack(self, tmp_path):
-        primary, state_dir, wal = make_primary(tmp_path, segment_bytes=600)
-        batcher = DeltaBatcher(primary, wal=wal, max_batch=8, max_lag=0.02)
-        stream = StreamStack(batcher=batcher, wal=wal).start()
-        server = build_server(
-            primary, "127.0.0.1", 0, state_dir=state_dir,
-            stream=stream, snapshot_every=0,
-        )
-        with serve_in_thread(server):
-            yield server, primary, state_dir, wal
-        stream.stop()
+        primary, state_dir = snapshotted_primary(tmp_path)
+        options = {"segment_bytes": 600, "max_batch": 8, "max_lag": 0.02}
+        with serve_primary(primary, state_dir, options, snapshot_every=0) as server:
+            yield server, primary, state_dir, server.stream.wal
 
     def test_get_wal_ships_ndjson_records(self, stack):
         server, primary, _state_dir, wal = stack
@@ -380,10 +385,11 @@ class TestPrimaryReplicationEndpoints:
         assert_stores_match(replica.service.state.store, primary.state.store)
 
     def test_get_wal_404_without_wal(self, tmp_path):
-        left, right = family_pair(3)
-        service = AlignmentService.cold_start(left, right, ParisConfig())
-        server = build_server(service, "127.0.0.1", 0)
-        with serve_in_thread(server) as url:
+        """Only a primary ships its log (and, without a state dir, no
+        snapshot either): a replica server answers 404 for both."""
+        _primary, state_dir, wal = make_primary(tmp_path, base=3)
+        server = build_server(None, "127.0.0.1", 0, replica=ReplicaNode(state_dir))
+        with serve_in_thread(server) as url, closing(wal):
             assert request(url + "/wal?from=0")[0] == 404
             assert request(url + "/snapshot/latest")[0] == 404
 
@@ -403,7 +409,7 @@ class TestReplicaServer:
             assert stats["wal_offset"] == 1
             assert stats["replication"]["applied_offset"] == 1
             assert stats["replication"]["behind"] == 0
-            assert stats["ingest"]["queue_depth"] == 0
+            assert "ingest" not in stats  # a replica ingests nothing
             pair, _headers = fetch_json(url_of(server, "/pair/p6a/q6a"))
             assert pair["probability"] > 0.9
             status, payload = post_json(url_of(server, "/delta"), family_delta(7).to_json())
@@ -415,42 +421,37 @@ class TestReadRouter:
     @pytest.fixture()
     def cluster(self, tmp_path):
         """Primary (with stream+WAL) + two replica servers + router."""
-        primary, state_dir, wal = make_primary(tmp_path)
-        batcher = DeltaBatcher(primary, wal=wal, max_batch=8, max_lag=0.02)
-        stream = StreamStack(batcher=batcher, wal=wal).start()
-        primary_server = build_server(
-            primary, "127.0.0.1", 0, state_dir=state_dir,
-            stream=stream, snapshot_every=0,
-        )
-        replicas = [ReplicaNode(state_dir, batch=8) for _ in range(2)]
-        replica_servers = [
-            build_server(None, "127.0.0.1", 0, replica=replica)
-            for replica in replicas
-        ]
-        router = ReadRouter(
-            url_of(primary_server),
-            [url_of(server) for server in replica_servers],
-            check_interval=0.2,
-            stats_ttl=0.05,
-            retry_after=0.5,
-        )
-        router_server = build_router_server(router)
-        with ExitStack() as servers:
-            for server in (primary_server, *replica_servers, router_server):
-                servers.enter_context(serve_in_thread(server))
-            router.start()
-            yield {
-                "primary": primary,
-                "primary_server": primary_server,
-                "replicas": replicas,
-                "replica_servers": replica_servers,
-                "router": router,
-                "router_server": router_server,
-            }
-            router.stop()
-            for replica in replicas:
-                replica.stop()
-        stream.stop()
+        primary, state_dir = snapshotted_primary(tmp_path)
+        options = {"max_batch": 8, "max_lag": 0.02}
+        with serve_primary(primary, state_dir, options, snapshot_every=0) as primary_server:
+            replicas = [ReplicaNode(state_dir, batch=8) for _ in range(2)]
+            replica_servers = [
+                build_server(None, "127.0.0.1", 0, replica=replica)
+                for replica in replicas
+            ]
+            router = ReadRouter(
+                url_of(primary_server),
+                [url_of(server) for server in replica_servers],
+                check_interval=0.2,
+                stats_ttl=0.05,
+                retry_after=0.5,
+            )
+            router_server = build_router_server(router)
+            with ExitStack() as servers:
+                for server in (*replica_servers, router_server):
+                    servers.enter_context(serve_in_thread(server))
+                router.start()
+                yield {
+                    "primary": primary,
+                    "primary_server": primary_server,
+                    "replicas": replicas,
+                    "replica_servers": replica_servers,
+                    "router": router,
+                    "router_server": router_server,
+                }
+                router.stop()
+                for replica in replicas:
+                    replica.stop()
 
     def test_reads_fan_out_and_writes_forward(self, cluster):
         router_server = cluster["router_server"]

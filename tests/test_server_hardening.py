@@ -31,7 +31,15 @@ from repro.datasets.incremental import family_pair
 from repro.service import AlignmentService
 from repro.service.replica import ReadRouter, ReplicaNode, build_router_server
 from repro.service.server import build_server
-from repro.testing import free_port, serve_in_thread, spawn, stop, url_of, wait_ready
+from repro.testing import (
+    free_port,
+    serve_in_thread,
+    serve_primary,
+    spawn,
+    stop,
+    url_of,
+    wait_ready,
+)
 
 
 def raw_request_status(address, payload: bytes, stall: bool) -> tuple:
@@ -57,11 +65,10 @@ def raw_request_status(address, payload: bytes, stall: bool) -> tuple:
 
 class TestStalledClients:
     @pytest.fixture()
-    def server(self):
+    def server(self, tmp_path):
         left, right = family_pair(2)
         service = AlignmentService.cold_start(left, right, ParisConfig())
-        server = build_server(service, "127.0.0.1", 0, handler_timeout=1.0)
-        with serve_in_thread(server):
+        with serve_primary(service, tmp_path, snapshot_every=0, handler_timeout=1.0) as server:
             yield server
 
     def test_stalled_body_answers_408_in_bounded_time(self, server):

@@ -30,8 +30,8 @@ from repro.service import (
     save_state,
 )
 from repro.service.delta import triple_from_json, triple_to_json
-from repro.service.server import build_server
-from repro.testing import fetch_json, serve_in_thread, url_of
+from repro.service.state import snapshot_path
+from repro.testing import family_delta, fetch_json, serve_primary, url_of
 
 
 class TestOntologyRemove:
@@ -324,6 +324,58 @@ class TestStateStore:
         assert load_state(tmp_path).version == 0
 
 
+class TestSnapshotDurability:
+    def test_snapshot_is_durable_before_latest_and_before_compaction(
+        self, tmp_path, monkeypatch
+    ):
+        """POST /snapshot on a segmented primary: the pickle and the
+        LATEST pointer are each fsync'd before their rename, the
+        directory is fsync'd after it, and all of that happens before
+        LATEST is published and before compaction unlinks a segment
+        the snapshot covers."""
+        import os
+
+        left, right = family_pair(4)
+        service = AlignmentService.cold_start(left, right, ParisConfig())
+        options = {"segment_bytes": 200}
+        with serve_primary(service, tmp_path, options, snapshot_every=0) as server:
+            for step in range(3):
+                fetch_json(url_of(server, "/delta"), family_delta(4 + step).to_json())
+            assert server.stream.wal.sealed_segments()
+            events = []
+            real_fsync, real_replace, real_unlink = os.fsync, os.replace, os.unlink
+
+            def fsync(fd):
+                events.append(("fsync", os.fstat(fd).st_ino))
+                real_fsync(fd)
+
+            def replace(src, dst, **kwargs):
+                real_replace(src, dst, **kwargs)
+                events.append(("replace", os.path.basename(dst)))
+
+            def unlink(path, **kwargs):
+                events.append(("unlink", os.path.basename(path)))
+                real_unlink(path, **kwargs)
+
+            monkeypatch.setattr(os, "fsync", fsync)
+            monkeypatch.setattr(os, "replace", replace)
+            monkeypatch.setattr(os, "unlink", unlink)
+            assert fetch_json(url_of(server, "/snapshot"), {})[0]["wal_bytes_compacted"] > 0
+            monkeypatch.undo()
+        pickle_path = snapshot_path(tmp_path)
+        fsync_pickle = events.index(("fsync", pickle_path.stat().st_ino))
+        replace_pickle = events.index(("replace", pickle_path.name))
+        fsync_latest = events.index(("fsync", (tmp_path / "LATEST").stat().st_ino))
+        replace_latest = events.index(("replace", "LATEST"))
+        directory = ("fsync", tmp_path.stat().st_ino)
+        dir_fsyncs = [index for index, event in enumerate(events) if event == directory]
+        unlinks = [index for index, event in enumerate(events) if event[0] == "unlink"]
+        assert unlinks, events
+        assert fsync_pickle < replace_pickle < fsync_latest < replace_latest, events
+        assert any(replace_pickle < index < replace_latest for index in dir_fsyncs), events
+        assert any(replace_latest < index < unlinks[0] for index in dir_fsyncs), events
+
+
 class TestSnapshotResumeAfterOverlayWarmPass:
     """Restart mid-stream of deltas: a snapshot taken after overlay
     warm passes folded rows into the store in place must resume to a
@@ -470,36 +522,13 @@ class TestHttpServer:
     def server(self, tmp_path):
         left, right = family_pair(5)
         service = AlignmentService.cold_start(left, right, ParisConfig())
-        server = build_server(service, "127.0.0.1", 0, state_dir=tmp_path)
-        with serve_in_thread(server):
+        with serve_primary(service, tmp_path) as server:
             yield server
 
     def test_healthz(self, server):
         health = fetch_json(url_of(server, "/healthz"))[0]
         assert health["status"] == "ok" and health["version"] == 0
         assert health["role"] == "primary"
-
-    def test_stats_without_stream_stack(self, server, tmp_path):
-        """A server running without --watch/--wal still reports a full
-        /stats payload: engine counters, the state's WAL offset and a
-        zero queue depth — one shape for routers and monitors."""
-        stats = fetch_json(url_of(server, "/stats"))[0]
-        assert stats["role"] == "primary"
-        assert stats["wal_offset"] == 0
-        assert stats["deltas_applied"] == 0
-        assert stats["ingest"] == {
-            "queue_depth": 0,
-            "streaming": False,
-            "wal_appended": 0,
-        }
-        add1, add2 = family_addition(5, 1)
-        fetch_json(
-            url_of(server, "/delta"),
-            Delta(add1=tuple(add1), add2=tuple(add2)).to_json(),
-        )[0]
-        stats = fetch_json(url_of(server, "/stats"))[0]
-        assert stats["deltas_applied"] == 1
-        assert stats["pairs_touched_total"] > 0
 
     def test_delta_then_pair(self, server, tmp_path):
         add1, add2 = family_addition(5, 1)
@@ -573,10 +602,7 @@ class TestHttpServer:
     def test_snapshot_every_zero_defers_to_explicit_snapshot(self, tmp_path):
         left, right = family_pair(3)
         service = AlignmentService.cold_start(left, right, ParisConfig())
-        server = build_server(
-            service, "127.0.0.1", 0, state_dir=tmp_path, snapshot_every=0
-        )
-        with serve_in_thread(server):
+        with serve_primary(service, tmp_path, snapshot_every=0) as server:
             add1, add2 = family_addition(3, 1)
             delta = Delta(add1=tuple(add1), add2=tuple(add2))
             report = fetch_json(url_of(server, "/delta"), delta.to_json())[0]

@@ -7,7 +7,7 @@ write-ahead log (durability, torn-tail truncation, corruption
 detection, sequence recovery), the batcher (coalescing, admission
 control, idempotent redelivery), the NDJSON tailer and spool sources,
 the ``GET /stats`` / 429 HTTP surface, and the two headline
-guarantees: stream-vs-POST equivalence and crash + snapshot + WAL
+guarantees: stream-vs-one-by-one equivalence and crash + snapshot + WAL
 replay convergence.
 """
 
@@ -42,7 +42,14 @@ from repro.service.stream import (
     make_source,
     replay_wal,
 )
-from repro.testing import family_delta, fetch_json, serve_in_thread, url_of
+from repro.testing import (
+    Fleet,
+    family_delta,
+    fetch_json,
+    serve_primary,
+    url_of,
+    wait_ready,
+)
 
 TOLERANCE = 1e-9
 
@@ -187,7 +194,17 @@ class TestWriteAheadLog:
         assert records[0].delta == first and records[1].delta == second
         assert all(r.source == "s" for r in records)
         assert list(wal.replay(after_offset=1))[0].offset == 2
+        # One encoder: every line on disk is the record's wire form,
+        # byte for byte, for v1 (no prov, with and without seq) and v2.
+        prov = {"trace": "t-3", "ingest_ts": 1.5, "enqueue_ts": 2.5}
+        assert wal.append(first, "s", None) == 3
+        assert wal.append(second, "p", 4, prov=prov) == 4
         wal.close()
+        lines = (tmp_path / "wal.ndjson").read_text(encoding="utf-8").splitlines()
+        records = list(WriteAheadLog(tmp_path / "wal.ndjson", read_only=True).replay())
+        assert [r.prov for r in records] == [None, None, None, prov]
+        assert "seq" not in json.loads(lines[2]) and json.loads(lines[3])["v"] == 2
+        assert lines == [json.dumps(r.to_json(), sort_keys=True) for r in records]
 
     def test_reopen_recovers_offset_and_seqs(self, tmp_path):
         wal = WriteAheadLog(tmp_path / "wal.ndjson")
@@ -509,14 +526,21 @@ class TestWalSegments:
 # ----------------------------------------------------------------------
 
 
+@pytest.fixture()
+def wal(tmp_path):
+    log = WriteAheadLog(tmp_path / "wal.ndjson")
+    yield log
+    log.close()
+
+
 class TestDeltaBatcher:
     @pytest.fixture()
     def service(self):
         left, right = family_pair(6)
         return AlignmentService.cold_start(left, right, ParisConfig())
 
-    def test_coalesces_queued_deltas_into_one_batch(self, service):
-        batcher = DeltaBatcher(service, max_batch=8, max_lag=0.2)
+    def test_coalesces_queued_deltas_into_one_batch(self, service, wal):
+        batcher = DeltaBatcher(service, wal, max_batch=8, max_lag=0.2)
         for step in range(3):
             batcher.submit(family_delta(6 + step), source="t", seq=step + 1)
         batcher.start()
@@ -529,16 +553,15 @@ class TestDeltaBatcher:
         assert service.pair("p8a", "q8a")["probability"] > 0.9
         batcher.close()
 
-    def test_wait_returns_the_batch_report(self, service):
-        batcher = DeltaBatcher(service, max_batch=4, max_lag=0.01).start()
+    def test_wait_returns_the_batch_report(self, service, wal):
+        batcher = DeltaBatcher(service, wal, max_batch=4, max_lag=0.01).start()
         report = batcher.submit(family_delta(6), wait=True, timeout=60)
         assert report is not None and report.converged
         assert report.version == 1
         batcher.close()
 
-    def test_queue_full_rejects_before_wal(self, service, tmp_path):
-        wal = WriteAheadLog(tmp_path / "wal.ndjson")
-        batcher = DeltaBatcher(service, wal=wal, max_queue=2, max_lag=0.01)
+    def test_queue_full_rejects_before_wal(self, service, wal):
+        batcher = DeltaBatcher(service, wal, max_queue=2, max_lag=0.01)
         batcher.submit(family_delta(6))
         batcher.submit(family_delta(7))
         with pytest.raises(QueueFullError) as excinfo:
@@ -551,8 +574,8 @@ class TestDeltaBatcher:
         assert service.state.wal_offset == 2
         batcher.close()
 
-    def test_duplicate_seq_dropped_idempotently(self, service):
-        batcher = DeltaBatcher(service, max_lag=0.01).start()
+    def test_duplicate_seq_dropped_idempotently(self, service, wal):
+        batcher = DeltaBatcher(service, wal, max_lag=0.01).start()
         first = batcher.submit(family_delta(6), source="s", seq=5, wait=True)
         assert first is not None
         facts = service.state.ontology1.num_facts
@@ -564,17 +587,17 @@ class TestDeltaBatcher:
         assert batcher.submit(family_delta(7), source="other", seq=5, wait=True)
         batcher.close()
 
-    def test_invalid_delta_rejected_without_consuming_anything(self, service):
+    def test_invalid_delta_rejected_without_consuming_anything(self, service, wal):
         from repro.rdf.vocabulary import RDFS_SUBPROPERTYOF
 
-        batcher = DeltaBatcher(service)
+        batcher = DeltaBatcher(service, wal)
         bad = Delta(add1=(Triple(Resource("a"), RDFS_SUBPROPERTYOF, Resource("b")),))
         with pytest.raises(ValueError):
             batcher.submit(bad)
         assert batcher.stats()["accepted"] == 0
         batcher.close()
 
-    def test_on_batch_applied_fires_once_per_batch(self, service):
+    def test_on_batch_applied_fires_once_per_batch(self, service, wal):
         """The snapshot-policy hook runs per applied *batch*, and its
         failures never fail the batch itself."""
         reports = []
@@ -583,7 +606,7 @@ class TestDeltaBatcher:
             reports.append(report)
             raise OSError("disk full under the snapshot")
 
-        batcher = DeltaBatcher(service, max_batch=8, max_lag=0.2, on_batch_applied=hook)
+        batcher = DeltaBatcher(service, wal, max_batch=8, max_lag=0.2, on_batch_applied=hook)
         for step in range(3):
             batcher.submit(family_delta(6 + step))
         batcher.start()
@@ -596,14 +619,14 @@ class TestDeltaBatcher:
         assert len(reports) == 2
         batcher.close()
 
-    def test_engine_failure_reaches_waiters(self, service, monkeypatch):
+    def test_engine_failure_reaches_waiters(self, service, wal, monkeypatch):
         from repro.core.aligner import ParisAligner
 
         def explode(*_args, **_kwargs):
             raise OSError("worker pool died")
 
         monkeypatch.setattr(ParisAligner, "warm_align", explode)
-        batcher = DeltaBatcher(service, max_lag=0.01).start()
+        batcher = DeltaBatcher(service, wal, max_lag=0.01).start()
         with pytest.raises(OSError):
             batcher.submit(family_delta(6), wait=True, timeout=60)
         assert service.poisoned is not None
@@ -612,48 +635,18 @@ class TestDeltaBatcher:
             batcher.submit(family_delta(7), wait=True, timeout=60)
         batcher.close()
 
-    def test_failed_batch_without_wal_does_not_ack_retries_as_duplicates(
-        self, service, monkeypatch
-    ):
-        """Without a WAL there is nothing to replay a failed batch
-        from, so its sequence numbers must not raise the redelivery
-        high-water mark: a retry is new work, not a duplicate."""
-        from repro.core.aligner import ParisAligner
-
-        real_warm_align = ParisAligner.warm_align
-
-        def explode(*_args, **_kwargs):
-            raise OSError("worker pool died")
-
-        monkeypatch.setattr(ParisAligner, "warm_align", explode)
-        batcher = DeltaBatcher(service, max_lag=0.01).start()
-        with pytest.raises(OSError):
-            batcher.submit(family_delta(6), source="w", seq=1, wait=True, timeout=60)
-        # "Heal" the engine (a stand-in for the restart a real
-        # deployment would do) and retry the same (source, seq).
-        monkeypatch.setattr(ParisAligner, "warm_align", real_warm_align)
-        service.poisoned = None
-        report = batcher.submit(family_delta(6), source="w", seq=1, wait=True, timeout=60)
-        assert report is not None  # admitted and applied, NOT acked as duplicate
-        assert batcher.stats()["duplicates"] == 0
-        # ...and only after that success does the same seq deduplicate.
-        assert batcher.submit(family_delta(6), source="w", seq=1, wait=True) is None
-        assert batcher.stats()["duplicates"] == 1
-        batcher.close()
-
     def test_wal_backed_failed_batch_still_acks_duplicates(
-        self, service, tmp_path, monkeypatch
+        self, service, wal, monkeypatch
     ):
-        """With a WAL the delta is durable at admission (restart
-        replays it), so acking the retry as a duplicate is correct."""
+        """The delta is durable at admission (restart replays it), so
+        acking the retry of a failed batch as a duplicate is correct."""
         from repro.core.aligner import ParisAligner
 
         def explode(*_args, **_kwargs):
             raise OSError("worker pool died")
 
         monkeypatch.setattr(ParisAligner, "warm_align", explode)
-        wal = WriteAheadLog(tmp_path / "wal.ndjson")
-        batcher = DeltaBatcher(service, wal=wal, max_lag=0.01).start()
+        batcher = DeltaBatcher(service, wal, max_lag=0.01).start()
         with pytest.raises(OSError):
             batcher.submit(family_delta(6), source="w", seq=1, wait=True, timeout=60)
         assert batcher.submit(family_delta(6), source="w", seq=1, wait=True) is None
@@ -679,8 +672,8 @@ class TestSources:
             assert time.monotonic() < deadline, "condition never became true"
             time.sleep(0.05)
 
-    def test_tailer_ingests_appended_lines(self, service, tmp_path):
-        batcher = DeltaBatcher(service, max_lag=0.02).start()
+    def test_tailer_ingests_appended_lines(self, service, wal, tmp_path):
+        batcher = DeltaBatcher(service, wal, max_lag=0.02).start()
         watch = tmp_path / "deltas.ndjson"
         tailer = NdjsonFileTailer(batcher, watch, poll_interval=0.02).start()
         try:
@@ -711,10 +704,10 @@ class TestSources:
             tailer.stop()
             batcher.close()
 
-    def test_spool_directory_ingests_and_renames(self, service, tmp_path):
+    def test_spool_directory_ingests_and_renames(self, service, wal, tmp_path):
         spool = tmp_path / "spool"
         spool.mkdir()
-        batcher = DeltaBatcher(service, max_lag=0.02).start()
+        batcher = DeltaBatcher(service, wal, max_lag=0.02).start()
         source = SpoolDirectorySource(batcher, spool, poll_interval=0.02).start()
         try:
             target = spool / "batch-1.ndjson"
@@ -732,12 +725,12 @@ class TestSources:
             source.stop()
             batcher.close()
 
-    def test_tailer_rotation_does_not_drop_new_data(self, service, tmp_path):
+    def test_tailer_rotation_does_not_drop_new_data(self, service, wal, tmp_path):
         """A rotated (shrunk) watch file holds *new* deltas: the
         tailer's running record counter keeps its implicit sequence
         numbers above the ingested high-water mark, so the batcher
         must not drop them as redeliveries."""
-        batcher = DeltaBatcher(service, max_lag=0.02).start()
+        batcher = DeltaBatcher(service, wal, max_lag=0.02).start()
         watch = tmp_path / "deltas.ndjson"
         watch.write_text(
             json.dumps(family_delta(6).to_json())
@@ -761,12 +754,12 @@ class TestSources:
             tailer.stop()
             batcher.close()
 
-    def test_spool_filename_reuse_is_new_data(self, service, tmp_path):
+    def test_spool_filename_reuse_is_new_data(self, service, wal, tmp_path):
         """A second spool file reusing a processed name is new data
         (namespace keyed on the inode), not a redelivery to drop."""
         spool = tmp_path / "spool"
         spool.mkdir()
-        batcher = DeltaBatcher(service, max_lag=0.02).start()
+        batcher = DeltaBatcher(service, wal, max_lag=0.02).start()
         source = SpoolDirectorySource(batcher, spool, poll_interval=0.02).start()
         try:
             for round_index in range(2):
@@ -786,12 +779,12 @@ class TestSources:
             batcher.close()
 
     def test_unapplicable_delta_line_skips_without_killing_the_source(
-        self, service, tmp_path
+        self, service, wal, tmp_path
     ):
         """A line that decodes fine but fails engine validation (e.g.
         a URI with a space) must be counted and skipped — not kill the
         tailer thread and wedge everything behind it."""
-        batcher = DeltaBatcher(service, max_lag=0.02).start()
+        batcher = DeltaBatcher(service, wal, max_lag=0.02).start()
         watch = tmp_path / "deltas.ndjson"
         bad = {"left": {"add": [{"subject": "a b", "relation": "r", "object": "c"}]}}
         with watch.open("w", encoding="utf-8") as stream:
@@ -807,10 +800,10 @@ class TestSources:
             tailer.stop()
             batcher.close()
 
-    def test_same_basename_watch_files_do_not_collide(self, service, tmp_path):
+    def test_same_basename_watch_files_do_not_collide(self, service, wal, tmp_path):
         """Two watched files sharing a basename (repeatable --watch)
         must not share a sequence-dedup namespace."""
-        batcher = DeltaBatcher(service, max_lag=0.02).start()
+        batcher = DeltaBatcher(service, wal, max_lag=0.02).start()
         first_dir, second_dir = tmp_path / "a", tmp_path / "b"
         first_dir.mkdir()
         second_dir.mkdir()
@@ -835,10 +828,10 @@ class TestSources:
                 tailer.stop()
             batcher.close()
 
-    def test_mixed_explicit_and_implicit_seq_lines(self, service, tmp_path):
+    def test_mixed_explicit_and_implicit_seq_lines(self, service, wal, tmp_path):
         """A large explicit seq envelope must not swallow later bare
         lines (separate sequence namespaces per form)."""
-        batcher = DeltaBatcher(service, max_lag=0.02).start()
+        batcher = DeltaBatcher(service, wal, max_lag=0.02).start()
         watch = tmp_path / "deltas.ndjson"
         with watch.open("w", encoding="utf-8") as stream:
             stream.write(
@@ -855,11 +848,11 @@ class TestSources:
             tailer.stop()
             batcher.close()
 
-    def test_tailer_rename_rotation_with_fast_growth(self, service, tmp_path):
+    def test_tailer_rename_rotation_with_fast_growth(self, service, wal, tmp_path):
         """Rotation by rename + recreate must be detected even when
         the replacement file already grew past the old byte position
         (inode check, not just shrinkage)."""
-        batcher = DeltaBatcher(service, max_lag=0.02).start()
+        batcher = DeltaBatcher(service, wal, max_lag=0.02).start()
         watch = tmp_path / "deltas.ndjson"
         watch.write_text(json.dumps(family_delta(6).to_json()) + "\n", encoding="utf-8")
         tailer = NdjsonFileTailer(batcher, watch, poll_interval=0.05)
@@ -886,13 +879,13 @@ class TestSources:
         batcher.close()
 
     def test_spool_bad_utf8_file_skips_without_killing_the_source(
-        self, service, tmp_path
+        self, service, wal, tmp_path
     ):
         """A spool file with undecodable bytes must be counted/skipped
         line-wise and finished, not kill the source thread."""
         spool = tmp_path / "spool"
         spool.mkdir()
-        batcher = DeltaBatcher(service, max_lag=0.02).start()
+        batcher = DeltaBatcher(service, wal, max_lag=0.02).start()
         staged = tmp_path / "bad.ndjson.tmp"
         with staged.open("wb") as stream:
             stream.write(b"\xff\xfe not utf-8 \xff\n")
@@ -910,11 +903,11 @@ class TestSources:
             source.stop()
             batcher.close()
 
-    def test_tailer_consumes_backlog_larger_than_one_chunk(self, service, tmp_path):
+    def test_tailer_consumes_backlog_larger_than_one_chunk(self, service, wal, tmp_path):
         """A pre-existing backlog bigger than READ_CHUNK is consumed
         across bounded reads in one poll — nothing skipped, nothing
         re-read unboundedly."""
-        batcher = DeltaBatcher(service, max_queue=4096, max_lag=0.05).start()
+        batcher = DeltaBatcher(service, wal, max_queue=4096, max_lag=0.05).start()
         watch = tmp_path / "deltas.ndjson"
         deltas = [family_delta(6), family_delta(7), family_delta(8)]
         lines = [json.dumps(delta.to_json()) + "\n" for delta in deltas]
@@ -929,8 +922,8 @@ class TestSources:
         assert service.pair("p8a", "q8a")["probability"] > 0.9
         batcher.close()
 
-    def test_make_source_picks_by_path_kind(self, service, tmp_path):
-        batcher = DeltaBatcher(service)
+    def test_make_source_picks_by_path_kind(self, service, wal, tmp_path):
+        batcher = DeltaBatcher(service, wal)
         directory = tmp_path / "spool"
         directory.mkdir()
         assert isinstance(make_source(batcher, directory), SpoolDirectorySource)
@@ -939,11 +932,10 @@ class TestSources:
         )
         batcher.close()
 
-    def test_tailer_redelivery_after_restart_is_idempotent(self, service, tmp_path):
+    def test_tailer_redelivery_after_restart_is_idempotent(self, service, wal, tmp_path):
         """A restarted tailer re-reads the file from byte 0; the WAL's
         recovered per-source sequence numbers drop every replayed line."""
-        wal = WriteAheadLog(tmp_path / "wal.ndjson")
-        batcher = DeltaBatcher(service, wal=wal, max_lag=0.02).start()
+        batcher = DeltaBatcher(service, wal, max_lag=0.02).start()
         watch = tmp_path / "deltas.ndjson"
         watch.write_text(json.dumps(family_delta(6).to_json()) + "\n", encoding="utf-8")
         tailer = NdjsonFileTailer(batcher, watch, poll_interval=0.02).start()
@@ -953,9 +945,8 @@ class TestSources:
         batcher.close()
         assert wal.offset == 1
         # "Restart": fresh batcher over the same WAL, fresh tailer.
-        batcher2 = DeltaBatcher(
-            service, wal=WriteAheadLog(tmp_path / "wal.ndjson"), max_lag=0.02
-        ).start()
+        wal2 = WriteAheadLog(tmp_path / "wal.ndjson")
+        batcher2 = DeltaBatcher(service, wal2, max_lag=0.02).start()
         tailer2 = NdjsonFileTailer(batcher2, watch, poll_interval=0.02).start()
         try:
             self.wait_until(lambda: batcher2.stats()["duplicates"] >= 1)
@@ -963,6 +954,7 @@ class TestSources:
         finally:
             tailer2.stop()
             batcher2.close()
+            wal2.close()
 
 
 # ----------------------------------------------------------------------
@@ -975,15 +967,9 @@ class TestHttpStreaming:
     def stack(self, tmp_path):
         left, right = family_pair(5)
         service = AlignmentService.cold_start(left, right, ParisConfig())
-        wal = WriteAheadLog(tmp_path / "wal.ndjson")
-        batcher = DeltaBatcher(service, wal=wal, max_batch=8, max_lag=0.02)
-        stream = StreamStack(batcher=batcher, wal=wal).start()
-        server = build_server(
-            service, "127.0.0.1", 0, state_dir=tmp_path, stream=stream, snapshot_every=0
-        )
-        with serve_in_thread(server):
+        options = {"max_batch": 8, "max_lag": 0.02}
+        with serve_primary(service, tmp_path, options, snapshot_every=0) as server:
             yield server, service
-        stream.stop()
 
     def test_stats_exposes_queue_wal_and_work(self, stack):
         server, service = stack
@@ -1041,42 +1027,54 @@ class TestHttpStreaming:
         assert request(url_of(server, "/healthz"), headers=etag)[0] == 200
 
     def test_build_server_installs_batch_snapshot_policy(self, tmp_path):
-        """snapshot_every must keep working for any build_server caller
-        with a stream — the policy moves to the batcher hook (once per
-        applied batch), it does not silently vanish."""
+        """snapshot_every runs as the batcher hook (once per applied
+        batch), not once per HTTP waiter."""
         from repro.service import latest_version
 
         left, right = family_pair(3)
         service = AlignmentService.cold_start(left, right, ParisConfig())
-        batcher = DeltaBatcher(service, max_batch=8, max_lag=0.02)
-        stream = StreamStack(batcher=batcher).start()
-        server = build_server(
-            service, "127.0.0.1", 0, state_dir=tmp_path, stream=stream, snapshot_every=1
-        )
-        try:
-            with serve_in_thread(server):
-                assert batcher.on_batch_applied is not None
-                report = fetch_json(url_of(server, "/delta"), family_delta(3).to_json())[0]
-                assert report["version"] == 1
-                assert batcher.flush(timeout=60)
-                assert latest_version(tmp_path) == 1  # snapshotted, once, by the hook
-        finally:
-            stream.stop()
+        options = {"max_batch": 8, "max_lag": 0.02}
+        with serve_primary(service, tmp_path, options, snapshot_every=1) as server:
+            batcher = server.stream.batcher
+            assert batcher.on_batch_applied is not None
+            report = fetch_json(url_of(server, "/delta"), family_delta(3).to_json())[0]
+            assert report["version"] == 1
+            assert batcher.flush(timeout=60)
+            assert latest_version(tmp_path) == 1  # snapshotted, once, by the hook
+
+    def test_build_server_requires_a_stream_exactly_on_primaries(self, tmp_path):
         left, right = family_pair(3)
         service = AlignmentService.cold_start(left, right, ParisConfig())
-        server = build_server(service, "127.0.0.1", 0)
-        with serve_in_thread(server):
-            # Without a stream stack /stats still reports the full
-            # shape: a zero queue and the engine's WAL offset, so
-            # routers and monitors never special-case plain servers.
-            stats = fetch_json(url_of(server, "/stats"))[0]
-            assert stats["ingest"] == {
-                "queue_depth": 0,
-                "streaming": False,
-                "wal_appended": 0,
-            }
-            assert stats["role"] == "primary"
-            assert stats["version"] == 0
+        with pytest.raises(ValueError, match="stream"):
+            build_server(service, "127.0.0.1", 0)
+        with StreamStack.open(service, tmp_path) as stream:
+            with pytest.raises(ValueError, match="stream"):
+                build_server(None, "127.0.0.1", 0, stream=stream, replica=object())
+
+    def test_default_serve_acks_only_durable_deltas(self, tmp_path):
+        """`repro serve L R --state-dir D`, no other flag: every POST
+        /delta that answered 200 is already covered by the WAL's
+        durable offset, and the log is D/wal.ndjson, shipped on GET /wal."""
+        from repro.rdf import ntriples
+
+        left, right = family_pair(4)
+        paths = [str(tmp_path / name) for name in ("left.nt", "right.nt")]
+        for ontology, path in zip((left, right), paths):
+            ntriples.write_ntriples(ontology, path)
+        state_dir = tmp_path / "state"
+        with Fleet() as fleet:
+            primary = fleet.spawn("serve", *paths, "--state-dir", str(state_dir))
+            health = wait_ready(primary)
+            assert health["wal"]["durable_offset"] == 0
+            for acked in range(1, 4):
+                fetch_json(primary.url + "/delta", family_delta(3 + acked).to_json())
+                wal = fetch_json(primary.url + "/healthz")[0]["wal"]
+                assert wal["durable_offset"] >= acked, wal
+                assert wal["applied_offset"] == wal["appended_offset"] == acked, wal
+            status, headers, body = request(primary.url + "/wal?from=0")
+            assert status == 200 and headers["X-Wal-Offset"] == "3"
+            assert len(body.splitlines()) == 3
+            assert (state_dir / "wal.ndjson").is_file()
 
 
 # ----------------------------------------------------------------------
@@ -1086,15 +1084,15 @@ class TestHttpStreaming:
 
 class TestStreamEquivalence:
     """A delta stream ingested through watch-file + WAL + batcher ends
-    at scores equal (1e-9) to the same deltas applied one-by-one via
-    the direct ``POST /delta`` path."""
+    at scores equal (1e-9) to the same deltas applied one-by-one,
+    directly on the engine."""
 
     BASE = 8
     DELTAS = 4
 
     def test_watch_wal_batcher_equals_one_by_one(self, tmp_path):
         deltas = [family_delta(self.BASE + step) for step in range(self.DELTAS)]
-        # Reference: one synchronous apply per delta (the POST path).
+        # Reference: one engine apply per delta.
         left, right = family_pair(self.BASE)
         reference = AlignmentService.cold_start(left, right, ParisConfig())
         for delta in deltas:
@@ -1102,21 +1100,16 @@ class TestStreamEquivalence:
         # Stream: NDJSON watch file → WAL → coalescing batcher.
         left2, right2 = family_pair(self.BASE)
         streamed = AlignmentService.cold_start(left2, right2, ParisConfig())
-        wal = WriteAheadLog(tmp_path / "wal.ndjson")
-        batcher = DeltaBatcher(streamed, wal=wal, max_batch=16, max_lag=0.05)
         watch = tmp_path / "deltas.ndjson"
         with watch.open("w", encoding="utf-8") as stream:
             for delta in deltas:
                 stream.write(json.dumps(delta.to_json()) + "\n")
-        tailer = NdjsonFileTailer(batcher, watch, poll_interval=0.02)
-        stack = StreamStack(batcher=batcher, wal=wal, sources=[tailer]).start()
-        try:
+        options = {"max_batch": 16, "max_lag": 0.05, "watch": [watch]}
+        with StreamStack.open(streamed, tmp_path, **options):
             deadline = time.monotonic() + 60
             while streamed.state.wal_offset < self.DELTAS:
                 assert time.monotonic() < deadline, streamed.stats()
                 time.sleep(0.05)
-        finally:
-            stack.stop()
         assert_stores_match(streamed.state.store, reference.state.store)
         # And both equal the cold realign of the final corpus.
         cold = align(
@@ -1161,7 +1154,7 @@ class TestCrashRecovery:
             service.pair("p0a", "q0a")
         monkeypatch.setattr(ParisAligner, "warm_align", real_warm_align)
 
-        # Restart: snapshot + WAL replay (what serve --wal does on boot).
+        # Restart: snapshot + WAL replay (what serve does on boot).
         resumed = AlignmentService.from_state(load_state(state_dir))
         recovered_wal = WriteAheadLog(tmp_path / "wal.ndjson")
         assert recovered_wal.offset == 3
