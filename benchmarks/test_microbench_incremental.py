@@ -12,10 +12,11 @@ disconnected family fixture (:mod:`repro.datasets.incremental`), a
 * score-equal to the cold run within 1e-9.
 
 All three are asserted here (the equality also independently in
-``tests/test_warm_start.py``); the measured curve is recorded in
-``microbench_incremental.txt`` and the deterministic metrics in
-``BENCH_incremental.json`` for the CI regression gate (both under
-``$BENCH_JSON_DIR`` or ``bench-out/``, see ``helpers.py``).
+``tests/test_warm_start.py``).  The delta's work counters — pairs
+touched, warm passes, dirty instances — are deterministic, so they are
+pinned exactly (``PAIRS_TOUCHED``, ``WARM_PASSES``, ``DIRTY_INSTANCES``):
+a change that makes a delta do more work fails here, and one that makes
+it do less updates the pin.
 
 The speedup and pairs-touched assertions are algorithmic (work skipped,
 not cores used), so they hold on any machine; the fixture is sized to
@@ -26,7 +27,6 @@ from __future__ import annotations
 
 import time
 
-from helpers import save_bench_json, save_bench_text
 from repro.core.aligner import align
 from repro.core.config import ParisConfig
 from repro.datasets.incremental import family_addition, family_pair
@@ -51,12 +51,16 @@ MIN_PAIRS_RATIO = 5.0
 #: Required score equality between warm state and cold realign.
 SCORE_TOLERANCE = 1e-9
 
+#: Pinned work of the worst delta: pairs touched, warm passes, dirty
+#: instances.
+PAIRS_TOUCHED = 72
+WARM_PASSES = 2
+DIRTY_INSTANCES = 12
+
 
 def test_incremental_delta_vs_cold_realign():
     left, right = family_pair(BASE_FAMILIES)
-    started = time.perf_counter()
     service = AlignmentService.cold_start(left, right, ParisConfig())
-    cold_start_seconds = time.perf_counter() - started
     assert service.state.converged
 
     warm_rounds = []
@@ -87,56 +91,13 @@ def test_incremental_delta_vs_cold_realign():
     store_pairs = len(service.state.store)
     pairs_ratio = store_pairs / pairs_touched
 
-    total_triples = 8 * final_families * 2
-    delta_triples = 8 * DELTA_FAMILIES * 2
-    rows = [
-        f"base corpus:        {BASE_FAMILIES} families x 2 sides "
-        f"({8 * BASE_FAMILIES * 2} triples)",
-        f"delta:              {DELTA_FAMILIES} families per round "
-        f"({delta_triples} triples, {delta_triples / total_triples:.1%} of corpus), "
-        f"{WARM_ROUNDS} rounds",
-        f"cold start:         {cold_start_seconds:8.3f} s",
-        f"cold realign:       {cold_seconds:8.3f} s",
-        f"warm delta update:  {warm_seconds:8.3f} s best of "
-        f"{[f'{seconds:.3f}' for seconds in warm_rounds]} "
-        f"({last_report.passes} passes, {last_report.dirty} dirty instances)",
-        f"speedup:            {speedup:8.1f} x",
-        f"pairs touched:      {pairs_touched:8d} of {store_pairs} stored "
-        f"({pairs_ratio:.1f}x fewer, worst of {pairs_touched_rounds})",
-        f"max score diff:     {difference:.3e} (tolerance {SCORE_TOLERANCE:.0e})",
-    ]
-    save_bench_text("microbench_incremental", "\n".join(rows))
-    save_bench_json(
-        "incremental",
-        {
-            # Deterministic metrics: gated against the committed
-            # baseline by benchmarks/compare_baseline.py (CI bench-track).
-            "pairs_ratio": {"value": pairs_ratio, "higher_is_better": True},
-            "pairs_touched": {"value": pairs_touched, "higher_is_better": False},
-            "warm_passes": {"value": last_report.passes, "higher_is_better": False},
-            "dirty_instances": {"value": last_report.dirty, "higher_is_better": False},
-            # Wall-clock metrics: machine-dependent, floor-gated only.
-            "speedup": {
-                "value": speedup,
-                "higher_is_better": True,
-                "informational": True,
-                "floor": MIN_SPEEDUP,
-            },
-            "warm_seconds": {
-                "value": warm_seconds,
-                "higher_is_better": False,
-                "informational": True,
-            },
-            "cold_seconds": {
-                "value": cold_seconds,
-                "higher_is_better": False,
-                "informational": True,
-            },
-        },
-    )
-
     assert difference <= SCORE_TOLERANCE, (
         f"warm-start scores diverged from cold realign by {difference:.3e}"
+    )
+    work = (pairs_touched, last_report.passes, last_report.dirty)
+    assert work == (PAIRS_TOUCHED, WARM_PASSES, DIRTY_INSTANCES), (
+        f"(pairs touched, warm passes, dirty instances) per delta moved from "
+        f"{(PAIRS_TOUCHED, WARM_PASSES, DIRTY_INSTANCES)} to {work}"
     )
     assert speedup >= MIN_SPEEDUP, (
         f"expected >= {MIN_SPEEDUP}x over cold realign, got {speedup:.1f}x "

@@ -752,52 +752,30 @@ def cmd_doctor(args: argparse.Namespace) -> int:
             time.sleep(0.2)
 
     # --- digests, offset-keyed ----------------------------------------
-    status, primary_digest = client.get_json(
-        primary_url + "/digest?verify=1", timeout=args.timeout
+    from .service.replica.router import compare_fleet_digests
+
+    primary, replicas = compare_fleet_digests(
+        primary_url, replica_urls, timeout=args.timeout, verify=True
     )
-    if status != 200 or primary_digest is None:
+    if "error" in primary:
         print(f"doctor: GET /digest failed on primary {primary_url}")
         return 1
+    for node in replicas:
+        if node["match"] is False or (node["match"] is not None and node["verified"] is False):
+            node["first_divergent_pair"] = _first_divergent_pair(
+                primary_url, node["url"], args.timeout
+            )
     nodes = [
         {
             "url": primary_url,
             "role": "primary",
-            "wal_offset": primary_digest["wal_offset"],
-            "digest": primary_digest["digest"],
-            "verified": primary_digest.get("verified"),
-            "match": primary_digest.get("verified", True),
-        }
+            "wal_offset": primary["wal_offset"],
+            "digest": primary["digest"],
+            "verified": primary.get("verified"),
+            "match": primary.get("verified", True),
+        },
+        *replicas,
     ]
-    for url in replica_urls:
-        node: dict = {"url": url, "role": "replica"}
-        status, payload = client.get_json(url + "/digest?verify=1", timeout=args.timeout)
-        if status != 200 or payload is None:
-            node.update(match=None, error=f"GET /digest failed (http {status})")
-            nodes.append(node)
-            continue
-        node["wal_offset"] = payload["wal_offset"]
-        node["digest"] = payload["digest"]
-        node["verified"] = payload.get("verified")
-        if payload["wal_offset"] == primary_digest["wal_offset"]:
-            reference = primary_digest["digest"]
-        else:
-            # Compare at the replica's own offset via the primary's
-            # checkpoint history; 409 = aged out -> verdict unknown.
-            status, at = client.get_json(
-                primary_url + f"/digest?offset={payload['wal_offset']}",
-                timeout=args.timeout,
-            )
-            if status != 200 or at is None:
-                node.update(match=None, error="common offset aged out of history")
-                nodes.append(node)
-                continue
-            reference = at.get("at_offset", at)["digest"]
-        node["match"] = payload["digest"] == reference
-        if node["match"] is False or node["verified"] is False:
-            node["first_divergent_pair"] = _first_divergent_pair(
-                primary_url, url, args.timeout
-            )
-        nodes.append(node)
 
     # --- audit counters + lag from /stats -----------------------------
     node_stats[primary_url] = client.get_json(primary_url + "/stats", timeout=args.timeout)[1]

@@ -20,7 +20,8 @@ serializes it (:meth:`Span.to_dict`) as ``last_align_profile``.
 
 Overhead discipline: spans wrap *stages* (a pass, a kernel build, a
 WAL fsync), never per-instance work, so a cold align adds a few dozen
-``perf_counter`` calls — far inside the >30 % bench-track gate.
+``perf_counter`` calls.  Spans are always on, so their cost is inside
+every latency ``perfbench/`` measures and ``BENCHMARK.json`` bounds.
 Annotations discovered mid-stage (a warm pass learns its frontier size
 after expansion) are added with :meth:`Span.annotate`.
 """

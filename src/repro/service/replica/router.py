@@ -92,6 +92,65 @@ PRIMARY_FALLBACKS = REGISTRY.counter(
 )
 
 
+def compare_fleet_digests(
+    primary_url: str,
+    replica_urls: List[str],
+    *,
+    timeout: float,
+    verify: bool = False,
+    headers: Optional[Dict[str, str]] = None,
+) -> Tuple[Dict[str, object], List[Dict[str, object]]]:
+    """Fetch ``GET /digest`` from the primary and every replica, and
+    compare each replica against the primary *at the replica's own
+    offset*: through the primary's offset-keyed checkpoint history
+    (``/digest?offset=``) when the replica lags.  ``GET /fleet`` and
+    ``repro doctor`` both report from this.
+
+    Returns ``(primary, replicas)``.  ``primary`` is the primary's
+    ``/digest`` payload, or ``{"error": ...}`` when it did not answer
+    (``replicas`` is then empty).  Each replica entry holds ``url``,
+    ``role`` and ``match``: true or false, or ``None`` with an
+    ``error`` when the replica did not answer or the common offset
+    aged out of the primary's history (unknown, not wrong).  An
+    answering replica adds its ``wal_offset`` and ``digest``, and with
+    ``verify`` (every node also recomputes its digest from scratch,
+    ``?verify=1``) its ``verified`` flag.
+    """
+    suffix = "?verify=1" if verify else ""
+
+    def fetch(url: str, query: str) -> Tuple[Optional[dict], str]:
+        status, payload = client.get_json(url + "/digest" + query, headers=headers, timeout=timeout)
+        if status == 200 and isinstance(payload, dict):
+            return payload, ""
+        return None, f"GET /digest failed (http {status})" if status else f"{url} unreachable"
+
+    primary, error = fetch(primary_url, suffix)
+    if primary is None:
+        return {"error": error}, []
+    replicas: List[Dict[str, object]] = []
+    for url in replica_urls:
+        node: Dict[str, object] = {"url": url, "role": "replica"}
+        replicas.append(node)
+        payload, error = fetch(url, suffix)
+        if payload is None:
+            node.update(match=None, error=error)
+            continue
+        node["wal_offset"] = payload["wal_offset"]
+        node["digest"] = payload["digest"]
+        if verify:
+            node["verified"] = payload.get("verified")
+        if payload["wal_offset"] == primary["wal_offset"]:
+            reference = primary["digest"]
+        else:
+            at, _error = fetch(primary_url, f"?offset={payload['wal_offset']}")
+            if at is None:
+                node.update(match=None, error="common offset aged out of history")
+                continue
+            reference = at.get("at_offset", at)["digest"]
+        node["match"] = payload["digest"] == reference
+    return primary, replicas
+
+
 class _Target:
     """One backend (primary or replica) and its cached probe state."""
 
@@ -465,89 +524,48 @@ class RouterRequestHandler(ObservedHandlerMixin, BaseHTTPRequestHandler):
             return
         self._relay(*result, self.router.primary.url)
 
-    def _fetch_digest(self, target: _Target, suffix: str = "") -> Tuple[int, object]:
-        """One unconditional ``GET /digest`` against a backend (no
-        If-None-Match relay — the fleet comparison needs bodies, never
-        304s).  Returns ``(status, payload-or-error-string)``."""
-        status, payload = client.get_json(
-            target.url + "/digest" + suffix,
-            headers={"X-Request-Id": self.request_id} if self.request_id else None,
-            timeout=self.router.probe_timeout,
-        )
-        if not isinstance(payload, dict):  # unreachable, or an answer that is not JSON
-            payload = {"error": f"http {status}" if status else f"{target.url} unreachable"}
-            status = 0 if status == 200 else status
-        return status, payload
-
     def _route_fleet(self) -> None:
-        """``GET /fleet`` — the router-side half of `repro doctor`:
-        fetch every backend's current digest and compare each replica
-        against the primary *at the replica's own offset* (via the
-        primary's offset-keyed checkpoint history when the replica
-        lags).  ``match`` per node: true/false, or null when the
-        common offset already aged out of the history."""
+        """``GET /fleet`` — the router-side half of `repro doctor`
+        (:func:`compare_fleet_digests`), plus how far each replica is
+        ``behind`` the primary."""
         router = self.router
-        status, primary_payload = self._fetch_digest(router.primary)
-        nodes: List[Dict[str, object]] = []
-        split: List[str] = []
-        if status != 200:
+        primary, replicas = compare_fleet_digests(
+            router.primary.url,
+            [replica.url for replica in router.replicas],
+            timeout=router.probe_timeout,
+            headers={"X-Request-Id": self.request_id} if self.request_id else None,
+        )
+        if "error" in primary:
             self._send_json(
                 {
                     "role": "router",
                     "error": "primary digest unavailable",
-                    "detail": primary_payload,
+                    "detail": primary,
                 },
                 status=502,
                 retry_after=router.retry_after,
             )
             return
-        primary_offset = primary_payload["wal_offset"]
-        primary_digest = primary_payload["digest"]
-        nodes.append(
+        for node in replicas:
+            if "wal_offset" in node:
+                node["behind"] = primary["wal_offset"] - node["wal_offset"]
+        nodes = [
             {
                 "url": router.primary.url,
                 "role": "primary",
-                "wal_offset": primary_offset,
-                "digest": primary_digest,
+                "wal_offset": primary["wal_offset"],
+                "digest": primary["digest"],
                 "match": True,
-            }
-        )
-        for replica in router.replicas:
-            node: Dict[str, object] = {"url": replica.url, "role": "replica"}
-            status, payload = self._fetch_digest(replica)
-            if status != 200:
-                node["error"] = payload.get("error", f"http {status}")
-                node["match"] = None
-                nodes.append(node)
-                continue
-            offset = payload["wal_offset"]
-            digest = payload["digest"]
-            node["wal_offset"] = offset
-            node["digest"] = digest
-            node["behind"] = primary_offset - offset
-            if offset == primary_offset:
-                node["match"] = digest == primary_digest
-            else:
-                # Compare at the replica's offset: the primary keeps a
-                # bounded history of (offset, digest) checkpoints.
-                status, at = self._fetch_digest(
-                    router.primary, f"?offset={offset}"
-                )
-                if status == 200:
-                    reference = at.get("at_offset", at)
-                    node["match"] = digest == reference["digest"]
-                else:
-                    node["match"] = None  # aged out: unknown, not wrong
-            if node["match"] is False:
-                split.append(replica.url)
-            nodes.append(node)
+            },
+            *replicas,
+        ]
         self._send_json(
             {
                 "role": "router",
-                "wal_offset": primary_offset,
-                "digest": primary_digest,
-                "consistent": not split,
-                "divergent": split,
+                "wal_offset": primary["wal_offset"],
+                "digest": primary["digest"],
+                "consistent": all(node["match"] is not False for node in replicas),
+                "divergent": [node["url"] for node in replicas if node["match"] is False],
                 "nodes": nodes,
             }
         )

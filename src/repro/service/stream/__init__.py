@@ -62,6 +62,7 @@ from .sources import (
     make_source,
 )
 from .wal import (
+    WalBehindSnapshotError,
     WalCorruptionError,
     WalFailedError,
     WalGapError,
@@ -161,6 +162,7 @@ __all__ = [
     "decode_stream_line",
     "make_source",
     "StreamStack",
+    "WalBehindSnapshotError",
     "WalCorruptionError",
     "WalFailedError",
     "WalGapError",

@@ -178,6 +178,23 @@ class WalGapError(ValueError):
         self.oldest = oldest
 
 
+class WalBehindSnapshotError(ValueError):
+    """The log ends below the offset the snapshot already covers — its
+    head was lost or replaced.  Numbering new records from the log's
+    head would reuse offsets the state has already absorbed, so the
+    restart stops instead."""
+
+    def __init__(self, wal_offset: int, snapshot_offset: int, path: Path) -> None:
+        super().__init__(
+            f"{path} ends at offset {wal_offset}, below the snapshot's "
+            f"wal_offset {snapshot_offset}: the log's head is missing; "
+            "restore the log or restart from a state directory whose "
+            "snapshot it covers"
+        )
+        self.wal_offset = wal_offset
+        self.snapshot_offset = snapshot_offset
+
+
 @dataclass(frozen=True)
 class WalRecord:
     """One decoded WAL entry."""
@@ -255,7 +272,9 @@ class WriteAheadLog:
         Open for replay only: a torn active tail is ignored instead of
         truncated, :meth:`append` raises, and segments are
         re-discovered on every walk so a live writer can rotate and
-        compact underneath the reader.
+        compact underneath the reader.  The open decodes nothing, and
+        the writer-side state (:attr:`last_seqs`,
+        :attr:`durable_offset`) stays empty.
     segment_bytes:
         Seal the active segment once it holds at least this many bytes
         (``None``/``0``: never rotate — the single-file behaviour).
@@ -293,12 +312,19 @@ class WriteAheadLog:
         #: set (the serving stack wires the engine's ring in), every
         #: fsync stamps ``durable`` on the offsets it covered.
         self.provenance = None
-        scan = self._scan()
-        self._offset, self._last_seqs, active_bytes, active_base = scan
-        self._active_base = active_base
-        self._active_bytes = active_bytes
-        self._durable_offset = self._offset
-        if not read_only:
+        if read_only:
+            # The recovery scan only fills writer state (seqs, active
+            # segment bounds); a reader's :attr:`offset` probes the
+            # tail instead of decoding the whole log on open.
+            self._offset, self._last_seqs = 0, {}
+            self._active_base, self._active_bytes = 1, 0
+            self._durable_offset = 0
+        else:
+            scan = self._scan()
+            self._offset, self._last_seqs, active_bytes, active_base = scan
+            self._active_base = active_base
+            self._active_bytes = active_bytes
+            self._durable_offset = self._offset
             self.path.parent.mkdir(parents=True, exist_ok=True)
             if self.path.exists() and self.path.stat().st_size > active_bytes:
                 # Torn tail from a crash mid-append: the record was
@@ -344,7 +370,11 @@ class WriteAheadLog:
 
     @property
     def offset(self) -> int:
-        """Offset of the newest appended record (0 when empty)."""
+        """Offset of the newest appended record (0 when empty); on a
+        read-only handle, the newest record on disk right now
+        (:meth:`current_offset`)."""
+        if self.read_only:
+            return self.current_offset()
         return self._offset
 
     @property
@@ -931,7 +961,9 @@ def replay_wal(service, wal: WriteAheadLog, max_batch: int = 256) -> int:
     graph state — and therefore the fixpoint — is exactly that of the
     original stream) and pushed through the engine; the state's
     ``wal_offset`` advances with each applied batch.  Returns the
-    number of records replayed.
+    number of records replayed.  A log that ends below the state's
+    ``wal_offset`` raises :class:`WalBehindSnapshotError` before
+    anything is applied.
 
     Replayed records are registered in the service's provenance ring
     as *non-live* timelines: ``GET /provenance`` can still reconstruct
@@ -959,6 +991,8 @@ def replay_wal(service, wal: WriteAheadLog, max_batch: int = 256) -> int:
         service.apply_delta(composed, wal_offset=pending[-1].offset)
         pending.clear()
 
+    if wal.offset < service.state.wal_offset:
+        raise WalBehindSnapshotError(wal.offset, service.state.wal_offset, wal.path)
     for record in wal.replay(after_offset=service.state.wal_offset):
         pending.append(record)
         replayed += 1

@@ -1,7 +1,7 @@
 """Test fleet: boot, wait for, scrape and stop ``repro`` nodes.
 
-One harness for the tests, the service demos under ``examples/`` and
-the replica microbench.  Runtime modules never import it.
+One harness for the tests and the service demos under ``examples/``.
+Runtime modules never import it.
 
 Subprocess nodes::
 

@@ -35,6 +35,7 @@ from repro.service.stream import (
     QueueFullError,
     SpoolDirectorySource,
     StreamStack,
+    WalBehindSnapshotError,
     WalCorruptionError,
     WalFailedError,
     WalGapError,
@@ -259,6 +260,30 @@ class TestWriteAheadLog:
         # And a read-only open of a missing file creates nothing.
         missing = WriteAheadLog(tmp_path / "absent.ndjson", read_only=True)
         assert missing.offset == 0 and not (tmp_path / "absent.ndjson").exists()
+
+    def test_read_only_open_decodes_no_record(self, tmp_path, monkeypatch):
+        """A reader never needs the writer's recovery scan: opening
+        decodes nothing, and its offset is one tail-line probe."""
+        from repro.service.stream import wal as wal_module
+
+        path = tmp_path / "wal.ndjson"
+        wal = WriteAheadLog(path, segment_bytes=600)
+        for step in range(5):
+            wal.append(family_delta(step), "s", step + 1)
+        wal.close()
+        assert wal.sealed_segments()
+        decoded = []
+        real_decode = wal_module._decode_record
+
+        def counting_decode(line, expected_offset):
+            decoded.append(line)
+            return real_decode(line, expected_offset)
+
+        monkeypatch.setattr(wal_module, "_decode_record", counting_decode)
+        reader = WriteAheadLog(path, read_only=True)
+        assert decoded == []
+        assert reader.offset == 5
+        assert len(decoded) == 1
 
 
 class TestWalSegments:
@@ -1124,6 +1149,29 @@ class TestCrashRecovery:
     replay reaches the scores of an uninterrupted run."""
 
     BASE = 8
+
+    def test_restart_refuses_a_log_behind_the_snapshot(self, tmp_path):
+        """A snapshot at offset 3 with its log gone must not restart
+        numbering at 1: the open stops before any record is reused."""
+        left, right = family_pair(self.BASE)
+        service = AlignmentService.cold_start(left, right, ParisConfig())
+        state_dir = tmp_path / "state"
+        with StreamStack.open(service, state_dir, max_batch=8) as stream:
+            for step in range(3):
+                stream.batcher.submit(family_delta(self.BASE + step), source="w", seq=step + 1)
+            assert stream.batcher.flush(timeout=60)
+        service.snapshot(state_dir)
+        assert load_state(state_dir).wal_offset == 3
+        (state_dir / "wal.ndjson").unlink()
+
+        resumed = AlignmentService.from_state(load_state(state_dir))
+        with pytest.raises(WalBehindSnapshotError) as caught:
+            StreamStack.open(resumed, state_dir)
+        assert (caught.value.wal_offset, caught.value.snapshot_offset) == (0, 3)
+        assert resumed.state.wal_offset == 3
+        reader = WriteAheadLog(state_dir / "wal.ndjson", read_only=True)
+        with pytest.raises(WalBehindSnapshotError):
+            replay_wal(resumed, reader)
 
     def test_mid_batch_crash_then_snapshot_plus_wal_replay(self, tmp_path, monkeypatch):
         from repro.core.aligner import ParisAligner
