@@ -1,7 +1,9 @@
 """Read router: one front door over a primary and N read replicas.
 
 ``repro route --primary URL --replica URL ...`` runs this stdlib HTTP
-proxy:
+proxy.  It answers its clients through the same handler base as the
+primary and replicas (:mod:`repro.obs.http`: one send path, one body
+reader), over HTTP/1.0 (below):
 
 * **Reads** (``GET /pair/...``, ``GET /alignment``) fan out across the
   healthy replicas round-robin; when none is healthy they fall back to
@@ -32,7 +34,6 @@ proxy:
 
 from __future__ import annotations
 
-import json
 import math
 import threading
 import time
@@ -395,35 +396,26 @@ class ReadRouter:
 
 
 class RouterRequestHandler(ObservedHandlerMixin, BaseHTTPRequestHandler):
-    server_version = "repro-route/1.0"
-    MAX_BODY = 64 * 1024 * 1024
-    #: Socket deadline per request — a stalled client must not pin a
-    #: handler thread forever (same policy as the primary's handler).
-    timeout = 30.0
+    """The router's routes.  Connection settings (socket deadline,
+    body limit), the send path and the body reader come from
+    :class:`~repro.obs.http.ObservedHandlerMixin`, as on the primary
+    and replicas."""
 
-    def setup(self) -> None:
-        self.timeout = getattr(self.server, "handler_timeout", self.timeout)
-        super().setup()
+    server_version = "repro-route/1.0"
+    #: Every answer closes its connection.  Over keep-alive each later
+    #: response would wait out the send path's delayed-ACK stall
+    #: (``repro.obs.http``); keep-alive comes with its fix.
+    protocol_version = "HTTP/1.0"
 
     @property
     def router(self) -> ReadRouter:
         return self.server.router  # type: ignore[attr-defined]
 
-    def log_message(self, format: str, *args) -> None:  # noqa: A002
-        if getattr(self.server, "verbose", False):
-            _log.debug("http", detail=format % args)
-
     # -- plumbing -------------------------------------------------------
 
-    def _send_json(self, payload: object, status: int = 200, retry_after=None) -> None:
-        body = json.dumps(payload).encode("utf-8")
-        self.send_response(status)
-        self.send_header("Content-Type", "application/json")
-        if retry_after is not None:
-            self.send_header("Retry-After", f"{retry_after:g}")
-        self.send_header("Content-Length", str(len(body)))
-        self.end_headers()
-        self.wfile.write(body)
+    def _unavailable(self, payload: dict, status: int) -> None:
+        """An error the client should retry after the router's back-off."""
+        self.send_json(payload, status, {"Retry-After": f"{self.router.retry_after:g}"})
 
     def _relay(self, status: int, headers, body: bytes, target_url: str) -> None:
         if status == 304:
@@ -431,26 +423,23 @@ class RouterRequestHandler(ObservedHandlerMixin, BaseHTTPRequestHandler):
             # WAL-offset ETag validates fleet-wide, so this counts as a
             # cache hit on the router surface too.
             CACHE_HITS.inc(route=route_label(self.path))
-        self.send_response(status)
         # X-Wal-Offset / X-State-Version make forwarded /wal and
         # /snapshot/latest responses usable by a replica pointed at the
         # router instead of the primary (chained replication); ETag /
         # Cache-Control carry the read-caching contract through.
-        for name in (
-            "Content-Type",
-            "Retry-After",
-            "X-Wal-Offset",
-            "X-State-Version",
-            "ETag",
-            "Cache-Control",
-        ):
-            value = headers.get(name)
-            if value is not None:
-                self.send_header(name, value)
-        self.send_header("Content-Length", str(len(body)))
-        self.send_header("X-Served-By", target_url)
-        self.end_headers()
-        self.wfile.write(body)
+        relayed = {
+            name: headers[name]
+            for name in (
+                "Retry-After",
+                "X-Wal-Offset",
+                "X-State-Version",
+                "ETag",
+                "Cache-Control",
+            )
+            if name in headers
+        }
+        relayed["X-Served-By"] = target_url
+        self.send_bytes(body, headers.get("Content-Type"), status, relayed)
 
     def _forward(
         self, target: _Target, method: str, path_query: str, body: Optional[bytes]
@@ -486,10 +475,10 @@ class RouterRequestHandler(ObservedHandlerMixin, BaseHTTPRequestHandler):
         url = urlparse(self.path)
         parts = [part for part in url.path.split("/") if part]
         if parts == ["healthz"]:
-            self._send_json(self.router.health_payload())
+            self.send_json(self.router.health_payload())
             return
         if parts == ["stats"]:
-            self._send_json(self.router.stats_payload())
+            self.send_json(self.router.stats_payload())
             return
         if parts == ["metrics"]:
             # The router's own process registry — not proxied: backend
@@ -516,11 +505,7 @@ class RouterRequestHandler(ObservedHandlerMixin, BaseHTTPRequestHandler):
     def _forward_primary(self) -> None:
         result = self._forward(self.router.primary, "GET", self.path, None)
         if result is None:
-            self._send_json(
-                {"error": "primary unreachable"},
-                status=502,
-                retry_after=self.router.retry_after,
-            )
+            self._unavailable({"error": "primary unreachable"}, 502)
             return
         self._relay(*result, self.router.primary.url)
 
@@ -536,14 +521,13 @@ class RouterRequestHandler(ObservedHandlerMixin, BaseHTTPRequestHandler):
             headers={"X-Request-Id": self.request_id} if self.request_id else None,
         )
         if "error" in primary:
-            self._send_json(
+            self._unavailable(
                 {
                     "role": "router",
                     "error": "primary digest unavailable",
                     "detail": primary,
                 },
-                status=502,
-                retry_after=router.retry_after,
+                502,
             )
             return
         for node in replicas:
@@ -559,7 +543,7 @@ class RouterRequestHandler(ObservedHandlerMixin, BaseHTTPRequestHandler):
             },
             *replicas,
         ]
-        self._send_json(
+        self.send_json(
             {
                 "role": "router",
                 "wal_offset": primary["wal_offset"],
@@ -579,7 +563,7 @@ class RouterRequestHandler(ObservedHandlerMixin, BaseHTTPRequestHandler):
                 float(query["max_lag_ms"][0]) if "max_lag_ms" in query else None
             )
         except ValueError:
-            self._send_json(
+            self.send_json(
                 {"error": "min_offset must be an integer, max_lag_ms a number"},
                 status=400,
             )
@@ -591,13 +575,13 @@ class RouterRequestHandler(ObservedHandlerMixin, BaseHTTPRequestHandler):
         if max_lag_ms is not None and (
             math.isnan(max_lag_ms) or math.isinf(max_lag_ms) or max_lag_ms < 0
         ):
-            self._send_json(
+            self.send_json(
                 {"error": "max_lag_ms must be a finite non-negative number"},
                 status=400,
             )
             return
         if min_offset is not None and min_offset < 0:
-            self._send_json({"error": "min_offset must be a non-negative integer"}, status=400)
+            self.send_json({"error": "min_offset must be a non-negative integer"}, status=400)
             return
         constrained = min_offset is not None or max_lag_ms is not None
         targets = router.pick_read_targets(min_offset, max_lag_ms)
@@ -625,59 +609,25 @@ class RouterRequestHandler(ObservedHandlerMixin, BaseHTTPRequestHandler):
             with router._lock:
                 router.rejected_stale += 1
             REJECTED_STALE.inc()
-            self._send_json(
+            self._unavailable(
                 {
                     "error": "no replica satisfies the staleness bound",
                     "min_offset": min_offset,
                     "max_lag_ms": max_lag_ms,
                 },
-                status=503,
-                retry_after=router.retry_after,
+                503,
             )
             return
-        self._send_json(
-            {"error": "no healthy backend for reads"},
-            status=503,
-            retry_after=router.retry_after,
-        )
+        self._unavailable({"error": "no healthy backend for reads"}, 503)
 
     def do_POST(self) -> None:  # noqa: N802 (http.server API)
         router = self.router
-        try:
-            length = int(self.headers.get("Content-Length", "0"))
-        except ValueError:
-            self._send_json({"error": "bad Content-Length"}, status=400)
+        body = self.read_body(self.MAX_BODY)
+        if body is None:
             return
-        if length < 0 or length > self.MAX_BODY:
-            self._send_json({"error": "body too large"}, status=400)
-            return
-        if length:
-            try:
-                body = self.rfile.read(length)
-            except TimeoutError:
-                self._send_json({"error": "timed out reading request body"}, status=408)
-                self.close_connection = True
-                return
-            if len(body) < length:
-                self._send_json(
-                    {
-                        "error": (
-                            f"short body: got {len(body)} of {length} declared bytes"
-                        )
-                    },
-                    status=400,
-                )
-                self.close_connection = True
-                return
-        else:
-            body = None
-        result = self._forward(router.primary, "POST", self.path, body)
+        result = self._forward(router.primary, "POST", self.path, body or None)
         if result is None:
-            self._send_json(
-                {"error": "primary unreachable; write not applied"},
-                status=502,
-                retry_after=router.retry_after,
-            )
+            self._unavailable({"error": "primary unreachable; write not applied"}, 502)
             return
         with router._lock:
             router.writes_forwarded += 1

@@ -151,23 +151,13 @@ def _alignment_json_chunks(keys, threshold: float, meta: dict):
 
 
 class AlignmentRequestHandler(ObservedHandlerMixin, BaseHTTPRequestHandler):
-    """Routes requests to the server's :class:`AlignmentService`."""
+    """Routes requests to the server's :class:`AlignmentService`.
+
+    Connection settings, the send path and the body reader come from
+    :class:`~repro.obs.http.ObservedHandlerMixin`; this class adds the
+    routes and the ETag/304 decision."""
 
     server_version = "repro-serve/1.0"
-    #: HTTP/1.1 for chunked transfer-encoding: the unpaginated
-    #: alignment dump streams its body instead of materializing it.
-    protocol_version = "HTTP/1.1"
-    #: Upper bound on accepted delta payloads (64 MiB).
-    MAX_BODY = 64 * 1024 * 1024
-    #: Socket timeout per request (seconds).  Handler threads are a
-    #: finite resource: a client that sends ``Content-Length: N`` and
-    #: then stalls must not pin one forever on ``rfile.read``.
-    timeout = 30.0
-
-    def setup(self) -> None:
-        # Per-server override (None disables the deadline entirely).
-        self.timeout = getattr(self.server, "handler_timeout", self.timeout)
-        super().setup()
 
     @property
     def service(self) -> AlignmentService:
@@ -178,42 +168,10 @@ class AlignmentRequestHandler(ObservedHandlerMixin, BaseHTTPRequestHandler):
             return replica.service
         return self.server.service  # type: ignore[attr-defined]
 
-    def log_message(self, format: str, *args) -> None:  # noqa: A002
-        # BaseHTTPRequestHandler's own logging (errors, send_error);
-        # the structured access log comes from ObservedHandlerMixin.
-        if self.server.verbose:  # type: ignore[attr-defined]
-            _log.debug("http", detail=format % args)
-
-    # -- helpers -------------------------------------------------------
-
-    def _send_bytes(
-        self,
-        body: bytes,
-        content_type: str,
-        status: int = 200,
-        headers: Optional[dict] = None,
-    ) -> None:
-        self.send_response(status)
-        self.send_header("Content-Type", content_type)
-        for name, value in (headers or {}).items():
-            self.send_header(name, value)
-        self.send_header("Content-Length", str(len(body)))
-        self.end_headers()
-        self.wfile.write(body)
-
-    def _send_json(
-        self, payload: object, status: int = 200, headers: Optional[dict] = None
-    ) -> None:
-        body = json.dumps(payload).encode("utf-8")
-        self._send_bytes(body, "application/json", status, headers)
-
-    def _send_text(self, text: str, status: int = 200) -> None:
-        self._send_bytes(text.encode("utf-8"), "text/plain; charset=utf-8", status)
-
     def _error(self, status: int, message: str) -> None:
-        self._send_json({"error": message}, status=status)
+        self.send_json({"error": message}, status=status)
 
-    # -- caching / streaming helpers -----------------------------------
+    # -- caching helpers -----------------------------------------------
 
     def _state_etag(self) -> str:
         """Read tag of the engine-locked read endpoints (healthz,
@@ -236,46 +194,8 @@ class AlignmentRequestHandler(ObservedHandlerMixin, BaseHTTPRequestHandler):
         if not etag_matches(self.headers.get("If-None-Match"), etag):
             return False
         CACHE_HITS.inc(route=route_label(self.path))
-        self.send_response(304)
-        self.send_header("ETag", etag)
-        self.send_header("Cache-Control", "no-cache")
-        self.end_headers()
+        self.send_bytes(b"", status=304, headers=self._cache_headers(etag))
         return True
-
-    def _stream_chunks(self, chunks, content_type: str, headers: dict) -> None:
-        """Write a chunked (HTTP/1.1 transfer-encoding) response body:
-        the full payload never exists in memory."""
-        self.send_response(200)
-        self.send_header("Content-Type", content_type)
-        for name, value in headers.items():
-            self.send_header(name, value)
-        self.send_header("Transfer-Encoding", "chunked")
-        self.end_headers()
-        for chunk in chunks:
-            if not chunk:
-                continue
-            self.wfile.write(b"%x\r\n" % len(chunk))
-            self.wfile.write(chunk)
-            self.wfile.write(b"\r\n")
-        self.wfile.write(b"0\r\n\r\n")
-
-    def _read_body(self, length: int) -> Optional[bytes]:
-        """The declared request body, or ``None`` after answering the
-        client.  A stalled sender hits the socket timeout → 408; a
-        sender that closed early delivers a short read → 400.  Either
-        way the connection is closed: the request framing is broken,
-        so nothing further on this socket can be trusted."""
-        try:
-            body = self.rfile.read(length)
-        except TimeoutError:
-            self._error(408, "timed out reading request body")
-            self.close_connection = True
-            return None
-        if len(body) < length:
-            self._error(400, f"short body: got {len(body)} of {length} declared bytes")
-            self.close_connection = True
-            return None
-        return body
 
     # -- routes --------------------------------------------------------
 
@@ -315,7 +235,7 @@ class AlignmentRequestHandler(ObservedHandlerMixin, BaseHTTPRequestHandler):
                 wal_info["appended_offset"] = wal.offset
                 wal_info["durable_offset"] = wal.durable_offset
             payload["wal"] = wal_info
-            self._send_json(payload, headers=self._cache_headers(etag))
+            self.send_json(payload, headers=self._cache_headers(etag))
             return
         if parts == ["metrics"]:
             self.serve_metrics()
@@ -333,7 +253,7 @@ class AlignmentRequestHandler(ObservedHandlerMixin, BaseHTTPRequestHandler):
             auditor = getattr(self.server, "auditor", None)
             if auditor is not None:
                 payload["audit"] = auditor.stats()
-            self._send_json(payload, headers=self._cache_headers(etag))
+            self.send_json(payload, headers=self._cache_headers(etag))
             return
         if parts == ["digest"]:
             self._route_get_digest(url)
@@ -349,7 +269,7 @@ class AlignmentRequestHandler(ObservedHandlerMixin, BaseHTTPRequestHandler):
             if self._maybe_not_modified(etag):
                 return
             READS_TOTAL.inc(kind="pair")
-            self._send_json(
+            self.send_json(
                 self.service.pair(parts[1], parts[2]),
                 headers=self._cache_headers(etag),
             )
@@ -365,7 +285,7 @@ class AlignmentRequestHandler(ObservedHandlerMixin, BaseHTTPRequestHandler):
             return
         if parts == ["subscriptions"]:
             subs = self.server.subs  # type: ignore[attr-defined]
-            self._send_json({"subscriptions": subs.subscriptions()})
+            self.send_json({"subscriptions": subs.subscriptions()})
             return
         self._error(404, f"no such resource: {url.path}")
 
@@ -406,7 +326,7 @@ class AlignmentRequestHandler(ObservedHandlerMixin, BaseHTTPRequestHandler):
             if self.server.replica is not None  # type: ignore[attr-defined]
             else "primary"
         )
-        self._send_json(payload, headers=self._cache_headers(etag))
+        self.send_json(payload, headers=self._cache_headers(etag))
 
     def _route_get_alignment(self, url) -> None:
         """The alignment read surface: keyset pages, top-k, per-entity
@@ -430,7 +350,7 @@ class AlignmentRequestHandler(ObservedHandlerMixin, BaseHTTPRequestHandler):
             READ_ROWS.inc(
                 len(payload["as_left"]) + len(payload["as_right"]), kind="entity"
             )
-            self._send_json(payload, headers=self._cache_headers(etag))
+            self.send_json(payload, headers=self._cache_headers(etag))
             return
         # Index-served reads bypass the engine lock but must still
         # refuse on a fail-stopped engine (503 via do_GET).
@@ -453,7 +373,7 @@ class AlignmentRequestHandler(ObservedHandlerMixin, BaseHTTPRequestHandler):
             rows = index.top(count, threshold)
             READS_TOTAL.inc(kind="top")
             READ_ROWS.inc(len(rows), kind="top")
-            self._send_json(
+            self.send_json(
                 {
                     "threshold": threshold,
                     "top": count,
@@ -489,7 +409,7 @@ class AlignmentRequestHandler(ObservedHandlerMixin, BaseHTTPRequestHandler):
             rows, next_key = index.page(threshold, after, limit)
             READS_TOTAL.inc(kind="page")
             READ_ROWS.inc(len(rows), kind="page")
-            self._send_json(
+            self.send_json(
                 {
                     "threshold": threshold,
                     "limit": limit,
@@ -518,7 +438,7 @@ class AlignmentRequestHandler(ObservedHandlerMixin, BaseHTTPRequestHandler):
             # the keys so per-chunk rendering concatenates to the exact
             # bytes the single-shot renderer produced.
             tsv_keys = sorted(keys, key=lambda key: (key[1], key[2], -key[0]))
-            self._stream_chunks(
+            self.send_chunked(
                 iter_row_chunks(
                     tsv_keys,
                     lambda rows: render_assignment_rows(rows).encode("utf-8"),
@@ -527,7 +447,7 @@ class AlignmentRequestHandler(ObservedHandlerMixin, BaseHTTPRequestHandler):
                 self._cache_headers(etag),
             )
             return
-        self._stream_chunks(
+        self.send_chunked(
             _alignment_json_chunks(keys, threshold, meta),
             "application/json",
             self._cache_headers(etag),
@@ -553,11 +473,11 @@ class AlignmentRequestHandler(ObservedHandlerMixin, BaseHTTPRequestHandler):
         if notification is None:
             # Timed out with no qualifying change; the version is the
             # cursor to resume from (pass it back as ``after=``).
-            self._send_json(
+            self.send_json(
                 {"entity": entity, "timeout": True, "version": subs.current_version()}
             )
             return
-        self._send_json(notification)
+        self.send_json(notification)
 
     def _route_get_provenance(self, url) -> None:
         """Debug endpoint: one delta's stage timeline, reconstructed
@@ -623,13 +543,13 @@ class AlignmentRequestHandler(ObservedHandlerMixin, BaseHTTPRequestHandler):
                         "replayed": False,
                     }
         if payload is None:
-            self._send_json(
+            self.send_json(
                 {"found": False, "role": role, "trace": trace, "offset": offset},
                 status=404,
             )
             return
         payload["role"] = role
-        self._send_json(payload)
+        self.send_json(payload)
 
     def _route_get_wal(self, url) -> None:
         """Log shipping: NDJSON WAL records for replica catch-up."""
@@ -655,7 +575,7 @@ class AlignmentRequestHandler(ObservedHandlerMixin, BaseHTTPRequestHandler):
         if after >= durable:
             # The caught-up steady state, O(1): no decode of the log
             # 20x/sec per replica just to ship an empty page.
-            self._send_bytes(
+            self.send_bytes(
                 b"", "application/x-ndjson", headers={"X-Wal-Offset": str(durable)}
             )
             return
@@ -673,7 +593,7 @@ class AlignmentRequestHandler(ObservedHandlerMixin, BaseHTTPRequestHandler):
                     payload["prov"].update(ring.offset_stamps(record.offset))
                 lines.append(json.dumps(payload, sort_keys=True))
         except WalGapError as gap:
-            self._send_json({"error": str(gap), "oldest": gap.oldest}, status=410)
+            self.send_json({"error": str(gap), "oldest": gap.oldest}, status=410)
             return
         except WalCorruptionError as error:
             # Never ship from a log we cannot decode — and never let
@@ -681,7 +601,7 @@ class AlignmentRequestHandler(ObservedHandlerMixin, BaseHTTPRequestHandler):
             self._error(500, f"write-ahead log is corrupt: {error}")
             return
         body = ("\n".join(lines) + ("\n" if lines else "")).encode("utf-8")
-        self._send_bytes(
+        self.send_bytes(
             body, "application/x-ndjson", headers={"X-Wal-Offset": str(durable)}
         )
 
@@ -694,7 +614,7 @@ class AlignmentRequestHandler(ObservedHandlerMixin, BaseHTTPRequestHandler):
         if path is None:
             self._error(404, "no snapshot available yet")
             return
-        self._send_bytes(
+        self.send_bytes(
             path.read_bytes(),
             "application/octet-stream",
             headers={"X-State-Version": str(latest_version(state_dir))},
@@ -730,7 +650,7 @@ class AlignmentRequestHandler(ObservedHandlerMixin, BaseHTTPRequestHandler):
             reclaimed = maybe_compact_wal(
                 self.server.stream.wal, covered  # type: ignore[attr-defined]
             )
-            self._send_json({"snapshot": str(path), "wal_bytes_compacted": reclaimed})
+            self.send_json({"snapshot": str(path), "wal_bytes_compacted": reclaimed})
             return
         if url.path in ("/subscribe", "/unsubscribe"):
             self._route_post_subscription(url.path)
@@ -738,12 +658,10 @@ class AlignmentRequestHandler(ObservedHandlerMixin, BaseHTTPRequestHandler):
         if url.path != "/delta":
             self._error(404, f"no such resource: {url.path}")
             return
-        try:
-            length = int(self.headers.get("Content-Length", "0"))
-        except ValueError:
-            self._error(400, "bad Content-Length")
+        raw = self.read_body(self.MAX_BODY)
+        if raw is None:
             return
-        if length <= 0 or length > self.MAX_BODY:
+        if not raw:
             self._error(400, "delta body must be non-empty JSON")
             return
         query = parse_qs(url.query)
@@ -752,9 +670,6 @@ class AlignmentRequestHandler(ObservedHandlerMixin, BaseHTTPRequestHandler):
             seq = int(query["seq"][0]) if "seq" in query else None
         except ValueError:
             self._error(400, "seq must be an integer")
-            return
-        raw = self._read_body(length)
-        if raw is None:
             return
         try:
             payload = json.loads(raw.decode("utf-8"))
@@ -767,13 +682,13 @@ class AlignmentRequestHandler(ObservedHandlerMixin, BaseHTTPRequestHandler):
                 delta, source=source, seq=seq, wait=True, trace=self.request_id
             )
             if report is None:
-                self._send_json({"duplicate": True, "source": source, "seq": seq})
+                self.send_json({"duplicate": True, "source": source, "seq": seq})
                 return
         except (ValueError, UnicodeDecodeError) as error:
             self._error(400, f"bad delta: {error}")
             return
         except QueueFullError as error:
-            self._send_json(
+            self.send_json(
                 {"error": str(error)},
                 status=429,
                 headers={"Retry-After": f"{error.retry_after:g}"},
@@ -789,20 +704,15 @@ class AlignmentRequestHandler(ObservedHandlerMixin, BaseHTTPRequestHandler):
             # failure; report it instead of killing the handler thread.
             self._error(500, f"delta failed mid-apply: {error!r}")
             return
-        self._send_json(report.to_json())
+        self.send_json(report.to_json())
 
     def _route_post_subscription(self, path: str) -> None:
         """Webhook registry: register / remove a change subscription."""
-        try:
-            length = int(self.headers.get("Content-Length", "0"))
-        except ValueError:
-            self._error(400, "bad Content-Length")
-            return
-        if length <= 0 or length > 1024 * 1024:
-            self._error(400, "subscription body must be non-empty JSON")
-            return
-        raw = self._read_body(length)
+        raw = self.read_body(1024 * 1024)
         if raw is None:
+            return
+        if not raw:
+            self._error(400, "subscription body must be non-empty JSON")
             return
         try:
             payload = json.loads(raw.decode("utf-8"))
@@ -818,7 +728,7 @@ class AlignmentRequestHandler(ObservedHandlerMixin, BaseHTTPRequestHandler):
             if not isinstance(sub_id, str):
                 self._error(400, "unsubscribe requires a string id")
                 return
-            self._send_json({"id": sub_id, "removed": subs.unsubscribe(sub_id)})
+            self.send_json({"id": sub_id, "removed": subs.unsubscribe(sub_id)})
             return
         url = payload.get("url")
         entity = payload.get("entity")
@@ -832,7 +742,7 @@ class AlignmentRequestHandler(ObservedHandlerMixin, BaseHTTPRequestHandler):
         if not isinstance(epsilon, (int, float)) or epsilon < 0:
             self._error(400, "epsilon must be a non-negative number")
             return
-        self._send_json(subs.subscribe(url, entity, float(epsilon)), status=201)
+        self.send_json(subs.subscribe(url, entity, float(epsilon)), status=201)
 
 
 def maybe_compact_wal(wal: WriteAheadLog, covered: int) -> int:
