@@ -92,10 +92,15 @@ def load_ontology(path: str, name: Optional[str] = None) -> Ontology:
         raise SystemExit(f"error: no such file: {path}")
     suffix = file_path.suffix.lower()
     if suffix in (".nt", ".ntriples"):
-        return ntriples.read_ntriples(file_path, name=name)
-    if suffix == ".tsv":
-        return tsv.read_tsv(file_path, name=name)
-    raise SystemExit(f"error: unsupported extension {suffix!r} (use .nt or .tsv)")
+        reader = ntriples.read_ntriples
+    elif suffix == ".tsv":
+        reader = tsv.read_tsv
+    else:
+        raise SystemExit(f"error: unsupported extension {suffix!r} (use .nt or .tsv)")
+    try:
+        return reader(file_path, name=name)
+    except (ntriples.NTriplesError, tsv.TsvError) as exc:
+        raise SystemExit(f"error: {path}: {exc}") from None
 
 
 def _load_pair(args: argparse.Namespace) -> tuple:

@@ -19,7 +19,7 @@ from __future__ import annotations
 
 import io
 from pathlib import Path
-from typing import TextIO, Tuple, Union
+from typing import Dict, TextIO, Tuple, Union
 
 from .ontology import Ontology
 from .terms import Literal, Node, Relation, Resource
@@ -45,7 +45,11 @@ class NTriplesError(ValueError):
         self.line_number = line_number
 
 
-def _unescape(text: str) -> str:
+_ESCAPES = {"n": "\n", "t": "\t", "r": "\r", '"': '"', "\\": "\\"}
+_HEX_DIGITS = frozenset("0123456789abcdefABCDEF")
+
+
+def _unescape(text: str, line_number: int) -> str:
     out = []
     i = 0
     while i < len(text):
@@ -55,17 +59,19 @@ def _unescape(text: str) -> str:
             i += 1
             continue
         if i + 1 >= len(text):
-            raise NTriplesError("dangling backslash in literal")
+            raise NTriplesError("dangling backslash in literal", line_number)
         nxt = text[i + 1]
-        mapping = {"n": "\n", "t": "\t", "r": "\r", '"': '"', "\\": "\\"}
-        if nxt in mapping:
-            out.append(mapping[nxt])
+        if nxt in _ESCAPES:
+            out.append(_ESCAPES[nxt])
             i += 2
         elif nxt == "u" and i + 6 <= len(text):
-            out.append(chr(int(text[i + 2 : i + 6], 16)))
+            digits = text[i + 2 : i + 6]
+            if not _HEX_DIGITS.issuperset(digits):
+                raise NTriplesError(f"invalid escape sequence \\u{digits}", line_number)
+            out.append(chr(int(digits, 16)))
             i += 6
         else:
-            raise NTriplesError(f"unsupported escape sequence \\{nxt}")
+            raise NTriplesError(f"unsupported escape sequence \\{nxt}", line_number)
     return "".join(out)
 
 
@@ -80,9 +86,77 @@ def _escape(text: str) -> str:
 
 
 def _parse_uri(token: str, line_number: int) -> str:
-    if not (token.startswith("<") and token.endswith(">")):
+    if len(token) < 3 or not token.startswith("<") or token.find(">") != len(token) - 1:
         raise NTriplesError(f"expected <uri>, got {token!r}", line_number)
     return token[1:-1]
+
+
+def _relation(uri: str, line_number: int) -> Relation:
+    try:
+        return Relation(_URI_TO_SCHEMA.get(uri, uri))
+    except ValueError as exc:
+        raise NTriplesError(f"bad relation <{uri}>: {exc}", line_number) from None
+
+
+def _split(line: str, line_number: int) -> Tuple[str, str, str] | None:
+    """Split one line into its subject, predicate and object tokens.
+
+    The subject token keeps its angle brackets (``<uri>``) so that it
+    shares a key space with resource object tokens; the predicate is
+    the bare URI.  Returns ``None`` for blank and comment lines.
+    """
+    stripped = line.strip()
+    if not stripped or stripped.startswith("#"):
+        return None
+    if not stripped.endswith("."):
+        raise NTriplesError("statement must end with '.'", line_number)
+    body = stripped[:-1].rstrip()
+    if not body.startswith("<"):
+        raise NTriplesError("subject must be a <uri>", line_number)
+    end = body.find(">")
+    if end < 0:
+        raise NTriplesError("unterminated subject <uri>", line_number)
+    subject = body[: end + 1]
+    rest = body[end + 1 :].lstrip()
+    if not rest.startswith("<"):
+        raise NTriplesError("predicate must be a <uri>", line_number)
+    end = rest.find(">")
+    if end < 0:
+        raise NTriplesError("unterminated predicate <uri>", line_number)
+    obj = rest[end + 1 :].lstrip()
+    if not obj:
+        raise NTriplesError("missing object", line_number)
+    return subject, rest[1:end], obj
+
+
+def _parse_object(token: str, line_number: int) -> Node:
+    """Decode an object token: a ``<uri>`` or a literal."""
+    if token.startswith("<"):
+        return Resource(_parse_uri(token, line_number))
+    if not token.startswith('"'):
+        raise NTriplesError(f"object must be a <uri> or a literal, got {token!r}", line_number)
+    # find the closing unescaped quote
+    i = 1
+    while i < len(token):
+        if token[i] == "\\":
+            i += 2
+            continue
+        if token[i] == '"':
+            break
+        i += 1
+    else:
+        raise NTriplesError("unterminated literal", line_number)
+    lexical = _unescape(token[1:i], line_number)
+    suffix = token[i + 1 :].strip()
+    datatype = None
+    if suffix.startswith("^^"):
+        datatype_uri = _parse_uri(suffix[2:].strip(), line_number)
+        datatype = datatype_uri.rsplit("#", 1)[-1].rsplit("/", 1)[-1]
+    elif suffix.startswith("@"):
+        pass  # language tags are accepted and dropped
+    elif suffix:
+        raise NTriplesError(f"unexpected trailing content {suffix!r}", line_number)
+    return Literal(lexical, datatype=datatype)
 
 
 def parse_line(line: str, line_number: int = 0) -> Tuple[str, str, Node] | None:
@@ -92,60 +166,21 @@ def parse_line(line: str, line_number: int = 0) -> Tuple[str, str, Node] | None:
     a :class:`Resource` (carrying its URI as name) or a
     :class:`Literal`.
     """
-    stripped = line.strip()
-    if not stripped or stripped.startswith("#"):
+    tokens = _split(line, line_number)
+    if tokens is None:
         return None
-    if not stripped.endswith("."):
-        raise NTriplesError("statement must end with '.'", line_number)
-    body = stripped[:-1].strip()
-    # subject
-    if not body.startswith("<"):
-        raise NTriplesError("subject must be a <uri>", line_number)
-    end = body.index(">")
-    subject = body[1:end]
-    rest = body[end + 1 :].strip()
-    # predicate
-    if not rest.startswith("<"):
-        raise NTriplesError("predicate must be a <uri>", line_number)
-    end = rest.index(">")
-    predicate = rest[1:end]
-    obj_token = rest[end + 1 :].strip()
-    if not obj_token:
-        raise NTriplesError("missing object", line_number)
-    # object
-    obj: Node
-    if obj_token.startswith("<"):
-        obj = Resource(_parse_uri(obj_token, line_number))
-    elif obj_token.startswith('"'):
-        # find the closing unescaped quote
-        i = 1
-        while i < len(obj_token):
-            if obj_token[i] == "\\":
-                i += 2
-                continue
-            if obj_token[i] == '"':
-                break
-            i += 1
-        else:
-            raise NTriplesError("unterminated literal", line_number)
-        lexical = _unescape(obj_token[1:i])
-        suffix = obj_token[i + 1 :].strip()
-        datatype = None
-        if suffix.startswith("^^"):
-            datatype_uri = _parse_uri(suffix[2:].strip(), line_number)
-            datatype = datatype_uri.rsplit("#", 1)[-1].rsplit("/", 1)[-1]
-        elif suffix.startswith("@"):
-            pass  # language tags are accepted and dropped
-        elif suffix:
-            raise NTriplesError(f"unexpected trailing content {suffix!r}", line_number)
-        obj = Literal(lexical, datatype=datatype)
-    else:
-        raise NTriplesError(f"object must be a <uri> or a literal, got {obj_token!r}", line_number)
-    return subject, predicate, obj
+    subject, predicate, obj = tokens
+    return _parse_uri(subject, line_number), predicate, _parse_object(obj, line_number)
 
 
 def read_ntriples(source: Union[str, Path, TextIO], name: str | None = None) -> Ontology:
     """Load an ontology from an N-Triples file or stream.
+
+    Each line is split into its three tokens once, and the term for
+    each distinct token is built once per call: every statement that
+    repeats a subject, predicate or object shares one term object, so
+    the ontology's index probes hit by identity.  Decoding goes through
+    the same functions as :func:`parse_line`.
 
     Parameters
     ----------
@@ -159,21 +194,33 @@ def read_ntriples(source: Union[str, Path, TextIO], name: str | None = None) -> 
         with path.open("r", encoding="utf-8") as stream:
             return read_ntriples(stream, name=name or path.stem)
     ontology = Ontology(name or "ontology")
+    nodes: Dict[str, Node] = {}  # subject/object token -> term
+    relations: Dict[str, Relation] = {}  # predicate URI -> relation
     for line_number, line in enumerate(source, start=1):
-        parsed = parse_line(line, line_number)
-        if parsed is None:
+        tokens = _split(line, line_number)
+        if tokens is None:
             continue
-        subject_uri, predicate_uri, obj = parsed
-        predicate_name = _URI_TO_SCHEMA.get(predicate_uri, predicate_uri)
-        subject = Resource(subject_uri)
-        if predicate_name == RDFS_SUBPROPERTYOF.name:
+        subject_token, predicate_uri, obj_token = tokens
+        subject = nodes.get(subject_token)
+        if subject is None:
+            subject = nodes[subject_token] = Resource(_parse_uri(subject_token, line_number))
+        obj = nodes.get(obj_token)
+        if obj is None:
+            obj = nodes[obj_token] = _parse_object(obj_token, line_number)
+        relation = relations.get(predicate_uri)
+        if relation is None:
+            relation = relations[predicate_uri] = _relation(predicate_uri, line_number)
+        if relation.name == RDFS_SUBPROPERTYOF.name:
             if not isinstance(obj, Resource):
                 raise NTriplesError("rdfs:subPropertyOf needs a resource object", line_number)
-            sub_name = _URI_TO_SCHEMA.get(subject_uri, subject_uri)
-            sup_name = _URI_TO_SCHEMA.get(obj.name, obj.name)
-            ontology.add_subproperty(Relation(sub_name), Relation(sup_name))
+            ontology.add_subproperty(
+                _relation(subject.name, line_number), _relation(obj.name, line_number)
+            )
             continue
-        ontology.add(subject, Relation(predicate_name), obj)
+        try:
+            ontology.add(subject, relation, obj)
+        except TypeError as exc:  # a schema statement with a literal argument
+            raise NTriplesError(str(exc), line_number) from None
     return ontology
 
 

@@ -28,7 +28,11 @@ from typing import Dict, Iterable, Iterator, List, Optional, Set, Tuple
 
 from .terms import Literal, Node, Relation, Resource
 from .triples import Triple
-from .vocabulary import RDF_TYPE, RDFS_SUBCLASSOF, RDFS_SUBPROPERTYOF, is_schema_relation
+from .vocabulary import RDF_TYPE, RDFS_SUBCLASSOF, SCHEMA_RELATIONS, is_schema_relation
+
+#: Names of the schema relations that :meth:`Ontology.add` and
+#: :meth:`Ontology.remove` route away from the data indexes.
+_SCHEMA_NAMES = frozenset(relation.name for relation in SCHEMA_RELATIONS)
 
 
 class Ontology:
@@ -91,19 +95,17 @@ class Ontology:
         """
         if not isinstance(relation, Relation):
             raise TypeError(f"relation must be a Relation, got {type(relation).__name__}")
-        base = relation.base
-        if base == RDF_TYPE:
-            sub, obj2 = (subject, obj) if not relation.inverted else (obj, subject)
+        if relation.name not in _SCHEMA_NAMES:
+            return self._add_data(subject, relation, obj)
+        sub, obj2 = (subject, obj) if not relation.inverted else (obj, subject)
+        if relation.name == RDF_TYPE.name:
             return self.add_type(sub, obj2)  # type: ignore[arg-type]
-        if base == RDFS_SUBCLASSOF:
-            sub, obj2 = (subject, obj) if not relation.inverted else (obj, subject)
+        if relation.name == RDFS_SUBCLASSOF.name:
             return self.add_subclass(sub, obj2)  # type: ignore[arg-type]
-        if base == RDFS_SUBPROPERTYOF:
-            raise ValueError(
-                "add rdfs:subPropertyOf edges via add_subproperty(), "
-                "they relate Relation terms, not nodes"
-            )
-        return self._add_data(subject, relation, obj)
+        raise ValueError(
+            "add rdfs:subPropertyOf edges via add_subproperty(), "
+            "they relate Relation terms, not nodes"
+        )
 
     def _add_data(self, subject: Node, relation: Relation, obj: Node) -> bool:
         objects = self._statements.setdefault(relation, {}).setdefault(subject, set())
@@ -198,19 +200,17 @@ class Ontology:
         """
         if not isinstance(relation, Relation):
             raise TypeError(f"relation must be a Relation, got {type(relation).__name__}")
-        base = relation.base
-        if base == RDF_TYPE:
-            sub, obj2 = (subject, obj) if not relation.inverted else (obj, subject)
+        if relation.name not in _SCHEMA_NAMES:
+            return self._remove_data(subject, relation, obj)
+        sub, obj2 = (subject, obj) if not relation.inverted else (obj, subject)
+        if relation.name == RDF_TYPE.name:
             return self.remove_type(sub, obj2)  # type: ignore[arg-type]
-        if base == RDFS_SUBCLASSOF:
-            sub, obj2 = (subject, obj) if not relation.inverted else (obj, subject)
+        if relation.name == RDFS_SUBCLASSOF.name:
             return self.remove_subclass(sub, obj2)  # type: ignore[arg-type]
-        if base == RDFS_SUBPROPERTYOF:
-            raise ValueError(
-                "remove rdfs:subPropertyOf edges via remove_subproperty(), "
-                "they relate Relation terms, not nodes"
-            )
-        return self._remove_data(subject, relation, obj)
+        raise ValueError(
+            "remove rdfs:subPropertyOf edges via remove_subproperty(), "
+            "they relate Relation terms, not nodes"
+        )
 
     def _remove_data(self, subject: Node, relation: Relation, obj: Node) -> bool:
         objects = self._statements.get(relation, {}).get(subject)

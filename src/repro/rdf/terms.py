@@ -21,7 +21,8 @@ dictionary keys in the hot loops of the aligner.
 
 from __future__ import annotations
 
-from typing import Union
+import threading
+from typing import Dict, Tuple, Union
 
 
 class Term:
@@ -164,7 +165,18 @@ class Relation(Term):
     ``Relation("wasBornIn").inverse`` is the relation written
     ``wasBornIn⁻`` in the paper, satisfying
     ``r(x, y) ⇔ r⁻(y, x)``.  Double inversion returns the forward
-    relation (``r.inverse.inverse == r``).
+    relation (``r.inverse.inverse is r``).
+
+    Relations are interned: constructing one returns the single object
+    for its ``(name, inverted)``, built and validated the first time
+    that name is seen together with its inverse.  Every index keyed by
+    a relation then hits by identity, which CPython checks before it
+    calls ``__eq__``.  Identity is a fast path only: equality and
+    hashing stay by value, so a relation built any other way still
+    compares equal.  The table holds both directions of every
+    predicate name ever constructed and is never pruned, so it grows
+    with the predicate vocabulary (including the names of relations
+    that deltas add), not with the number of statements.
 
     Parameters
     ----------
@@ -172,42 +184,59 @@ class Relation(Term):
         Name of the underlying predicate.
     inverted:
         ``True`` if this term denotes the inverse direction.
+
+    Attributes
+    ----------
+    inverse:
+        The relation ``r⁻`` with arguments swapped.
+    base:
+        The forward (non-inverted) relation underlying this term.
     """
 
-    __slots__ = ("name", "inverted", "_hash")
+    __slots__ = ("name", "inverted", "inverse", "base", "_hash")
 
     #: Textual marker used when rendering inverse relations.
     INVERSE_SUFFIX = "^-1"
 
-    def __init__(self, name: str, inverted: bool = False) -> None:
+    def __new__(cls, name: str, inverted: bool = False) -> "Relation":
+        try:
+            return _RELATIONS[name, inverted]
+        except (KeyError, TypeError):
+            return cls._intern(name, bool(inverted))
+
+    @classmethod
+    def _intern(cls, name: str, inverted: bool) -> "Relation":
         if not isinstance(name, str):
             raise TypeError(f"relation name must be a string, got {type(name).__name__}")
         if not name:
             raise ValueError("relation name must be non-empty")
-        if name.endswith(self.INVERSE_SUFFIX):
+        if name.endswith(cls.INVERSE_SUFFIX):
             raise ValueError(
-                f"relation name must not end with {self.INVERSE_SUFFIX!r}; "
+                f"relation name must not end with {cls.INVERSE_SUFFIX!r}; "
                 "use inverted=True or .inverse instead"
             )
-        object.__setattr__(self, "name", name)
-        object.__setattr__(self, "inverted", bool(inverted))
-        object.__setattr__(self, "_hash", hash(("P", name, bool(inverted))))
+        with _RELATIONS_LOCK:
+            forward = _RELATIONS.get((name, False))
+            if forward is None:
+                forward = object.__new__(cls)
+                backward = object.__new__(cls)
+                for term, flag, other in ((forward, False, backward), (backward, True, forward)):
+                    object.__setattr__(term, "name", name)
+                    object.__setattr__(term, "inverted", flag)
+                    object.__setattr__(term, "inverse", other)
+                    object.__setattr__(term, "base", forward)
+                    object.__setattr__(term, "_hash", hash(("P", name, flag)))
+                _RELATIONS[name, True] = backward
+                _RELATIONS[name, False] = forward
+        return forward.inverse if inverted else forward
 
     def __setattr__(self, key: str, value: object) -> None:
         raise AttributeError("Relation is immutable")
 
     def __reduce__(self):
+        # Unpickling goes through the constructor, so relations loaded
+        # from a snapshot are the interned ones.
         return (Relation, (self.name, self.inverted))
-
-    @property
-    def inverse(self) -> "Relation":
-        """The relation ``r⁻`` with arguments swapped."""
-        return Relation(self.name, not self.inverted)
-
-    @property
-    def base(self) -> "Relation":
-        """The forward (non-inverted) relation underlying this term."""
-        return self if not self.inverted else Relation(self.name, False)
 
     @classmethod
     def parse(cls, text: str) -> "Relation":
@@ -221,7 +250,7 @@ class Relation(Term):
         return cls(text)
 
     def __eq__(self, other: object) -> bool:
-        return (
+        return self is other or (
             isinstance(other, Relation)
             and other.name == self.name
             and other.inverted == self.inverted
@@ -240,6 +269,11 @@ class Relation(Term):
 
     def __str__(self) -> str:
         return self.name + (self.INVERSE_SUFFIX if self.inverted else "")
+
+
+#: The relation table: ``(name, inverted)`` -> the one Relation object.
+_RELATIONS: Dict[Tuple[str, bool], Relation] = {}
+_RELATIONS_LOCK = threading.Lock()
 
 
 #: Type alias for anything allowed in subject/object position.  Because

@@ -87,14 +87,17 @@ def read_tsv(source: Union[str, Path, TextIO], name: str | None = None) -> Ontol
                 f"line {line_number}: expected 3 tab-separated fields, got {len(fields)}"
             )
         subject_name, predicate_name, object_field = fields
-        if predicate_name == RDFS_SUBPROPERTYOF.name:
-            ontology.add_subproperty(
-                Relation.parse(subject_name), Relation.parse(object_field)
+        try:
+            if predicate_name == RDFS_SUBPROPERTYOF.name:
+                ontology.add_subproperty(
+                    Relation.parse(subject_name), Relation.parse(object_field)
+                )
+                continue
+            ontology.add(
+                Resource(subject_name), Relation.parse(predicate_name), _parse_object(object_field)
             )
-            continue
-        ontology.add(
-            Resource(subject_name), Relation.parse(predicate_name), _parse_object(object_field)
-        )
+        except (TypeError, ValueError) as exc:  # empty names, literal schema arguments
+            raise TsvError(f"line {line_number}: {exc}") from None
     return ontology
 
 

@@ -1,12 +1,15 @@
 """Unit tests for the N-Triples and TSV codecs."""
 
 import io
+import random
 
 import pytest
 
+from repro.datasets import yago_dbpedia_pair
 from repro.rdf import ntriples, tsv
 from repro.rdf.builder import OntologyBuilder
 from repro.rdf.ntriples import NTriplesError, parse_line
+from repro.rdf.ontology import Ontology
 from repro.rdf.terms import Literal, Relation, Resource
 from repro.rdf.tsv import TsvError
 
@@ -23,6 +26,24 @@ def onto():
         .subproperty("bornIn", "locatedAt")
         .build()
     )
+
+
+#: Lines every N-Triples entry point must reject with an NTriplesError.
+MALFORMED = [
+    "<a> <r> <b>",  # missing dot
+    "a <r> <b> .",  # bare subject
+    "<a> r <b> .",  # bare predicate
+    "<a> <r> .",  # missing object
+    '<a> <r> "unterminated .',
+    '<a> <r> "x" junk .',
+    "<s> <p .",  # unterminated predicate URI
+    "<abc .",  # unterminated subject URI
+    "<s> <p> <o> <x> .",  # junk after the object URI
+    "<> <r> <b> .",  # empty subject URI
+    '<a> <r> "x\\uZZZZ" .',  # non-hex unicode escape
+    '<a> <r> "x\\u12" .',  # truncated unicode escape
+    '<a> <r> "x\\q" .',  # unknown escape
+]
 
 
 class TestNTriplesParsing:
@@ -57,25 +78,96 @@ class TestNTriplesParsing:
         assert parse_line("# comment") is None
         assert parse_line("   ") is None
 
-    @pytest.mark.parametrize(
-        "bad",
-        [
-            "<a> <r> <b>",          # missing dot
-            "a <r> <b> .",          # bare subject
-            "<a> r <b> .",          # bare predicate
-            "<a> <r> .",            # missing object
-            '<a> <r> "unterminated .',
-            '<a> <r> "x" junk .',
-        ],
-    )
+    @pytest.mark.parametrize("bad", MALFORMED)
     def test_malformed_lines_raise(self, bad):
         with pytest.raises(NTriplesError):
             parse_line(bad, line_number=3)
+
+    @pytest.mark.parametrize("bad", MALFORMED)
+    def test_malformed_lines_name_their_line(self, bad):
+        with pytest.raises(NTriplesError) as exc:
+            ntriples.loads(f"# header\n<a> <r> <b> .\n{bad}\n")
+        assert exc.value.line_number == 3
+        assert str(exc.value).startswith("line 3: ")
+
+    @pytest.mark.parametrize(
+        "bad, message",
+        [
+            ("<a> <> <b> .", "bad relation"),
+            ("<a> <r^-1> <b> .", "bad relation"),
+            ('<a> <http://www.w3.org/1999/02/22-rdf-syntax-ns#type> "x" .', "rdf:type connects"),
+        ],
+    )
+    def test_lines_that_build_no_statement_raise(self, bad, message):
+        # parse_line accepts these; only building the statement fails.
+        with pytest.raises(NTriplesError, match=f"^line 1: {message}"):
+            ntriples.loads(bad)
 
     def test_error_carries_line_number(self):
         with pytest.raises(NTriplesError) as exc:
             ntriples.loads("<a> <r> <b>\n")
         assert "line 1" in str(exc.value)
+
+
+def _shuffled_kb_lines(seed=3):
+    pair = yago_dbpedia_pair(num_persons=40, num_works=20, seed=seed)
+    lines = ntriples.dumps(pair.ontology1).splitlines(keepends=True)
+    lines += ntriples.dumps(pair.ontology2).splitlines(keepends=True)
+    random.Random(seed).shuffle(lines)
+    return lines
+
+
+def _ordered(value):
+    """A nested container as lists, keeping every iteration order."""
+    if isinstance(value, dict):
+        return [(key, _ordered(item)) for key, item in value.items()]
+    if isinstance(value, (set, frozenset)):
+        return list(value)
+    return value
+
+
+class TestNTriplesInterning:
+    """``read_ntriples`` builds one term object per distinct term."""
+
+    def test_one_object_per_term(self):
+        loaded = ntriples.loads("".join(_shuffled_kb_lines()))
+        objects = {}
+        for relation, by_subject in loaded._statements.items():
+            objects[id(relation)] = relation
+            for subject, nodes in by_subject.items():
+                objects[id(subject)] = subject
+                objects.update((id(node), node) for node in nodes)
+        for subject, by_relation in loaded._subject_index.items():
+            objects[id(subject)] = subject
+            for relation, nodes in by_relation.items():
+                objects[id(relation)] = relation
+                objects.update((id(node), node) for node in nodes)
+        assert loaded.num_facts > 500
+        assert len(objects) == len(set(objects.values()))
+
+    def test_same_indexes_as_line_by_line_adds(self):
+        lines = _shuffled_kb_lines()
+        loaded = ntriples.loads("".join(lines))
+        reference = Ontology("ontology")
+        for line in lines:
+            subject, predicate, obj = parse_line(line)
+            name = ntriples._URI_TO_SCHEMA.get(predicate, predicate)
+            reference.add(Resource(subject), Relation(name), obj)
+        for index in (
+            "_statements",
+            "_subject_index",
+            "_fact_counts",
+            "_instance_classes",
+            "_class_instances",
+            "_subclass_edges",
+            "_superclass_edges",
+            "_subproperty_edges",
+            "_instances",
+            "_classes",
+            "_literals",
+        ):
+            assert _ordered(getattr(loaded, index)) == _ordered(getattr(reference, index)), index
+        assert loaded.num_type_statements > 0 and loaded.version == reference.version
 
 
 class TestNTriplesRoundTrip:
@@ -128,6 +220,11 @@ class TestTsv:
     def test_wrong_field_count_raises(self):
         with pytest.raises(TsvError):
             tsv.loads("a\tb\n")
+
+    @pytest.mark.parametrize("bad", ["\tr\tb", "a\t\tb", "a\tr^-1^-1\tb", 'a\trdf:type\t"x"'])
+    def test_bad_terms_raise_tsv_error(self, bad):
+        with pytest.raises(TsvError, match="^line 2: "):
+            tsv.loads(f"a\tr\tb\n{bad}\n")
 
     def test_comments_skipped(self):
         loaded = tsv.loads("# header\na\tr\tb\n")

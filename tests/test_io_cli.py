@@ -123,6 +123,20 @@ class TestCli:
             main(["align", "/nonexistent.nt", "/nonexistent2.nt",
                   "--out", str(tmp_path / "x")])
 
+    @pytest.mark.parametrize(
+        "name, text, message",
+        [
+            ("bad.nt", "<a> <r> <b> .\n<s> <p .\n", "line 2: unterminated predicate <uri>"),
+            ("bad.tsv", "a\tr\tb\nonly-two\tfields\n", "line 2: expected 3 tab-separated"),
+        ],
+    )
+    def test_parse_errors_exit_with_path_and_line(self, tmp_path, name, text, message):
+        bad = tmp_path / name
+        bad.write_text(text)
+        with pytest.raises(SystemExit) as exc:
+            main(["stats", str(bad)])
+        assert str(exc.value).startswith(f"error: {bad}: {message}")
+
     def test_unsupported_extension_errors(self, tmp_path):
         bad = tmp_path / "file.xyz"
         bad.write_text("")

@@ -280,6 +280,10 @@ class TestStateStore:
 
         loaded = load_state(state_dir)
         assert loaded.config.__dict__["workers"] == 4
+        # Relations unpickle through the constructor: one object each.
+        for ontology in (loaded.ontology1, loaded.ontology2):
+            for by_relation in ontology._subject_index.values():
+                assert all(r is Relation(r.name, r.inverted) for r in by_relation)
         assert loaded.config.__dict__["scoring"] == "dict"
         resumed = AlignmentService.from_state(loaded)
         add1, add2 = family_addition(4, 1)

@@ -1,5 +1,8 @@
 """Unit tests for the term model (repro.rdf.terms)."""
 
+import copy
+import pickle
+
 import pytest
 
 from repro.rdf.terms import Literal, Relation, Resource
@@ -122,3 +125,40 @@ class TestRelation:
 
     def test_distinct_from_resource(self):
         assert Relation("x") != Resource("x")
+
+
+class TestRelationInterning:
+    def test_one_object_per_name_and_direction(self):
+        relation = Relation("r")
+        assert Relation("r") is relation
+        assert Relation("r", inverted=True) is relation.inverse
+        assert Relation.parse("r^-1") is relation.inverse
+
+    def test_inverse_and_base_are_interned(self):
+        relation = Relation("r")
+        assert relation.inverse.inverse is relation
+        assert relation.inverse.base is relation
+        assert relation.base is relation
+
+    def test_pickle_and_copy_return_the_interned_object(self):
+        relation = Relation("r")
+        for term in (relation, relation.inverse):
+            assert pickle.loads(pickle.dumps(term)) is term
+            assert copy.deepcopy(term) is term
+        assert relation.__reduce__() == (Relation, ("r", False))
+
+    def test_equality_does_not_rely_on_identity(self):
+        # A relation that bypassed the table (as a racing thread could
+        # build) still equals and hashes like the interned one.
+        stray = object.__new__(Relation)
+        for slot, value in (("name", "r"), ("inverted", False), ("_hash", hash(Relation("r")))):
+            object.__setattr__(stray, slot, value)
+        assert stray is not Relation("r")
+        assert stray == Relation("r") and Relation("r") == stray
+        assert {stray: 1}[Relation("r")] == 1
+
+    def test_first_construction_validates_either_direction(self):
+        with pytest.raises(ValueError):
+            Relation("bad^-1", inverted=True)
+        with pytest.raises(TypeError):
+            Relation(["unhashable"])
