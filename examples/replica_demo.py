@@ -27,7 +27,16 @@ from pathlib import Path
 
 from repro.datasets.incremental import family_pair
 from repro.rdf import ntriples
-from repro.testing import Fleet, family_delta, fetch_json, spawn, stop, wait_json, wait_ready
+from repro.testing import (
+    Fleet,
+    family_delta,
+    fetch_json,
+    scrape,
+    spawn,
+    stop,
+    wait_json,
+    wait_ready,
+)
 
 BASE_FAMILIES = 30
 WRITES = 4
@@ -134,6 +143,14 @@ def main() -> int:
                 f"live WAL: {len(live_wal_files)} segment files, "
                 f"{live_size} bytes"
             )
+
+            # The file-tail replica resumed each fetch from its cursor:
+            # rotation keeps a cursor valid, and only a rotation or a
+            # compaction (none has run yet) may cost it a full walk.
+            rotations = len(live_wal_files) - 1
+            fallbacks = scrape(replica_urls[0]).get("repro_wal_resume_fallbacks_total", 0)
+            assert fallbacks <= rotations, (fallbacks, rotations)
+            print(f"file-tail cursor: {fallbacks:.0f} fallbacks over {rotations} rotations")
 
             # Kill one replica outright; the router ejects it and keeps
             # serving reads from the survivor.

@@ -18,8 +18,10 @@ routed to the ontology's schema indexes.
 from __future__ import annotations
 
 import io
+from itertools import groupby
+from operator import itemgetter
 from pathlib import Path
-from typing import Dict, TextIO, Tuple, Union
+from typing import Callable, Dict, Iterable, Iterator, TextIO, Tuple, TypeVar, Union
 
 from .ontology import Ontology
 from .terms import Literal, Node, Relation, Resource
@@ -233,12 +235,33 @@ def _render_term(node: Node) -> str:
     return rendered
 
 
+_Item = TypeVar("_Item")
+
+
+def in_stable_order(
+    items: Iterable[_Item], group: Callable[[_Item], object], text: Callable[[_Item], str]
+) -> Iterator[_Item]:
+    """``items`` with each run of equal ``group`` keys sorted by ``text``.
+
+    The ontology yields its groups (a subject's objects under one
+    relation, a class's instances, a class's superclasses) in insertion
+    order, but the members of each group come from a set, whose order
+    follows the per-process salted ``str`` hash (``PYTHONHASHSEED``).
+    Sorting each group by its rendered text makes a written file depend
+    on the ontology alone.
+    """
+    for _key, run in groupby(items, key=group):
+        yield from sorted(run, key=text)
+
+
 def write_ntriples(ontology: Ontology, target: Union[str, Path, TextIO]) -> int:
     """Serialize an ontology to N-Triples.
 
     Data statements are written once (forward direction), followed by
     ``rdf:type``, ``rdfs:subClassOf`` and ``rdfs:subPropertyOf``
-    statements.  Returns the number of lines written.
+    statements, in an order that does not depend on the process's hash
+    seed (:func:`in_stable_order`).  Returns the number of lines
+    written.
     """
     if isinstance(target, (str, Path)):
         with Path(target).open("w", encoding="utf-8") as stream:
@@ -250,18 +273,25 @@ def write_ntriples(ontology: Ontology, target: Union[str, Path, TextIO]) -> int:
         target.write(f"<{subject}> <{predicate}> {obj} .\n")
         count += 1
 
-    for triple in ontology.triples():
-        if not isinstance(triple.subject, Resource):
-            continue  # forward triples always have resource subjects
+    # Forward triples always have resource subjects.
+    data = (t for t in ontology.triples() if isinstance(t.subject, Resource))
+    by_subject = in_stable_order(
+        data, lambda t: (t.subject, t.relation), lambda t: _render_term(t.object)
+    )
+    for triple in by_subject:
         predicate_uri = _SCHEMA_TO_URI.get(triple.relation.name, triple.relation.name)
         emit(triple.subject.name, predicate_uri, _render_term(triple.object))
-    for instance, cls in ontology.type_statements():
+    types = ontology.type_statements()
+    for instance, cls in in_stable_order(types, itemgetter(1), lambda pair: str(pair[0])):
         emit(instance.name, _SCHEMA_TO_URI[RDF_TYPE.name], f"<{cls.name}>")
-    for sub, sup in ontology.subclass_edges():
+    edges = ontology.subclass_edges()
+    for sub, sup in in_stable_order(edges, itemgetter(0), lambda pair: str(pair[1])):
         emit(sub.name, _SCHEMA_TO_URI[RDFS_SUBCLASSOF.name], f"<{sup.name}>")
-    for sub, sup in ontology.subproperty_edges():
+    edges = ontology.subproperty_edges()
+    for sub, sup in in_stable_order(edges, itemgetter(0), lambda pair: str(pair[1])):
         emit(sub.name, _SCHEMA_TO_URI[RDFS_SUBPROPERTYOF.name], f"<{sup.name}>")
     return count
+
 
 
 def dumps(ontology: Ontology) -> str:

@@ -11,9 +11,11 @@ as :mod:`repro.rdf.vocabulary` (``rdf:type`` etc.).
 from __future__ import annotations
 
 import io
+from operator import itemgetter
 from pathlib import Path
 from typing import TextIO, Union
 
+from .ntriples import in_stable_order
 from .ontology import Ontology
 from .terms import Literal, Node, Relation, Resource
 from .vocabulary import RDF_TYPE, RDFS_SUBCLASSOF, RDFS_SUBPROPERTYOF
@@ -48,23 +50,30 @@ def _parse_object(field: str) -> Node:
 
 
 def write_tsv(ontology: Ontology, target: Union[str, Path, TextIO]) -> int:
-    """Write an ontology as TSV; returns the number of lines."""
+    """Write an ontology as TSV; returns the number of lines.  The order
+    does not depend on the process's hash seed
+    (:func:`repro.rdf.ntriples.in_stable_order`)."""
     if isinstance(target, (str, Path)):
         with Path(target).open("w", encoding="utf-8") as stream:
             return write_tsv(ontology, stream)
     count = 0
-    for triple in ontology.triples():
-        if not isinstance(triple.subject, Resource):
-            continue
+    data = (t for t in ontology.triples() if isinstance(t.subject, Resource))
+    by_subject = in_stable_order(
+        data, lambda t: (t.subject, t.relation), lambda t: _render(t.object)
+    )
+    for triple in by_subject:
         target.write(f"{triple.subject.name}\t{triple.relation}\t{_render(triple.object)}\n")
         count += 1
-    for instance, cls in ontology.type_statements():
+    types = ontology.type_statements()
+    for instance, cls in in_stable_order(types, itemgetter(1), lambda pair: str(pair[0])):
         target.write(f"{instance.name}\t{RDF_TYPE.name}\t{cls.name}\n")
         count += 1
-    for sub, sup in ontology.subclass_edges():
+    edges = ontology.subclass_edges()
+    for sub, sup in in_stable_order(edges, itemgetter(0), lambda pair: str(pair[1])):
         target.write(f"{sub.name}\t{RDFS_SUBCLASSOF.name}\t{sup.name}\n")
         count += 1
-    for sub, sup in ontology.subproperty_edges():
+    edges = ontology.subproperty_edges()
+    for sub, sup in in_stable_order(edges, itemgetter(0), lambda pair: str(pair[1])):
         target.write(f"{sub}\t{RDFS_SUBPROPERTYOF.name}\t{sup}\n")
         count += 1
     return count

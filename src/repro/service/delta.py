@@ -18,6 +18,7 @@ format is testable without a socket.
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass, field
 from typing import Dict, Iterable, List, Optional, Tuple
 
@@ -35,22 +36,29 @@ from ..rdf.vocabulary import (
 AppliedStatement = Tuple[Relation, Node, Node]
 
 
-def triple_from_json(payload: dict) -> Triple:
+def triple_from_json(payload: dict, terms: Optional[dict] = None) -> Triple:
     """Decode one triple from its wire form.
 
     Expected keys: ``subject``, ``relation``, ``object``, and
     ``object_type`` (``"resource"`` — the default — or ``"literal"``,
     with optional ``datatype``).  Relations honour the ``^-1`` suffix
     (:meth:`repro.rdf.terms.Relation.parse`).
+
+    ``terms`` is an optional dict shared across one decode batch (one
+    WAL replay, one shipped ``GET /wal`` body): each distinct resource
+    name and each ``(value, datatype)`` literal is then built once per
+    batch and reused.  Terms still compare by value; sharing only lets
+    the index probes of the apply hit by identity and keeps the
+    batch's allocations down.
     """
     try:
-        subject = Resource(payload["subject"])
+        subject = _resource(payload["subject"], terms)
         relation = Relation.parse(payload["relation"])
         object_type = payload.get("object_type", "resource")
         if object_type == "literal":
-            obj: Node = Literal(payload["object"], payload.get("datatype"))
+            obj: Node = _literal(payload["object"], payload.get("datatype"), terms)
         elif object_type == "resource":
-            obj = Resource(payload["object"])
+            obj = _resource(payload["object"], terms)
         else:
             raise ValueError(f"unknown object_type {object_type!r}")
     except KeyError as missing:
@@ -60,6 +68,32 @@ def triple_from_json(payload: dict) -> Triple:
         # normalize so callers handle one exception type for bad wire data.
         raise ValueError(f"bad triple field: {bad_type}") from None
     return Triple(subject, relation, obj)
+
+
+def _resource(name, terms: Optional[dict]) -> Resource:
+    # Only ``str`` names are shared: anything else goes to the
+    # constructor, which raises its usual error.
+    if terms is None or type(name) is not str:
+        return Resource(name)
+    term = terms.get(name)
+    if term is None:
+        term = terms[name] = Resource(name)
+    return term
+
+
+def _literal(value, datatype, terms: Optional[dict]) -> Literal:
+    # Keyed by ``(value, datatype)``, and only for ``str`` parts: a
+    # number key would collide with its equal bool/float spellings
+    # (``1 == True == 1.0``), which build different literals.
+    if terms is None or type(value) is not str or not (
+        datatype is None or type(datatype) is str
+    ):
+        return Literal(value, datatype)
+    key = (value, datatype)
+    term = terms.get(key)
+    if term is None:
+        term = terms[key] = Literal(value, datatype)
+    return term
 
 
 def triple_to_json(triple: Triple) -> dict:
@@ -107,8 +141,11 @@ class Delta:
         return len(self.add1) + len(self.remove1) + len(self.add2) + len(self.remove2)
 
     @classmethod
-    def from_json(cls, payload: dict) -> "Delta":
-        """Decode ``{"left": {"add": [...], "remove": [...]}, "right": ...}``."""
+    def from_json(cls, payload: dict, terms: Optional[dict] = None) -> "Delta":
+        """Decode ``{"left": {"add": [...], "remove": [...]}, "right": ...}``.
+
+        ``terms`` shares term objects across a decode batch (see
+        :func:`triple_from_json`)."""
         if not isinstance(payload, dict):
             raise ValueError("delta payload must be a JSON object")
         unknown = set(payload) - {"left", "right"}
@@ -123,7 +160,7 @@ class Delta:
             if unknown:
                 raise ValueError(f"unknown keys under {side!r}: {sorted(unknown)}")
             sides[side] = {
-                kind: tuple(triple_from_json(item) for item in spec.get(kind, ()))
+                kind: tuple(triple_from_json(item, terms) for item in spec.get(kind, ()))
                 for kind in ("add", "remove")
             }
         return cls(
@@ -202,9 +239,10 @@ def compose_deltas(deltas: Iterable["Delta"]) -> "Delta":
     )
 
 
-#: Characters the N-Triples codec cannot round-trip inside a ``<uri>``
-#: token (the W3C IRIREF exclusions plus ASCII whitespace/controls).
-_URI_FORBIDDEN = set('<>"{}|^`\\')
+#: The characters the N-Triples codec cannot round-trip inside a
+#: ``<uri>`` token: the W3C IRIREF exclusions plus ASCII whitespace and
+#: controls (U+0000–U+0020).
+_URI_FORBIDDEN = re.compile(r'[<>"{}|^`\\\x00-\x20]')
 
 
 def _term_syntax_error(triple: Triple) -> Optional[str]:
@@ -214,25 +252,26 @@ def _term_syntax_error(triple: Triple) -> Optional[str]:
     and relation names become bare ``<uri>`` tokens, so a name with
     whitespace, controls or IRIREF-forbidden characters would serialize
     to a line the parser rejects — or, worse, to a different statement.
+    The first offending character of a name is the one reported.
     """
     names = [("subject", triple.subject), ("object", triple.object)]
     for position, node in names:
         if isinstance(node, Literal):
             continue
-        for ch in node.name:
-            if ch in _URI_FORBIDDEN or ord(ch) <= 0x20:
-                return (
-                    f"{position} {node.name!r} contains {ch!r}, "
-                    "which is invalid inside an N-Triples <uri>"
-                )
-    schema = is_schema_relation(triple.relation)
-    for ch in triple.relation.name:
-        # Schema relation names are internal aliases ("rdf:type") that
-        # serialize through their full URIs, so only data relations
-        # must themselves be valid <uri> tokens.
-        if not schema and (ch in _URI_FORBIDDEN or ord(ch) <= 0x20):
+        bad = _URI_FORBIDDEN.search(node.name)
+        if bad is not None:
             return (
-                f"relation {triple.relation.name!r} contains {ch!r}, "
+                f"{position} {node.name!r} contains {bad.group()!r}, "
+                "which is invalid inside an N-Triples <uri>"
+            )
+    # Schema relation names are internal aliases ("rdf:type") that
+    # serialize through their full URIs, so only data relations must
+    # themselves be valid <uri> tokens.
+    if not is_schema_relation(triple.relation):
+        bad = _URI_FORBIDDEN.search(triple.relation.name)
+        if bad is not None:
+            return (
+                f"relation {triple.relation.name!r} contains {bad.group()!r}, "
                 "which is invalid inside an N-Triples <uri>"
             )
     return None

@@ -7,7 +7,11 @@ Two transports behind one ``fetch(after_offset, limit)`` interface:
   reader are handled by the segmented log itself (see
   :mod:`repro.service.stream.wal`).  Assumes the WAL lives on durable
   storage the primary fsyncs (its default), so every record the
-  follower can read is one the primary acknowledged.
+  follower can read is one the primary acknowledged.  It keeps the
+  cursor of the last record it returned and resumes the next fetch's
+  walk there, so a fetch costs the new records, not the log; a cursor
+  the log no longer honours (compaction, a replaced file) falls back
+  to the full walk with the same result.
 * :class:`HttpWalFollower` — log shipping for replicas without shared
   storage.  ``GET /wal?from=OFFSET&limit=N`` on the primary returns
   NDJSON records (the on-disk format verbatim) capped at the
@@ -18,7 +22,8 @@ Two transports behind one ``fetch(after_offset, limit)`` interface:
 
 Both return a :class:`WalFetch`: the records plus the source's known
 head offset, which is what the replica's staleness accounting
-(``lag_ms`` in ``GET /stats``) is computed from.
+(``lag_ms`` in ``GET /stats``) is computed from.  The records of one
+fetch share their terms: each resource name and literal is one object.
 """
 
 from __future__ import annotations
@@ -26,11 +31,11 @@ from __future__ import annotations
 import json
 from itertools import islice
 from pathlib import Path
-from typing import List, NamedTuple, Union
+from typing import List, NamedTuple, Optional, Union
 from urllib.parse import urlencode
 
 from ... import client
-from ..stream.wal import WalGapError, WalRecord, WriteAheadLog
+from ..stream.wal import WalCursor, WalGapError, WalRecord, WriteAheadLog
 
 
 class WalFetch(NamedTuple):
@@ -47,6 +52,9 @@ class FileWalFollower:
         self.path = Path(path)
         self.wal = WriteAheadLog(self.path, read_only=True)
         self.source_id = f"wal:{self.path}"
+        #: Cursor of the last record :meth:`fetch` returned: the next
+        #: fetch resumes its walk there (see ``WriteAheadLog.replay``).
+        self._cursor: Optional[WalCursor] = None
 
     def fetch(self, after_offset: int, limit: int = 256) -> WalFetch:
         # The head probe is a cheap tail-line read; taking it first
@@ -70,9 +78,13 @@ class FileWalFollower:
             head = min(head, durable)
         if head <= after_offset:
             return WalFetch([], max(head, after_offset))
-        records = list(islice(self.wal.replay(after_offset=after_offset), limit))
-        while records and records[-1].offset > head:
-            records.pop()
+        # Replay yields the contiguous offsets after_offset + 1, ...,
+        # so counting caps the fetch at the head without decoding the
+        # record past it.
+        replay = self.wal.replay(after_offset=after_offset, resume=self._cursor)
+        records = list(islice(replay, min(limit, head - after_offset)))
+        if records:
+            self._cursor = records[-1].cursor
         head = max(head, records[-1].offset if records else after_offset)
         return WalFetch(records, head)
 
@@ -101,10 +113,11 @@ class HttpWalFollower:
         head = int(headers.get("X-Wal-Offset", "0"))
         records = []
         expected = after_offset + 1
+        terms: dict = {}  # one decode batch: each term built once per body
         for line in body.decode("utf-8").splitlines():
             if not line.strip():
                 continue
-            record = WalRecord.from_json(json.loads(line))
+            record = WalRecord.from_json(json.loads(line), terms)
             if record.offset != expected:
                 raise ValueError(
                     f"log shipping out of order: offset {record.offset} "

@@ -69,6 +69,7 @@ import json
 import signal
 import threading
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
+from itertools import islice
 from pathlib import Path
 from typing import Optional, Union
 from urllib.parse import parse_qs, unquote, urlparse
@@ -519,7 +520,8 @@ class AlignmentRequestHandler(ObservedHandlerMixin, BaseHTTPRequestHandler):
             wal = stream.wal if stream is not None else None
             if wal is not None:
                 try:
-                    record = next(wal.replay(after_offset=offset - 1), None)
+                    replay = wal.replay(offset - 1, wal.resume_hint(offset - 1))
+                    record = next(replay, None)
                 except (WalGapError, WalCorruptionError):
                     record = None
                 if record is not None and record.offset == offset:
@@ -581,10 +583,12 @@ class AlignmentRequestHandler(ObservedHandlerMixin, BaseHTTPRequestHandler):
             return
         lines = []
         ring = getattr(self.service, "provenance", None)
+        # Replay yields the contiguous offsets after + 1, ..., so
+        # counting stops at the page end (or the durable offset)
+        # without decoding the record past it.
+        replay = wal.replay(after, wal.resume_hint(after))
         try:
-            for record in wal.replay(after_offset=after):
-                if record.offset > durable or len(lines) >= limit:
-                    break
+            for record in islice(replay, min(limit, durable - after)):
                 payload = record.to_json()
                 if ring is not None and payload.get("prov") is not None:
                     # The on-disk record is written before its fsync and

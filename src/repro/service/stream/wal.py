@@ -99,6 +99,24 @@ re-discovers segments on every walk, so rotation under its feet is
 safe; a reader asking for records that compaction already dropped gets
 :class:`WalGapError` and must re-bootstrap from a newer snapshot.
 
+A tailing reader pays for the new records only.  Every record a walk
+yields carries a :class:`WalCursor` — its segment's first offset, the
+byte its line ends at, its offset — and :meth:`replay` accepts one
+back as a resume hint: the walk seeks to that byte, confirms the line
+there is the next offset, and reads on to the end of the log.  The
+segment is named by its first offset, not by its path, so a cursor
+into the active file survives the rename that seals it.  A file-tail
+follower keeps the cursor of the last record it returned; the writer
+keeps one every :data:`CURSOR_EVERY` offsets for ``GET /wal`` and
+``/provenance?offset=``.  A hint the walk cannot use (its segment
+compacted, the file shorter or replaced, a foreign log) counts in
+``repro_wal_resume_fallbacks_total`` and the walk starts from the
+front as if there were no hint, so the torn-tail, corruption, gap and
+rotation handling is the same either way.  Records at or below the
+requested offset are checked from their JSON alone, with no
+:class:`Delta` built, and the records of one :meth:`replay` call share
+one term object per resource name and literal.
+
 Exactly-once replay
 -------------------
 :func:`replay_wal` reapplies the suffix of records beyond a state's
@@ -119,9 +137,10 @@ import os
 import re
 import threading
 import time
-from dataclasses import dataclass
+from bisect import bisect_right
+from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Dict, Iterator, List, Optional, TextIO, Tuple, Union
+from typing import Dict, Iterator, List, NamedTuple, Optional, TextIO, Tuple, Union
 
 from ..delta import Delta
 from ..state import fsync_directory
@@ -151,6 +170,15 @@ FSYNC_SECONDS = REGISTRY.histogram(
     "repro_wal_fsync_seconds",
     "Duration of one WAL flush+fsync syscall pair.",
 )
+RESUME_FALLBACKS = REGISTRY.counter(
+    "repro_wal_resume_fallbacks_total",
+    "WAL walks given a resume cursor they could not use (they walked from the front).",
+)
+
+#: The writer keeps the cursor of every ``CURSOR_EVERY``-th record, so
+#: ``GET /wal`` and ``/provenance?offset=`` start their walk at most
+#: this many records before the one they want.
+CURSOR_EVERY = 64
 
 
 class WalCorruptionError(ValueError):
@@ -195,6 +223,22 @@ class WalBehindSnapshotError(ValueError):
         self.snapshot_offset = snapshot_offset
 
 
+class WalCursor(NamedTuple):
+    """Where one record ends on disk: a resume point for a later walk.
+
+    ``base`` names the segment file by its first offset rather than by
+    path, so a cursor into the active file stays valid after rotation
+    renames that file to ``<stem>-<base>``.
+    """
+
+    #: First offset of the segment file holding the record.
+    base: int
+    #: Byte just past the record's newline in that file.
+    end: int
+    #: The record's offset.
+    offset: int
+
+
 @dataclass(frozen=True)
 class WalRecord:
     """One decoded WAL entry."""
@@ -206,6 +250,9 @@ class WalRecord:
     #: Schema-v2 provenance (trace id + stage timestamps), ``None`` for
     #: v1 records — see the module docstring.
     prov: Optional[dict] = None
+    #: Where the record ends in its segment file, set on records a walk
+    #: yields (``None`` on records built any other way).
+    cursor: Optional[WalCursor] = field(default=None, compare=False, repr=False)
 
     def to_json(self) -> dict:
         """Wire form — identical to the on-disk record, so the
@@ -226,12 +273,15 @@ class WalRecord:
         return payload
 
     @classmethod
-    def from_json(cls, payload: dict) -> "WalRecord":
-        if not isinstance(payload, dict):
-            raise ValueError("WAL record must be a JSON object")
-        offset = payload["offset"]
-        if not isinstance(offset, int) or offset < 1:
-            raise ValueError(f"bad record offset {offset!r}")
+    def from_json(
+        cls,
+        payload: dict,
+        terms: Optional[dict] = None,
+        cursor: Optional[WalCursor] = None,
+    ) -> "WalRecord":
+        """Decode a record; ``terms`` shares term objects across one
+        decode batch (see :func:`repro.service.delta.triple_from_json`)."""
+        offset = _record_offset(payload)
         seq = payload.get("seq")
         if seq is not None and not isinstance(seq, int):
             raise ValueError(f"non-integer seq {seq!r}")
@@ -245,18 +295,31 @@ class WalRecord:
             offset=offset,
             source=payload.get("source", ""),
             seq=seq,
-            delta=Delta.from_json(payload["delta"]),
+            delta=Delta.from_json(payload["delta"], terms),
             prov=dict(prov) if prov else None,
+            cursor=cursor,
         )
 
 
-def _decode_record(line: str, expected_offset: Optional[int]) -> WalRecord:
-    record = WalRecord.from_json(json.loads(line))
-    if expected_offset is not None and record.offset != expected_offset:
-        raise ValueError(
-            f"offset {record.offset} where {expected_offset} was expected"
-        )
-    return record
+def _record_offset(payload: dict) -> int:
+    if not isinstance(payload, dict):
+        raise ValueError("WAL record must be a JSON object")
+    offset = payload["offset"]
+    if not isinstance(offset, int) or offset < 1:
+        raise ValueError(f"bad record offset {offset!r}")
+    return offset
+
+
+def _decode_record(line: bytes, expected_offset: Optional[int]) -> dict:
+    """Parse one record line and check its offset: the per-line step of
+    every walk.  It builds no :class:`Delta` (:meth:`WalRecord.from_json`
+    does), so a walk checks the continuity of the records it skips for
+    the cost of the JSON parse alone."""
+    payload = json.loads(line)
+    offset = _record_offset(payload)
+    if expected_offset is not None and offset != expected_offset:
+        raise ValueError(f"offset {offset} where {expected_offset} was expected")
+    return payload
 
 
 class WriteAheadLog:
@@ -319,9 +382,10 @@ class WriteAheadLog:
             self._offset, self._last_seqs = 0, {}
             self._active_base, self._active_bytes = 1, 0
             self._durable_offset = 0
+            self._cursors: List[WalCursor] = []
         else:
             scan = self._scan()
-            self._offset, self._last_seqs, active_bytes, active_base = scan
+            self._offset, self._last_seqs, active_bytes, active_base, self._cursors = scan
             self._active_base = active_base
             self._active_bytes = active_bytes
             self._durable_offset = self._offset
@@ -439,8 +503,19 @@ class WriteAheadLog:
         expected: Optional[int],
         allow_torn: bool,
         missing_ok: bool = True,
-    ) -> Iterator[Tuple[WalRecord, int]]:
-        """Decode one segment file: ``(record, end byte offset)``.
+        base: Optional[int] = None,
+        start: int = 0,
+        after_offset: int = 0,
+        terms: Optional[dict] = None,
+    ) -> Iterator[Tuple[int, Optional[WalRecord]]]:
+        """Decode one segment file from byte ``start`` to its end:
+        ``(offset, record)`` per line.
+
+        ``record`` is ``None`` for offsets at or below ``after_offset``:
+        those lines are checked for offset continuity from their JSON
+        alone, and no :class:`Delta` is built for them.  ``base`` is the
+        file's first offset (``None``: the first line's), stamped into
+        each record's :class:`WalCursor`.
 
         Stops silently at an unterminated tail when ``allow_torn``:
         each record is one write of a newline-terminated line, so a
@@ -454,7 +529,9 @@ class WriteAheadLog:
         nothing would let a reader skip the segment's offset range).
         """
         try:
-            raw = path.read_bytes()
+            with path.open("rb") as stream:
+                stream.seek(start)
+                raw = stream.read()
         except FileNotFoundError:
             if not missing_ok:
                 raise
@@ -468,22 +545,32 @@ class WriteAheadLog:
                 raise WalCorruptionError(
                     f"{path}: torn record in a sealed segment"
                 )
-            line = raw[position : end + 1]
             try:
-                record = _decode_record(line.decode("utf-8"), expected)
+                payload = _decode_record(raw[position : end + 1], expected)
+                offset = payload["offset"]
+                if base is None:
+                    base = offset
+                record = None
+                if offset > after_offset:
+                    cursor = WalCursor(base, start + end + 1, offset)
+                    record = WalRecord.from_json(payload, terms, cursor)
             except (ValueError, KeyError, UnicodeDecodeError) as error:
                 raise WalCorruptionError(
-                    f"{path}: record after byte {position} is corrupt: {error}"
+                    f"{path}: record after byte {start + position} is corrupt: {error}"
                 ) from error
-            expected = record.offset + 1
+            expected = offset + 1
             position = end + 1
-            yield record, position
+            yield offset, record
 
     def _walk(
-        self, after_offset: int = 0, check_gap: bool = False
-    ) -> Iterator[Tuple[WalRecord, bool, int]]:
-        """Decode the log front to back:
-        ``(record, in active segment, end byte offset in its file)``.
+        self,
+        after_offset: int = 0,
+        check_gap: bool = False,
+        resume: Optional[WalCursor] = None,
+    ) -> Iterator[Tuple[WalRecord, bool]]:
+        """Decode the log front to back: ``(record, in active segment)``
+        for every record above ``after_offset``, each carrying its
+        :attr:`WalRecord.cursor`.
 
         The single reader behind :meth:`replay` and the open-time scan,
         so torn-tail, corruption and rotation handling cannot drift
@@ -492,9 +579,20 @@ class WriteAheadLog:
         from there, within and across segments.  Sealed segments whose
         entire range sits at or below ``after_offset`` are skipped by
         name, without decoding (their end is the next segment's base
-        minus one).  With ``check_gap``, a first retained record above
-        ``after_offset + 1`` raises :class:`WalGapError` — replay
-        wants that, the open-time scan of a compacted log does not.
+        minus one); the other records at or below it are checked from
+        their JSON alone, and no :class:`Delta` is built for them.  With
+        ``check_gap``, a first retained record above ``after_offset + 1``
+        raises :class:`WalGapError` — replay wants that, the open-time
+        scan of a compacted log does not.
+
+        ``resume`` is the cursor of a record at or below
+        ``after_offset`` that an earlier walk yielded.  When
+        :meth:`_resume_usable` accepts it, the walk seeks straight to
+        it, skipping every segment before its file; otherwise it counts
+        in ``repro_wal_resume_fallbacks_total`` and the walk starts from
+        the front exactly as without a hint.  The records of one walk
+        share one term dict (see
+        :func:`repro.service.delta.triple_from_json`).
 
         For read-only readers, a live writer rotating mid-walk is
         handled: the just-sealed file (it holds the tail we were about
@@ -505,6 +603,14 @@ class WriteAheadLog:
         expected: Optional[int] = None
         first_retained: Optional[int] = None
         walked: set = set()
+        terms: dict = {}
+        resume_base: Optional[int] = None
+        if resume is not None:
+            if self._resume_usable(after_offset, resume):
+                resume_base = resume.base
+                expected = first_retained = resume.offset + 1
+            else:
+                RESUME_FALLBACKS.inc()
 
         def note_first(offset: int) -> None:
             nonlocal first_retained
@@ -513,6 +619,15 @@ class WriteAheadLog:
                 if check_gap and first_retained > after_offset + 1:
                     raise WalGapError(after_offset, first_retained)
 
+        def read(path, file_expected, allow_torn, base, missing_ok=True):
+            """One file, from the resume cursor when it is the cursor's."""
+            start = 0
+            if base is not None and base == resume_base:
+                start, file_expected = resume.end, resume.offset + 1
+            return self._iter_file(
+                path, file_expected, allow_torn, missing_ok, base, start, after_offset, terms
+            )
+
         while True:
             sealed = [
                 (base, path)
@@ -520,8 +635,10 @@ class WriteAheadLog:
                 if base not in walked
             ]
             for index, (base, path) in enumerate(sealed):
-                note_first(base)
                 walked.add(base)
+                if resume_base is not None and base < resume_base:
+                    continue  # wholly behind the resume cursor
+                note_first(base)
                 next_base = sealed[index + 1][0] if index + 1 < len(sealed) else None
                 if next_base is None and after_offset >= base:
                     # The newest sealed segment has no successor to
@@ -546,13 +663,12 @@ class WriteAheadLog:
                         f"where {expected} was expected"
                     )
                 try:
-                    for record, end_byte in self._iter_file(
-                        path, base, False, missing_ok=False
-                    ):
-                        if expected is not None and record.offset < expected:
+                    for offset, record in read(path, base, False, base, False):
+                        if expected is not None and offset < expected:
                             continue  # yielded while this file was active
-                        expected = record.offset + 1
-                        yield record, False, end_byte
+                        expected = offset + 1
+                        if record is not None:
+                            yield record, False
                 except FileNotFoundError:
                     # A compactor deleted the segment between our
                     # listing and the read: its range is gone, which a
@@ -566,11 +682,15 @@ class WriteAheadLog:
                     raise WalGapError(
                         after_offset, min(remaining) if remaining else base + 1
                     ) from None
+            # The active file is the cursor's until a sealed segment
+            # with the cursor's base shows the writer renamed it.
+            active_base = resume_base if resume_base not in walked else None
             try:
-                for record, end_byte in self._iter_file(self.path, expected, True):
-                    note_first(record.offset)
-                    expected = record.offset + 1
-                    yield record, True, end_byte
+                for offset, record in read(self.path, expected, True, active_base):
+                    note_first(offset)
+                    expected = offset + 1
+                    if record is not None:
+                        yield record, True
             except WalCorruptionError:
                 if self._newly_sealed(walked):
                     # The writer (this process's batcher thread, for
@@ -585,29 +705,78 @@ class WriteAheadLog:
                 continue
             return
 
+    def _resume_usable(self, after_offset: int, cursor: WalCursor) -> bool:
+        """Whether a walk may seek straight to ``cursor``.
+
+        It may when the cursor is at or below ``after_offset``; its
+        segment is still on disk under the same first offset (a sealed
+        file by name, or the active file whose first record is
+        ``cursor.base``); that file still ends a line at
+        ``cursor.end``; and what follows is record ``cursor.offset + 1``
+        — or nothing yet, or, at the end of a sealed file, a next
+        segment starting there.  Compaction, a truncated or replaced
+        file and a foreign log all fail one of these checks.
+        """
+        base, end, offset = cursor
+        if offset > after_offset or end < 1:
+            return False
+        sealed = self.sealed_segments()
+        path = next((path for other, path in sealed if other == base), None)
+        in_active = path is None
+        if in_active:
+            if self._first_offset_in(self.path) != base:
+                return False
+            path = self.path
+        try:
+            with path.open("rb") as stream:
+                stream.seek(end - 1)
+                boundary = stream.read(1)
+                line = stream.readline()
+        except FileNotFoundError:
+            return False
+        if boundary != b"\n":
+            return False
+        if line.endswith(b"\n"):
+            try:
+                _decode_record(line, offset + 1)
+            except (ValueError, KeyError):
+                return False
+            return True
+        if in_active:
+            return True  # nothing after the cursor yet, or a torn tail
+        if line:
+            return False  # a torn sealed segment: the full walk reports it
+        later = [other for other, _path in sealed if other > base]
+        following = later[0] if later else self._first_offset_in(self.path)
+        return following in (0, offset + 1)
+
     def _newly_sealed(self, walked: set) -> bool:
         return any(base not in walked for base, _path in self.sealed_segments())
 
-    def _scan(self) -> Tuple[int, Dict[str, int], int, int]:
+    def _scan(self) -> Tuple[int, Dict[str, int], int, int, List[WalCursor]]:
         """Walk the log once: offset, per-source seqs, good active
-        bytes, and the active segment's first offset."""
+        bytes, the active segment's first offset, and the sparse
+        cursor list (:data:`CURSOR_EVERY`)."""
         offset = 0
         last_seqs: Dict[str, int] = {}
         active_bytes = 0
         active_base: Optional[int] = None
-        for record, in_active, end_byte in self._walk():
+        cursors: List[WalCursor] = []
+        for record, in_active in self._walk():
             offset = record.offset
             if in_active:
-                active_bytes = end_byte
+                active_bytes = record.cursor.end
                 if active_base is None:
-                    active_base = record.offset
+                    active_base = record.cursor.base
+            if offset % CURSOR_EVERY == 0:
+                cursors.append(record.cursor)
             if record.seq is not None:
                 previous = last_seqs.get(record.source)
                 if previous is None or record.seq > previous:
                     last_seqs[record.source] = record.seq
         if active_base is None:
             active_base = offset + 1
-        return offset, last_seqs, active_bytes, active_base
+        return offset, last_seqs, active_bytes, active_base, cursors
 
     # ------------------------------------------------------------------
     # appending
@@ -652,6 +821,10 @@ class WriteAheadLog:
             self._stream.write(line)
             self._offset = offset
             self._active_bytes += len(line.encode("utf-8"))
+            if offset % CURSOR_EVERY == 0:
+                self._cursors.append(
+                    WalCursor(self._active_base, self._active_bytes, offset)
+                )
             if seq is not None:
                 previous = self._last_seqs.get(source)
                 if previous is None or seq > previous:
@@ -770,21 +943,37 @@ class WriteAheadLog:
     # reading
     # ------------------------------------------------------------------
 
-    def replay(self, after_offset: int = 0) -> Iterator[WalRecord]:
+    def replay(
+        self, after_offset: int = 0, resume: Optional[WalCursor] = None
+    ) -> Iterator[WalRecord]:
         """Decoded records with ``offset > after_offset``, in order.
 
         Sealed segments entirely at or below ``after_offset`` are
-        skipped by name, without decoding.  A torn active tail yields
-        nothing for the torn record (it was never acknowledged);
+        skipped by name, without decoding, and no :class:`Delta` is
+        built for the other records at or below it.  A torn active tail
+        yields nothing for the torn record (it was never acknowledged);
         corruption before the tail raises; a request below the oldest
         retained record (compacted prefix) raises
         :class:`WalGapError`.
+
+        ``resume`` — the :attr:`WalRecord.cursor` of an earlier record,
+        or :meth:`resume_hint` — lets the walk seek to it instead of
+        starting at the front; an unusable one changes nothing but the
+        cost (see :meth:`_walk`).  The records of one call share their
+        terms: each distinct resource name and literal is built once.
         """
-        for record, _in_active, _end_byte in self._walk(
-            after_offset=after_offset, check_gap=True
-        ):
-            if record.offset > after_offset:
-                yield record
+        for record, _in_active in self._walk(after_offset, True, resume):
+            yield record
+
+    def resume_hint(self, after_offset: int) -> Optional[WalCursor]:
+        """The writer's nearest kept cursor at or below ``after_offset``
+        (and at or below the durable offset, so its bytes are in the
+        file), for :meth:`replay`'s ``resume``; ``None`` when there is
+        none, and always on a read-only handle."""
+        cursors = self._cursors
+        limit = min(after_offset, self._durable_offset)
+        index = bisect_right(cursors, limit, key=lambda cursor: cursor.offset)
+        return cursors[index - 1] if index else None
 
     def current_offset(self) -> int:
         """The newest record offset *on disk right now*.
@@ -817,8 +1006,8 @@ class WriteAheadLog:
         if not line.endswith(b"\n"):
             return 0
         try:
-            return _decode_record(line.decode("utf-8"), None).offset
-        except (ValueError, KeyError, UnicodeDecodeError):
+            return _decode_record(line, None)["offset"]
+        except (ValueError, KeyError):
             return 0
 
     def _last_offset_in(self, path: Path) -> int:
@@ -853,8 +1042,8 @@ class WriteAheadLog:
         except FileNotFoundError:
             return 0
         try:
-            return _decode_record(line.decode("utf-8"), None).offset
-        except (ValueError, KeyError, UnicodeDecodeError):
+            return _decode_record(line, None)["offset"]
+        except (ValueError, KeyError):
             return 0
 
     # ------------------------------------------------------------------
@@ -899,6 +1088,7 @@ class WriteAheadLog:
                 ends.append(self._active_base - 1)
             reclaimed = 0
             deleted: List[Path] = []
+            deleted_bases = set()
             for (base, path), end in zip(sealed, ends):
                 if end is None or end > covered_offset:
                     break
@@ -911,8 +1101,12 @@ class WriteAheadLog:
                     continue
                 reclaimed += size
                 deleted.append(path)
+                deleted_bases.add(base)
             if deleted:
                 fsync_directory(self.path.parent)
+                self._cursors = [
+                    cursor for cursor in self._cursors if cursor.base not in deleted_bases
+                ]
             return reclaimed, deleted
 
     def size_bytes(self) -> int:

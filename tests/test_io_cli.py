@@ -118,6 +118,40 @@ class TestCli:
         assert main(["convert", str(target), str(back)]) == 0
         assert back.read_text()
 
+    @pytest.mark.parametrize("suffix", [".nt", ".tsv"])
+    def test_convert_output_does_not_depend_on_the_hash_seed(self, tmp_path, suffix):
+        """Each subject's objects and each class's members sit in sets
+        whose order follows the salted str hash; the writers sort them,
+        so two processes with different seeds write the same bytes."""
+        import os
+        import subprocess
+        import sys
+        from pathlib import Path
+
+        import repro
+        from repro.datasets import yago_dbpedia_pair
+
+        pair = yago_dbpedia_pair(num_persons=40, num_works=20, seed=3)
+        source = tmp_path / "left.nt"
+        ntriples.write_ntriples(pair.ontology1, source)
+        outputs = []
+        for seed in ("1", "2"):
+            target = tmp_path / f"out-{seed}{suffix}"
+            env = dict(os.environ, PYTHONHASHSEED=seed)
+            env["PYTHONPATH"] = os.pathsep.join(
+                filter(None, [str(Path(repro.__file__).parent.parent), env.get("PYTHONPATH")])
+            )
+            subprocess.run(
+                [sys.executable, "-m", "repro", "convert", str(source), str(target)],
+                env=env, check=True, capture_output=True,
+            )
+            outputs.append(target.read_bytes())
+        assert outputs[0] == outputs[1]
+        assert len(outputs[0].splitlines()) == pair.ontology1.num_facts + (
+            pair.ontology1.num_type_statements
+            + sum(1 for _edge in pair.ontology1.subclass_edges())
+        )
+
     def test_missing_file_errors(self, tmp_path):
         with pytest.raises(SystemExit):
             main(["align", "/nonexistent.nt", "/nonexistent2.nt",

@@ -13,6 +13,7 @@ random delta streams, across crash resume and compaction.
 from __future__ import annotations
 
 import json
+import shutil
 from contextlib import ExitStack, closing
 
 import pytest
@@ -34,10 +35,14 @@ from repro.service.replica import (
 )
 from repro.service.server import build_server
 from repro.service.state import load_state_bytes
+from repro.rdf.terms import Literal, Relation, Resource
+from repro.rdf.triples import Triple
 from repro.service.stream import (
     WalGapError,
+    WalRecord,
     WriteAheadLog,
 )
+from repro.service.stream.wal import RESUME_FALLBACKS
 from repro.testing import (
     family_delta,
     fetch_json,
@@ -157,6 +162,183 @@ class TestFollowers:
         with pytest.raises(WalGapError):
             follower.fetch(0, limit=10)
         wal.close()
+
+
+def tiny_delta(index):
+    return Delta(add1=(Triple(Resource(f"s{index}"), Relation("r"), Resource("o")),))
+
+
+def append_tiny(wal, start, count):
+    for index in range(start, start + count):
+        wal.append(tiny_delta(index), "s", index + 1, sync=False)
+    wal.sync()
+
+
+@pytest.fixture()
+def decode_counts(monkeypatch):
+    """Count WAL line decodes and Delta builds."""
+    from repro.service.stream import wal as wal_module
+
+    counts = {"lines": 0, "deltas": 0}
+    real_decode = wal_module._decode_record
+    real_from_json = Delta.from_json.__func__
+
+    def counting_decode(line, expected_offset):
+        counts["lines"] += 1
+        return real_decode(line, expected_offset)
+
+    def counting_from_json(cls, payload, terms=None):
+        counts["deltas"] += 1
+        return real_from_json(cls, payload, terms)
+
+    monkeypatch.setattr(wal_module, "_decode_record", counting_decode)
+    monkeypatch.setattr(Delta, "from_json", classmethod(counting_from_json))
+    return counts
+
+
+def fetch_outcome(follower, after, limit=256):
+    """A fetch's records and head, or the error it raised."""
+    try:
+        return follower.fetch(after, limit)
+    except (ValueError, OSError) as error:
+        return type(error), str(error)
+
+
+class TestFollowerCursor:
+    """A tailing FileWalFollower resumes its walk from the cursor of the
+    last record it returned; whatever invalidates the cursor falls back
+    to the full walk and returns exactly what a fresh follower does."""
+
+    @pytest.mark.parametrize("prefix", [500, 4000])
+    def test_fetch_decodes_only_the_new_records(self, tmp_path, prefix, decode_counts):
+        path = tmp_path / "wal.ndjson"
+        wal = WriteAheadLog(path)
+        append_tiny(wal, 0, prefix)
+        follower = FileWalFollower(path)
+        assert follower.fetch(0, limit=prefix).records[-1].offset == prefix
+        new = 7
+        append_tiny(wal, prefix, new)
+        decode_counts.update(lines=0, deltas=0)
+        fetch = follower.fetch(prefix, limit=256)
+        assert [record.offset for record in fetch.records] == list(
+            range(prefix + 1, prefix + new + 1)
+        )
+        # The head probe, the active file's first line and the line at
+        # the cursor, then one decode per new record, whatever the prefix.
+        assert decode_counts == {"lines": new + 3, "deltas": new}
+        # A fresh follower checks the prefix's offsets from their JSON
+        # but builds a Delta only for the records it returns.
+        decode_counts.update(lines=0, deltas=0)
+        assert FileWalFollower(path).fetch(prefix, limit=256) == fetch
+        assert decode_counts["deltas"] == new
+        wal.close()
+
+    def test_rotation_between_fetches_keeps_the_cursor(self, tmp_path):
+        path = tmp_path / "wal.ndjson"
+        wal = WriteAheadLog(path, segment_bytes=600)
+        append_tiny(wal, 0, 2)
+        follower = FileWalFollower(path)
+        assert [record.offset for record in follower.fetch(0).records] == [1, 2]
+        append_tiny(wal, 2, 12)  # seals the file the cursor points into
+        assert wal.sealed_segments()[0][0] == 1
+        fallbacks = RESUME_FALLBACKS.value()
+        fetch = follower.fetch(2)
+        assert [record.offset for record in fetch.records] == list(range(3, 15))
+        assert fetch == FileWalFollower(path).fetch(2)
+        assert RESUME_FALLBACKS.value() == fallbacks
+        wal.close()
+
+    def test_compacted_cursor_segment_is_still_a_gap(self, tmp_path):
+        path = tmp_path / "wal.ndjson"
+        wal = WriteAheadLog(path, segment_bytes=600)
+        append_tiny(wal, 0, 2)
+        follower = FileWalFollower(path)
+        follower.fetch(0)
+        append_tiny(wal, 2, 12)
+        _reclaimed, deleted = wal.compact(8)
+        assert deleted and not (tmp_path / "wal-0000000000000001.ndjson").exists()
+        fallbacks = RESUME_FALLBACKS.value()
+        outcome = fetch_outcome(follower, 2)
+        assert outcome[0] is WalGapError
+        assert outcome == fetch_outcome(FileWalFollower(path), 2)
+        assert RESUME_FALLBACKS.value() == fallbacks + 1
+        wal.close()
+
+    def test_torn_tail_completed_later(self, tmp_path):
+        path = tmp_path / "wal.ndjson"
+        wal = WriteAheadLog(path)
+        append_tiny(wal, 0, 3)
+        wal.close()
+        follower = FileWalFollower(path)
+        records = follower.fetch(0).records
+        cursor = records[-1].cursor
+        line = json.dumps(WalRecord(4, "s", 4, tiny_delta(3)).to_json(), sort_keys=True)
+        with path.open("a", encoding="utf-8") as stream:
+            stream.write(line[:20])  # a writer mid-append
+        fallbacks = RESUME_FALLBACKS.value()
+        assert list(follower.wal.replay(3, resume=cursor)) == []
+        assert follower.fetch(3) == FileWalFollower(path).fetch(3) == ([], 3)
+        with path.open("a", encoding="utf-8") as stream:
+            stream.write(line[20:] + "\n")
+        path.with_name("wal.ndjson.durable").write_text("4\n", encoding="utf-8")
+        fetch = follower.fetch(3)
+        assert [record.offset for record in fetch.records] == [4]
+        assert fetch == FileWalFollower(path).fetch(3)
+        assert RESUME_FALLBACKS.value() == fallbacks
+
+    def test_active_file_replaced_by_a_foreign_log(self, tmp_path):
+        path = tmp_path / "wal.ndjson"
+        wal = WriteAheadLog(path)
+        append_tiny(wal, 0, 4)
+        wal.close()
+        follower = FileWalFollower(path)
+        follower.fetch(0, limit=2)
+        foreign = WriteAheadLog(tmp_path / "other" / "wal.ndjson")
+        for step in range(5):
+            foreign.append(family_delta(6 + step), "f", step + 1)
+        foreign.close()
+        shutil.copyfile(foreign.path, path)
+        fallbacks = RESUME_FALLBACKS.value()
+        outcome = fetch_outcome(follower, 2)
+        assert outcome == fetch_outcome(FileWalFollower(path), 2)
+        assert [record.source for record in outcome.records] == ["f", "f"]
+        assert RESUME_FALLBACKS.value() == fallbacks + 1
+
+    def test_cursor_stops_at_the_durable_cap(self, tmp_path):
+        primary, state_dir, wal = make_primary(tmp_path)
+        write_through(primary, wal, family_delta(6), 1)
+        offset = wal.append(family_delta(7), "w", 2, sync=False)
+        wal._stream.flush()  # in the file, not yet fsync'd
+        follower = FileWalFollower(state_dir / "wal.ndjson")
+        fetch = follower.fetch(0)
+        assert [record.offset for record in fetch.records] == [1]
+        assert follower._cursor == fetch.records[0].cursor
+        wal.sync(offset)
+        fallbacks = RESUME_FALLBACKS.value()
+        fetch = follower.fetch(1)
+        assert [record.offset for record in fetch.records] == [2]
+        assert fetch == FileWalFollower(state_dir / "wal.ndjson").fetch(1)
+        assert RESUME_FALLBACKS.value() == fallbacks
+        wal.close()
+
+    def test_one_fetch_shares_its_terms(self, tmp_path):
+        path = tmp_path / "wal.ndjson"
+        wal = WriteAheadLog(path)
+        added = family_delta(6)
+        wal.append(added, "s", 1)
+        wal.append(Delta(remove1=added.add1), "s", 2)
+        first, second = FileWalFollower(path).fetch(0).records
+        assert_shared_terms(first.delta.add1, second.delta.remove1)
+        wal.close()
+
+
+def assert_shared_terms(triples, again):
+    """The same statements decoded twice in one batch are one object per term."""
+    assert triples == again
+    for triple, other in zip(triples, again):
+        assert triple.subject is other.subject
+        assert triple.object is other.object
+    assert any(isinstance(triple.object, Literal) for triple in triples)
 
 
 # ----------------------------------------------------------------------
@@ -363,6 +545,29 @@ class TestPrimaryReplicationEndpoints:
         with pytest.raises(WalGapError) as gap:
             follower.fetch(0)
         assert gap.value.oldest == detail["oldest"] > 1
+
+    def test_http_follower_shares_terms_within_one_body(self, stack):
+        server, _primary, _state_dir, _wal = stack
+        added = family_delta(6)
+        fetch_json(url_of(server, "/delta"), added.to_json())
+        fetch_json(url_of(server, "/delta"), Delta(remove1=added.add1).to_json())
+        first, second = HttpWalFollower(url_of(server)).fetch(0).records
+        assert_shared_terms(first.delta.add1, second.delta.remove1)
+
+    def test_get_wal_starts_at_the_writers_nearest_cursor(self, stack, decode_counts):
+        server, _primary, _state_dir, wal = stack
+        append_tiny(wal, 0, 150)  # straight into the log; /wal only reads it
+        fallbacks = RESUME_FALLBACKS.value()
+        decode_counts.update(lines=0, deltas=0)
+        status, _headers, body = request(url_of(server, "/wal?from=140&limit=5"))
+        assert status == 200
+        offsets = [json.loads(line)["offset"] for line in body.splitlines()]
+        assert offsets == [141, 142, 143, 144, 145]
+        # From the cursor at 128: 12 records skipped, 5 shipped, plus
+        # the cursor checks; only the shipped ones build a Delta.
+        assert decode_counts["deltas"] == 5
+        assert decode_counts["lines"] <= 12 + 5 + 3
+        assert RESUME_FALLBACKS.value() == fallbacks
 
     def test_get_snapshot_latest_bootstraps_a_state(self, stack):
         server, primary, _state_dir, _wal = stack

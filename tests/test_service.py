@@ -442,6 +442,42 @@ class TestInvalidTermSyntax:
         assert service.poisoned is None
         assert service.state.ontology1.num_facts == facts_before
 
+    @pytest.mark.parametrize(
+        "subject, relation, obj, reason",
+        [
+            ("a b<c", "name", "q0a", "subject 'a b<c' contains ' '"),
+            ("ok", "name", "x|y^z", "object 'x|y^z' contains '|'"),
+            ("ok", "has`tick\\", "q0a", "relation 'has`tick\\\\' contains '`'"),
+            ("ctl\x00", "name", "q0a", "subject 'ctl\\x00' contains '\\x00'"),
+            ("ok", "name", "del\x7fok\x1f", "object 'del\\x7fok\\x1f' contains '\\x1f'"),
+        ],
+    )
+    def test_message_names_the_first_offending_character(
+        self, subject, relation, obj, reason
+    ):
+        from repro.service.delta import validate_delta
+
+        bad = Triple(Resource(subject), Relation(relation), Resource(obj))
+        with pytest.raises(ValueError) as excinfo:
+            validate_delta(Delta(add1=(bad,)))
+        assert str(excinfo.value) == (
+            f"invalid N-Triples term syntax in triple {bad}: {reason}, "
+            "which is invalid inside an N-Triples <uri>"
+        )
+
+    def test_schema_relation_names_are_exempt(self, monkeypatch):
+        """Schema relations serialize through their full URIs, so only a
+        data relation's own name must be a valid <uri> token."""
+        from repro.service import delta as delta_module
+
+        odd = Triple(Resource("a"), Relation("schema alias"), Resource("b"))
+        with pytest.raises(ValueError, match="relation 'schema alias' contains ' '"):
+            delta_module.validate_delta(Delta(add1=(odd,)))
+        monkeypatch.setattr(
+            delta_module, "is_schema_relation", lambda relation: relation is odd.relation
+        )
+        delta_module.validate_delta(Delta(add1=(odd,)))
+
     def test_literal_values_are_not_restricted(self, service):
         """Literals escape through the codec, so any content is fine."""
         odd = Triple(

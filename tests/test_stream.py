@@ -546,6 +546,83 @@ class TestWalSegments:
         wal.close()
 
 
+class TestWalResume:
+    """Resume cursors: the writer's sparse list and replay's hint."""
+
+    def test_writer_keeps_every_64th_cursor_across_reopen_and_compaction(self, tmp_path):
+        from repro.service.stream.wal import CURSOR_EVERY
+
+        path = tmp_path / "wal.ndjson"
+        wal = WriteAheadLog(path, segment_bytes=20_000)
+        for step in range(3 * CURSOR_EVERY + 5):
+            wal.append(family_delta(step % 40), "s", step + 1, sync=False)
+        wal.sync()
+        kept = [wal.resume_hint(offset) for offset in (63, 64, 130, 10_000)]
+        assert [hint and hint.offset for hint in kept] == [None, 64, 128, 192]
+        by_offset = {record.offset: record.cursor for record in wal.replay()}
+        assert all(hint == by_offset[hint.offset] for hint in kept[1:])
+        wal.close()
+        reopened = WriteAheadLog(path, segment_bytes=20_000)
+        assert reopened._cursors == [by_offset[64], by_offset[128], by_offset[192]]
+        # Compacting the segment of cursor 64 drops that cursor only.
+        assert by_offset[64].base < by_offset[128].base
+        _reclaimed, deleted = reopened.compact(by_offset[128].base - 1)
+        assert deleted
+        assert reopened._cursors == [by_offset[128], by_offset[192]]
+        reopened.close()
+
+    def test_hint_past_the_durable_offset_is_not_offered(self, tmp_path):
+        wal = WriteAheadLog(tmp_path / "wal.ndjson")
+        for step in range(64):
+            wal.append(family_delta(step), "s", step + 1, sync=False)
+        assert wal.resume_hint(64) is None  # the bytes may not be in the file yet
+        wal.sync()
+        assert wal.resume_hint(64).offset == 64
+        wal.close()
+
+    def test_replay_from_a_hint_matches_the_full_walk(self, tmp_path):
+        from repro.service.stream.wal import RESUME_FALLBACKS
+
+        wal = WriteAheadLog(tmp_path / "wal.ndjson", segment_bytes=600)
+        for step in range(8):
+            wal.append(family_delta(step), "s", step + 1)
+        cursors = {record.offset: record.cursor for record in wal.replay()}
+        fallbacks = RESUME_FALLBACKS.value()
+        for hint_at, after in [(1, 1), (2, 5), (7, 7), (8, 8)]:
+            resumed = list(wal.replay(after, resume=cursors[hint_at]))
+            assert resumed == list(wal.replay(after))
+            assert [record.cursor for record in resumed] == [
+                cursors[offset] for offset in range(after + 1, 9)
+            ]
+        assert RESUME_FALLBACKS.value() == fallbacks
+        # A hint above the requested offset cannot be used.
+        assert list(wal.replay(2, resume=cursors[5])) == list(wal.replay(2))
+        assert RESUME_FALLBACKS.value() == fallbacks + 1
+        wal.close()
+
+    def test_replay_wal_builds_only_the_suffix(self, tmp_path, monkeypatch):
+        """Restart recovery skips the snapshotted prefix without
+        building its deltas."""
+        left, right = family_pair(6)
+        service = AlignmentService.cold_start(left, right, ParisConfig())
+        wal = WriteAheadLog(tmp_path / "wal.ndjson")
+        for step in range(4):
+            offset = wal.append(family_delta(6 + step), "s", step + 1)
+            if step < 3:
+                service.apply_delta(family_delta(6 + step), wal_offset=offset)
+        built = []
+        real_from_json = Delta.from_json.__func__
+
+        def counting_from_json(cls, payload, terms=None):
+            built.append(payload)
+            return real_from_json(cls, payload, terms)
+
+        monkeypatch.setattr(Delta, "from_json", classmethod(counting_from_json))
+        assert replay_wal(service, wal) == 1
+        assert len(built) == 1
+        wal.close()
+
+
 # ----------------------------------------------------------------------
 # batcher
 # ----------------------------------------------------------------------
