@@ -293,7 +293,6 @@ def write_ntriples(ontology: Ontology, target: Union[str, Path, TextIO]) -> int:
     return count
 
 
-
 def dumps(ontology: Ontology) -> str:
     """Serialize an ontology to an N-Triples string."""
     buffer = io.StringIO()

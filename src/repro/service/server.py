@@ -520,8 +520,7 @@ class AlignmentRequestHandler(ObservedHandlerMixin, BaseHTTPRequestHandler):
             wal = stream.wal if stream is not None else None
             if wal is not None:
                 try:
-                    replay = wal.replay(offset - 1, wal.resume_hint(offset - 1))
-                    record = next(replay, None)
+                    record = next(wal.replay(after_offset=offset - 1), None)
                 except (WalGapError, WalCorruptionError):
                     record = None
                 if record is not None and record.offset == offset:
@@ -586,9 +585,8 @@ class AlignmentRequestHandler(ObservedHandlerMixin, BaseHTTPRequestHandler):
         # Replay yields the contiguous offsets after + 1, ..., so
         # counting stops at the page end (or the durable offset)
         # without decoding the record past it.
-        replay = wal.replay(after, wal.resume_hint(after))
         try:
-            for record in islice(replay, min(limit, durable - after)):
+            for record in islice(wal.replay(after), min(limit, durable - after)):
                 payload = record.to_json()
                 if ring is not None and payload.get("prov") is not None:
                     # The on-disk record is written before its fsync and

@@ -102,17 +102,17 @@ safe; a reader asking for records that compaction already dropped gets
 A tailing reader pays for the new records only.  Every record a walk
 yields carries a :class:`WalCursor` — its segment's first offset, the
 byte its line ends at, its offset — and :meth:`replay` accepts one
-back as a resume hint: the walk seeks to that byte, confirms the line
-there is the next offset, and reads on to the end of the log.  The
-segment is named by its first offset, not by its path, so a cursor
+back as a resume hint: the walk seeks to that byte, confirms the file
+still starts at the segment's first offset, a line ends there and the
+line after it is the next offset, and reads on to the end of the log.
+The segment is named by its first offset, not by its path, so a cursor
 into the active file survives the rename that seals it.  A file-tail
-follower keeps the cursor of the last record it returned; the writer
-keeps one every :data:`CURSOR_EVERY` offsets for ``GET /wal`` and
-``/provenance?offset=``.  A hint the walk cannot use (its segment
-compacted, the file shorter or replaced, a foreign log) counts in
-``repro_wal_resume_fallbacks_total`` and the walk starts from the
-front as if there were no hint, so the torn-tail, corruption, gap and
-rotation handling is the same either way.  Records at or below the
+follower keeps the cursor of the last record it returned.  A hint the
+walk cannot use (its segment compacted, the file shorter or replaced,
+a foreign log) fails those checks before the walk yields anything; it
+counts in ``repro_wal_resume_fallbacks_total`` and the walk starts
+again from the front as if there were no hint, so the torn-tail,
+corruption, gap and rotation handling is the same either way.  Records at or below the
 requested offset are checked from their JSON alone, with no
 :class:`Delta` built, and the records of one :meth:`replay` call share
 one term object per resource name and literal.
@@ -137,7 +137,6 @@ import os
 import re
 import threading
 import time
-from bisect import bisect_right
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Dict, Iterator, List, NamedTuple, Optional, TextIO, Tuple, Union
@@ -174,11 +173,6 @@ RESUME_FALLBACKS = REGISTRY.counter(
     "repro_wal_resume_fallbacks_total",
     "WAL walks given a resume cursor they could not use (they walked from the front).",
 )
-
-#: The writer keeps the cursor of every ``CURSOR_EVERY``-th record, so
-#: ``GET /wal`` and ``/provenance?offset=`` start their walk at most
-#: this many records before the one they want.
-CURSOR_EVERY = 64
 
 
 class WalCorruptionError(ValueError):
@@ -382,10 +376,8 @@ class WriteAheadLog:
             self._offset, self._last_seqs = 0, {}
             self._active_base, self._active_bytes = 1, 0
             self._durable_offset = 0
-            self._cursors: List[WalCursor] = []
         else:
-            scan = self._scan()
-            self._offset, self._last_seqs, active_bytes, active_base, self._cursors = scan
+            self._offset, self._last_seqs, active_bytes, active_base = self._scan()
             self._active_base = active_base
             self._active_bytes = active_bytes
             self._durable_offset = self._offset
@@ -515,7 +507,10 @@ class WriteAheadLog:
         those lines are checked for offset continuity from their JSON
         alone, and no :class:`Delta` is built for them.  ``base`` is the
         file's first offset (``None``: the first line's), stamped into
-        each record's :class:`WalCursor`.
+        each record's :class:`WalCursor`.  A ``start`` past 0 is a resume
+        cursor's byte: the file must still begin with record ``base``
+        and end a line just before ``start``, or
+        :class:`WalCorruptionError` raises before anything is yielded.
 
         Stops silently at an unterminated tail when ``allow_torn``:
         each record is one write of a newline-terminated line, so a
@@ -530,13 +525,27 @@ class WriteAheadLog:
         """
         try:
             with path.open("rb") as stream:
-                stream.seek(start)
+                if start:
+                    head = stream.readline()
+                    start -= 1  # read the newline that must end the cursor's line
+                    stream.seek(start)
                 raw = stream.read()
         except FileNotFoundError:
             if not missing_ok:
                 raise
             return
         position = 0
+        if start:
+            try:
+                if not head.endswith(b"\n") or raw[:1] != b"\n":
+                    raise ValueError("no record boundary there")
+                _decode_record(head, base)
+            except (ValueError, KeyError, UnicodeDecodeError) as error:
+                raise WalCorruptionError(
+                    f"{path}: not segment {base} with a line ending at byte "
+                    f"{start + 1}: {error}"
+                ) from error
+            position = 1
         while position < len(raw):
             end = raw.find(b"\n", position)
             if end < 0:
@@ -574,8 +583,45 @@ class WriteAheadLog:
 
         The single reader behind :meth:`replay` and the open-time scan,
         so torn-tail, corruption and rotation handling cannot drift
-        apart.  The first retained record (compaction may have dropped
-        a prefix) defines the starting offset; continuity is enforced
+        apart (see :meth:`_walk_files`).  ``resume`` is the cursor of a
+        record at or below ``after_offset`` that an earlier walk
+        yielded; the walk starts there.  If that walk fails before its
+        first record (:class:`WalCorruptionError` or
+        :class:`WalGapError`: the cursor's file is gone, shorter,
+        replaced or foreign), or the cursor is above ``after_offset``,
+        the hint counts in ``repro_wal_resume_fallbacks_total`` and the
+        walk starts again from the front, so what a caller sees is
+        exactly what a walk without a hint yields.  The records of one
+        walk share one term dict (see
+        :func:`repro.service.delta.triple_from_json`).
+        """
+        terms: dict = {}
+        if resume is not None:
+            if resume.offset <= after_offset:
+                resumed = self._walk_files(after_offset, check_gap, terms, resume)
+                try:
+                    first = next(resumed, None)
+                except (WalCorruptionError, WalGapError):
+                    pass
+                else:
+                    if first is not None:
+                        yield first
+                        yield from resumed
+                    return
+            RESUME_FALLBACKS.inc()
+        yield from self._walk_files(after_offset, check_gap, terms, None)
+
+    def _walk_files(
+        self,
+        after_offset: int,
+        check_gap: bool,
+        terms: dict,
+        resume: Optional[WalCursor],
+    ) -> Iterator[Tuple[WalRecord, bool]]:
+        """The walk itself; ``resume`` as in :meth:`_walk`.
+
+        The first retained record (compaction may have dropped a
+        prefix) defines the starting offset; continuity is enforced
         from there, within and across segments.  Sealed segments whose
         entire range sits at or below ``after_offset`` are skipped by
         name, without decoding (their end is the next segment's base
@@ -585,14 +631,13 @@ class WriteAheadLog:
         raises :class:`WalGapError` — replay wants that, the open-time
         scan of a compacted log does not.
 
-        ``resume`` is the cursor of a record at or below
-        ``after_offset`` that an earlier walk yielded.  When
-        :meth:`_resume_usable` accepts it, the walk seeks straight to
-        it, skipping every segment before its file; otherwise it counts
-        in ``repro_wal_resume_fallbacks_total`` and the walk starts from
-        the front exactly as without a hint.  The records of one walk
-        share one term dict (see
-        :func:`repro.service.delta.triple_from_json`).
+        With ``resume``, sealed segments before the cursor's are
+        skipped, the cursor's file is read from the cursor's byte, and
+        continuity is checked from the cursor's offset.  The cursor's
+        file is the sealed segment named by its base, or else the active
+        file (whose first record :meth:`_iter_file` checks); a sealed
+        segment past the cursor's base ends the hint, and the continuity
+        check decides whether the walk may go on from there.
 
         For read-only readers, a live writer rotating mid-walk is
         handled: the just-sealed file (it holds the tail we were about
@@ -603,14 +648,8 @@ class WriteAheadLog:
         expected: Optional[int] = None
         first_retained: Optional[int] = None
         walked: set = set()
-        terms: dict = {}
-        resume_base: Optional[int] = None
         if resume is not None:
-            if self._resume_usable(after_offset, resume):
-                resume_base = resume.base
-                expected = first_retained = resume.offset + 1
-            else:
-                RESUME_FALLBACKS.inc()
+            expected = first_retained = resume.offset + 1
 
         def note_first(offset: int) -> None:
             nonlocal first_retained
@@ -618,15 +657,6 @@ class WriteAheadLog:
                 first_retained = offset
                 if check_gap and first_retained > after_offset + 1:
                     raise WalGapError(after_offset, first_retained)
-
-        def read(path, file_expected, allow_torn, base, missing_ok=True):
-            """One file, from the resume cursor when it is the cursor's."""
-            start = 0
-            if base is not None and base == resume_base:
-                start, file_expected = resume.end, resume.offset + 1
-            return self._iter_file(
-                path, file_expected, allow_torn, missing_ok, base, start, after_offset, terms
-            )
 
         while True:
             sealed = [
@@ -636,11 +666,16 @@ class WriteAheadLog:
             ]
             for index, (base, path) in enumerate(sealed):
                 walked.add(base)
-                if resume_base is not None and base < resume_base:
-                    continue  # wholly behind the resume cursor
+                start, file_expected = 0, base
+                if resume is not None:
+                    if base < resume.base:
+                        continue  # wholly behind the resume cursor
+                    if base == resume.base:
+                        start, file_expected = resume.end, resume.offset + 1
+                    resume = None
                 note_first(base)
                 next_base = sealed[index + 1][0] if index + 1 < len(sealed) else None
-                if next_base is None and after_offset >= base:
+                if not start and next_base is None and after_offset >= base:
                     # The newest sealed segment has no successor to
                     # name its end; the active file's first record
                     # bounds it instead, so a tailing reader is not
@@ -649,7 +684,8 @@ class WriteAheadLog:
                     if active_first > base:
                         next_base = active_first
                 if (
-                    next_base is not None
+                    not start
+                    and next_base is not None
                     and next_base - 1 <= after_offset
                     and (expected is None or base == expected)
                 ):
@@ -662,8 +698,11 @@ class WriteAheadLog:
                         f"{path}: segment starts at {base} "
                         f"where {expected} was expected"
                     )
+                records = self._iter_file(
+                    path, file_expected, False, False, base, start, after_offset, terms
+                )
                 try:
-                    for offset, record in read(path, base, False, base, False):
+                    for offset, record in records:
                         if expected is not None and offset < expected:
                             continue  # yielded while this file was active
                         expected = offset + 1
@@ -682,11 +721,14 @@ class WriteAheadLog:
                     raise WalGapError(
                         after_offset, min(remaining) if remaining else base + 1
                     ) from None
-            # The active file is the cursor's until a sealed segment
-            # with the cursor's base shows the writer renamed it.
-            active_base = resume_base if resume_base not in walked else None
+            # No sealed segment at or past the cursor's base: the cursor
+            # is in the active file (until a rename shows otherwise).
+            start, base = (resume.end, resume.base) if resume is not None else (0, None)
+            records = self._iter_file(
+                self.path, expected, True, True, base, start, after_offset, terms
+            )
             try:
-                for offset, record in read(self.path, expected, True, active_base):
+                for offset, record in records:
                     note_first(offset)
                     expected = offset + 1
                     if record is not None:
@@ -705,78 +747,29 @@ class WriteAheadLog:
                 continue
             return
 
-    def _resume_usable(self, after_offset: int, cursor: WalCursor) -> bool:
-        """Whether a walk may seek straight to ``cursor``.
-
-        It may when the cursor is at or below ``after_offset``; its
-        segment is still on disk under the same first offset (a sealed
-        file by name, or the active file whose first record is
-        ``cursor.base``); that file still ends a line at
-        ``cursor.end``; and what follows is record ``cursor.offset + 1``
-        — or nothing yet, or, at the end of a sealed file, a next
-        segment starting there.  Compaction, a truncated or replaced
-        file and a foreign log all fail one of these checks.
-        """
-        base, end, offset = cursor
-        if offset > after_offset or end < 1:
-            return False
-        sealed = self.sealed_segments()
-        path = next((path for other, path in sealed if other == base), None)
-        in_active = path is None
-        if in_active:
-            if self._first_offset_in(self.path) != base:
-                return False
-            path = self.path
-        try:
-            with path.open("rb") as stream:
-                stream.seek(end - 1)
-                boundary = stream.read(1)
-                line = stream.readline()
-        except FileNotFoundError:
-            return False
-        if boundary != b"\n":
-            return False
-        if line.endswith(b"\n"):
-            try:
-                _decode_record(line, offset + 1)
-            except (ValueError, KeyError):
-                return False
-            return True
-        if in_active:
-            return True  # nothing after the cursor yet, or a torn tail
-        if line:
-            return False  # a torn sealed segment: the full walk reports it
-        later = [other for other, _path in sealed if other > base]
-        following = later[0] if later else self._first_offset_in(self.path)
-        return following in (0, offset + 1)
-
     def _newly_sealed(self, walked: set) -> bool:
         return any(base not in walked for base, _path in self.sealed_segments())
 
-    def _scan(self) -> Tuple[int, Dict[str, int], int, int, List[WalCursor]]:
+    def _scan(self) -> Tuple[int, Dict[str, int], int, int]:
         """Walk the log once: offset, per-source seqs, good active
-        bytes, the active segment's first offset, and the sparse
-        cursor list (:data:`CURSOR_EVERY`)."""
+        bytes, and the active segment's first offset."""
         offset = 0
         last_seqs: Dict[str, int] = {}
         active_bytes = 0
         active_base: Optional[int] = None
-        cursors: List[WalCursor] = []
         for record, in_active in self._walk():
             offset = record.offset
             if in_active:
                 active_bytes = record.cursor.end
                 if active_base is None:
                     active_base = record.cursor.base
-            if offset % CURSOR_EVERY == 0:
-                cursors.append(record.cursor)
             if record.seq is not None:
                 previous = last_seqs.get(record.source)
                 if previous is None or record.seq > previous:
                     last_seqs[record.source] = record.seq
         if active_base is None:
             active_base = offset + 1
-        return offset, last_seqs, active_bytes, active_base, cursors
+        return offset, last_seqs, active_bytes, active_base
 
     # ------------------------------------------------------------------
     # appending
@@ -821,10 +814,6 @@ class WriteAheadLog:
             self._stream.write(line)
             self._offset = offset
             self._active_bytes += len(line.encode("utf-8"))
-            if offset % CURSOR_EVERY == 0:
-                self._cursors.append(
-                    WalCursor(self._active_base, self._active_bytes, offset)
-                )
             if seq is not None:
                 previous = self._last_seqs.get(source)
                 if previous is None or seq > previous:
@@ -956,24 +945,14 @@ class WriteAheadLog:
         retained record (compacted prefix) raises
         :class:`WalGapError`.
 
-        ``resume`` — the :attr:`WalRecord.cursor` of an earlier record,
-        or :meth:`resume_hint` — lets the walk seek to it instead of
-        starting at the front; an unusable one changes nothing but the
+        ``resume`` — the :attr:`WalRecord.cursor` of an earlier record
+        at or below ``after_offset`` — lets the walk seek to it instead
+        of starting at the front; an unusable one changes nothing but the
         cost (see :meth:`_walk`).  The records of one call share their
         terms: each distinct resource name and literal is built once.
         """
         for record, _in_active in self._walk(after_offset, True, resume):
             yield record
-
-    def resume_hint(self, after_offset: int) -> Optional[WalCursor]:
-        """The writer's nearest kept cursor at or below ``after_offset``
-        (and at or below the durable offset, so its bytes are in the
-        file), for :meth:`replay`'s ``resume``; ``None`` when there is
-        none, and always on a read-only handle."""
-        cursors = self._cursors
-        limit = min(after_offset, self._durable_offset)
-        index = bisect_right(cursors, limit, key=lambda cursor: cursor.offset)
-        return cursors[index - 1] if index else None
 
     def current_offset(self) -> int:
         """The newest record offset *on disk right now*.
@@ -1088,7 +1067,6 @@ class WriteAheadLog:
                 ends.append(self._active_base - 1)
             reclaimed = 0
             deleted: List[Path] = []
-            deleted_bases = set()
             for (base, path), end in zip(sealed, ends):
                 if end is None or end > covered_offset:
                     break
@@ -1101,12 +1079,8 @@ class WriteAheadLog:
                     continue
                 reclaimed += size
                 deleted.append(path)
-                deleted_bases.add(base)
             if deleted:
                 fsync_directory(self.path.parent)
-                self._cursors = [
-                    cursor for cursor in self._cursors if cursor.base not in deleted_bases
-                ]
             return reclaimed, deleted
 
     def size_bytes(self) -> int:

@@ -223,9 +223,9 @@ class TestFollowerCursor:
         assert [record.offset for record in fetch.records] == list(
             range(prefix + 1, prefix + new + 1)
         )
-        # The head probe, the active file's first line and the line at
-        # the cursor, then one decode per new record, whatever the prefix.
-        assert decode_counts == {"lines": new + 3, "deltas": new}
+        # The head probe and the cursor file's first line, then one
+        # decode per new record, whatever the prefix.
+        assert decode_counts == {"lines": new + 2, "deltas": new}
         # A fresh follower checks the prefix's offsets from their JSON
         # but builds a Delta only for the records it returns.
         decode_counts.update(lines=0, deltas=0)
@@ -259,6 +259,31 @@ class TestFollowerCursor:
         assert deleted and not (tmp_path / "wal-0000000000000001.ndjson").exists()
         fallbacks = RESUME_FALLBACKS.value()
         outcome = fetch_outcome(follower, 2)
+        assert outcome[0] is WalGapError
+        assert outcome == fetch_outcome(FileWalFollower(path), 2)
+        assert RESUME_FALLBACKS.value() == fallbacks + 1
+        wal.close()
+
+    def test_cursor_segment_compacted_after_the_listing(self, tmp_path, monkeypatch):
+        path = tmp_path / "wal.ndjson"
+        wal = WriteAheadLog(path, segment_bytes=600)
+        append_tiny(wal, 0, 2)
+        follower = FileWalFollower(path)
+        follower.fetch(0)
+        append_tiny(wal, 2, 12)
+        cursor_segment = tmp_path / "wal-0000000000000001.ndjson"
+        assert cursor_segment.exists()
+        list_segments = follower.wal.sealed_segments
+
+        def listing_then_compaction():
+            listed = list_segments()
+            cursor_segment.unlink(missing_ok=True)  # a compactor wins the race
+            return listed
+
+        monkeypatch.setattr(follower.wal, "sealed_segments", listing_then_compaction)
+        fallbacks = RESUME_FALLBACKS.value()
+        outcome = fetch_outcome(follower, 2)
+        monkeypatch.undo()
         assert outcome[0] is WalGapError
         assert outcome == fetch_outcome(FileWalFollower(path), 2)
         assert RESUME_FALLBACKS.value() == fallbacks + 1
@@ -554,20 +579,17 @@ class TestPrimaryReplicationEndpoints:
         first, second = HttpWalFollower(url_of(server)).fetch(0).records
         assert_shared_terms(first.delta.add1, second.delta.remove1)
 
-    def test_get_wal_starts_at_the_writers_nearest_cursor(self, stack, decode_counts):
+    def test_get_wal_builds_only_the_shipped_records(self, stack, decode_counts):
         server, _primary, _state_dir, wal = stack
         append_tiny(wal, 0, 150)  # straight into the log; /wal only reads it
-        fallbacks = RESUME_FALLBACKS.value()
         decode_counts.update(lines=0, deltas=0)
         status, _headers, body = request(url_of(server, "/wal?from=140&limit=5"))
         assert status == 200
         offsets = [json.loads(line)["offset"] for line in body.splitlines()]
         assert offsets == [141, 142, 143, 144, 145]
-        # From the cursor at 128: 12 records skipped, 5 shipped, plus
-        # the cursor checks; only the shipped ones build a Delta.
+        # The records before the page build no Delta, and the page
+        # stops at its last record.
         assert decode_counts["deltas"] == 5
-        assert decode_counts["lines"] <= 12 + 5 + 3
-        assert RESUME_FALLBACKS.value() == fallbacks
 
     def test_get_snapshot_latest_bootstraps_a_state(self, stack):
         server, primary, _state_dir, _wal = stack

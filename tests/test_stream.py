@@ -547,38 +547,7 @@ class TestWalSegments:
 
 
 class TestWalResume:
-    """Resume cursors: the writer's sparse list and replay's hint."""
-
-    def test_writer_keeps_every_64th_cursor_across_reopen_and_compaction(self, tmp_path):
-        from repro.service.stream.wal import CURSOR_EVERY
-
-        path = tmp_path / "wal.ndjson"
-        wal = WriteAheadLog(path, segment_bytes=20_000)
-        for step in range(3 * CURSOR_EVERY + 5):
-            wal.append(family_delta(step % 40), "s", step + 1, sync=False)
-        wal.sync()
-        kept = [wal.resume_hint(offset) for offset in (63, 64, 130, 10_000)]
-        assert [hint and hint.offset for hint in kept] == [None, 64, 128, 192]
-        by_offset = {record.offset: record.cursor for record in wal.replay()}
-        assert all(hint == by_offset[hint.offset] for hint in kept[1:])
-        wal.close()
-        reopened = WriteAheadLog(path, segment_bytes=20_000)
-        assert reopened._cursors == [by_offset[64], by_offset[128], by_offset[192]]
-        # Compacting the segment of cursor 64 drops that cursor only.
-        assert by_offset[64].base < by_offset[128].base
-        _reclaimed, deleted = reopened.compact(by_offset[128].base - 1)
-        assert deleted
-        assert reopened._cursors == [by_offset[128], by_offset[192]]
-        reopened.close()
-
-    def test_hint_past_the_durable_offset_is_not_offered(self, tmp_path):
-        wal = WriteAheadLog(tmp_path / "wal.ndjson")
-        for step in range(64):
-            wal.append(family_delta(step), "s", step + 1, sync=False)
-        assert wal.resume_hint(64) is None  # the bytes may not be in the file yet
-        wal.sync()
-        assert wal.resume_hint(64).offset == 64
-        wal.close()
+    """Resume cursors: replay's hint."""
 
     def test_replay_from_a_hint_matches_the_full_walk(self, tmp_path):
         from repro.service.stream.wal import RESUME_FALLBACKS
@@ -599,6 +568,30 @@ class TestWalResume:
         assert list(wal.replay(2, resume=cursors[5])) == list(wal.replay(2))
         assert RESUME_FALLBACKS.value() == fallbacks + 1
         wal.close()
+
+    def test_cursor_into_a_different_file_ending_at_its_byte(self, tmp_path):
+        """The active file was replaced by one that starts at another
+        offset but happens to end a line at the cursor's byte: its first
+        record gives it away, and the full walk reports the gap."""
+        from repro.service.stream.wal import RESUME_FALLBACKS, WalRecord
+
+        path = tmp_path / "wal.ndjson"
+        wal = WriteAheadLog(path)
+        for step in range(2):
+            wal.append(family_delta(step), "s", step + 1)
+        cursor = list(wal.replay())[-1].cursor
+        wal.close()
+        record = WalRecord(11, "", 11, family_delta(11))
+        short = len(json.dumps(record.to_json(), sort_keys=True)) + 1
+        padded = WalRecord(11, "x" * (cursor.end - short), 11, family_delta(11))
+        path.write_text(json.dumps(padded.to_json(), sort_keys=True) + "\n", encoding="utf-8")
+        assert path.stat().st_size == cursor.end
+        reader = WriteAheadLog(path, read_only=True)
+        fallbacks = RESUME_FALLBACKS.value()
+        with pytest.raises(WalGapError) as gap:
+            list(reader.replay(2, resume=cursor))
+        assert gap.value.oldest == 11
+        assert RESUME_FALLBACKS.value() == fallbacks + 1
 
     def test_replay_wal_builds_only_the_suffix(self, tmp_path, monkeypatch):
         """Restart recovery skips the snapshotted prefix without
