@@ -71,13 +71,16 @@ def statement_terms(
     denominator_product = 1.0
     matched_products: Dict[Relation, float] = {}
     for x_prime, prob_x in x_equals:
+        # One index probe per x': its row's keys are relations_of(x')
+        # in order, and each value is objects(r', x').
+        row = ontology2.relation_objects(x_prime).items()
         for y_prime, prob_y in y_equals:
             pair_probability = prob_x * prob_y
             if pair_probability <= 0.0:
                 continue
             denominator_product *= 1.0 - pair_probability
-            for relation2 in ontology2.relations_of(x_prime):
-                if y_prime in ontology2.objects(relation2, x_prime):
+            for relation2, objects in row:
+                if y_prime in objects:
                     matched_products[relation2] = matched_products.get(
                         relation2, 1.0
                     ) * (1.0 - pair_probability)

@@ -24,7 +24,7 @@ exactly the entries a delta touched.
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, Iterator, List, Optional, Set, Tuple
+from typing import Dict, Iterable, Iterator, List, Mapping, Optional, Set, Tuple
 
 from .terms import Literal, Node, Relation, Resource
 from .triples import Triple
@@ -335,6 +335,17 @@ class Ontology:
     def relations_of(self, subject: Node) -> Iterable[Relation]:
         """Relations (either direction) with ``subject`` as first argument."""
         return self._subject_index.get(subject, {}).keys()
+
+    def relation_objects(self, subject: Node) -> Mapping[Relation, Set[Node]]:
+        """The row ``{r: {y : r(subject, y)}}`` of ``subject``, both
+        directions, empty if it has no data statement.
+
+        Its keys are :meth:`relations_of` in the same order, and each
+        value equals ``objects(r, subject)``, so one probe serves a loop
+        that would call both per relation.  The row is the live index
+        entry: read it, never mutate it.
+        """
+        return self._subject_index.get(subject, {})
 
     def objects(self, relation: Relation, subject: Node) -> Set[Node]:
         """The set ``{y : relation(subject, y)}`` (empty if none)."""

@@ -16,12 +16,24 @@ term types:
   standard", Section 3).
 
 All terms are immutable, hashable and slotted so they can be used as
-dictionary keys in the hot loops of the aligner.
+dictionary keys in the hot loops of the aligner.  Every term compares
+by value, but the three types hash differently:
+
+* a :class:`Resource` is interned weakly (one live object per name)
+  and hashed by identity in C, so probing an index by resource runs no
+  Python code;
+* a :class:`Relation` is interned strongly (one object per name and
+  direction, never pruned: the predicate vocabulary is small) and
+  hashed by value;
+* a :class:`Literal` is not interned and is hashed by value: its
+  equality ignores ``datatype``, which the WAL and the N-Triples
+  writer still serialize, so equal literals may be distinct objects.
 """
 
 from __future__ import annotations
 
 import threading
+import weakref
 from typing import Dict, Tuple, Union
 
 
@@ -55,6 +67,16 @@ class Resource(Term):
     term itself, because the same name could play either role in
     different ontologies.
 
+    Resources are interned weakly: while a resource for a name is
+    alive, constructing, unpickling or copying one returns that same
+    object.  Hashing is by identity (CPython's C ``object.__hash__``),
+    so a dictionary or set probe keyed by a resource runs no Python
+    code; that is sound because two equal live resources are one
+    object.  Equality stays by name, and only runs on a bucket
+    collision.  The table holds its resources weakly, so names that
+    only pass through (a query for an unknown entity) leave with their
+    last reference.
+
     Parameters
     ----------
     name:
@@ -63,15 +85,33 @@ class Resource(Term):
         term.
     """
 
-    __slots__ = ("name", "_hash")
+    __slots__ = ("name", "__weakref__")
 
-    def __init__(self, name: str) -> None:
+    # The C identity hash; assigning the slot wrapper keeps CPython's
+    # slot function in place of a Python-level method.
+    __hash__ = object.__hash__
+
+    def __new__(cls, name: str) -> "Resource":
+        try:
+            resource = _RESOURCE_REFS[name]()
+        except (KeyError, TypeError):
+            return cls._intern(name)
+        # A dead reference whose callback has not run yet reads None.
+        return cls._intern(name) if resource is None else resource
+
+    @classmethod
+    def _intern(cls, name: str) -> "Resource":
         if not isinstance(name, str):
             raise TypeError(f"resource name must be a string, got {type(name).__name__}")
         if not name:
             raise ValueError("resource name must be non-empty")
-        object.__setattr__(self, "name", name)
-        object.__setattr__(self, "_hash", hash(("R", name)))
+        with _RESOURCES_LOCK:
+            resource = _RESOURCES.get(name)
+            if resource is None:
+                resource = object.__new__(cls)
+                object.__setattr__(resource, "name", name)
+                _RESOURCES[name] = resource
+        return resource
 
     def __setattr__(self, key: str, value: object) -> None:
         raise AttributeError("Resource is immutable")
@@ -79,7 +119,8 @@ class Resource(Term):
     def __reduce__(self):
         # Slotted immutables reject the default __setstate__; rebuild
         # through the constructor so terms can cross process boundaries
-        # (worker-pool relation and class tasks return them to the parent).
+        # (worker-pool relation and class tasks return them to the
+        # parent), and so unpickled and copied resources are interned.
         return (Resource, (self.name,))
 
     def __eq__(self, other: object) -> bool:
@@ -88,14 +129,20 @@ class Resource(Term):
     def __ne__(self, other: object) -> bool:
         return not self.__eq__(other)
 
-    def __hash__(self) -> int:
-        return self._hash
-
     def __repr__(self) -> str:
         return f"Resource({self.name!r})"
 
     def __str__(self) -> str:
         return self.name
+
+
+#: The resource table: name -> the one live Resource for it.  Weak, so
+#: it never outgrows the resources the program still holds.
+_RESOURCES: "weakref.WeakValueDictionary[str, Resource]" = weakref.WeakValueDictionary()
+#: Its underlying ``{name: weakref}`` dict, read lock-free by the
+#: constructor's hit path (one C dict probe and one reference call).
+_RESOURCE_REFS = _RESOURCES.data
+_RESOURCES_LOCK = threading.Lock()
 
 
 class Literal(Term):

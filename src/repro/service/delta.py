@@ -45,20 +45,21 @@ def triple_from_json(payload: dict, terms: Optional[dict] = None) -> Triple:
     (:meth:`repro.rdf.terms.Relation.parse`).
 
     ``terms`` is an optional dict shared across one decode batch (one
-    WAL replay, one shipped ``GET /wal`` body): each distinct resource
-    name and each ``(value, datatype)`` literal is then built once per
-    batch and reused.  Terms still compare by value; sharing only lets
-    the index probes of the apply hit by identity and keeps the
-    batch's allocations down.
+    WAL replay, one shipped ``GET /wal`` body): each distinct
+    ``(value, datatype)`` literal is then built once per batch and
+    reused.  Resources need no such dict: :class:`Resource` is
+    interned, so each name is one object already.  Literals still
+    compare by value; sharing only lets the index probes of the apply
+    hit by identity and keeps the batch's allocations down.
     """
     try:
-        subject = _resource(payload["subject"], terms)
+        subject = Resource(payload["subject"])
         relation = Relation.parse(payload["relation"])
         object_type = payload.get("object_type", "resource")
         if object_type == "literal":
             obj: Node = _literal(payload["object"], payload.get("datatype"), terms)
         elif object_type == "resource":
-            obj = _resource(payload["object"], terms)
+            obj = Resource(payload["object"])
         else:
             raise ValueError(f"unknown object_type {object_type!r}")
     except KeyError as missing:
@@ -68,17 +69,6 @@ def triple_from_json(payload: dict, terms: Optional[dict] = None) -> Triple:
         # normalize so callers handle one exception type for bad wire data.
         raise ValueError(f"bad triple field: {bad_type}") from None
     return Triple(subject, relation, obj)
-
-
-def _resource(name, terms: Optional[dict]) -> Resource:
-    # Only ``str`` names are shared: anything else goes to the
-    # constructor, which raises its usual error.
-    if terms is None or type(name) is not str:
-        return Resource(name)
-    term = terms.get(name)
-    if term is None:
-        term = terms[name] = Resource(name)
-    return term
 
 
 def _literal(value, datatype, terms: Optional[dict]) -> Literal:

@@ -170,6 +170,41 @@ class TestNTriplesInterning:
         assert loaded.num_type_statements > 0 and loaded.version == reference.version
 
 
+    def test_names_shared_by_two_files_and_a_snapshot_are_one_object(self, tmp_path):
+        from repro.core.config import ParisConfig
+        from repro.service import AlignmentService
+        from repro.service.state import load_state
+
+        lines = _shuffled_kb_lines()
+        half = len(lines) // 2
+        (tmp_path / "left.nt").write_text("".join(lines[:half]), encoding="utf-8")
+        (tmp_path / "right.nt").write_text("".join(lines[half:]), encoding="utf-8")
+        left = ntriples.read_ntriples(tmp_path / "left.nt")
+        right = ntriples.read_ntriples(tmp_path / "right.nt")
+
+        def resources(ontology):
+            found = {}
+            for subject, by_relation in ontology._subject_index.items():
+                for node in (subject, *(n for nodes in by_relation.values() for n in nodes)):
+                    if isinstance(node, Resource):
+                        found.setdefault(node.name, set()).add(id(node))
+            for index in (ontology._instance_classes, ontology._subclass_edges):
+                for node, others in index.items():
+                    for resource in (node, *others):
+                        found.setdefault(resource.name, set()).add(id(resource))
+            return found
+
+        in_left, in_right = resources(left), resources(right)
+        shared = in_left.keys() & in_right.keys()
+        assert len(shared) > 100
+        assert all(len(in_left[name] | in_right[name]) == 1 for name in shared)
+
+        AlignmentService.cold_start(left, right, ParisConfig()).snapshot(tmp_path / "state")
+        state = load_state(tmp_path / "state")
+        for loaded, original in ((state.ontology1, in_left), (state.ontology2, in_right)):
+            assert resources(loaded) == original
+
+
 class TestNTriplesRoundTrip:
     def test_round_trip_preserves_statements(self, onto):
         text = ntriples.dumps(onto)

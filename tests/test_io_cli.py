@@ -152,6 +152,38 @@ class TestCli:
             + sum(1 for _edge in pair.ontology1.subclass_edges())
         )
 
+    def test_align_output_does_not_depend_on_hash_seed_or_addresses(self, tmp_path):
+        """Resources hash by identity, so sets of them iterate in
+        allocation-address order, and literals and strings in salted
+        hash order; two processes with different seeds still write the
+        same output directory."""
+        import os
+        import subprocess
+        import sys
+        from pathlib import Path
+
+        import repro
+        from repro.datasets import yago_dbpedia_pair
+
+        pair = yago_dbpedia_pair(num_persons=40, num_works=20, seed=5)
+        left, right = tmp_path / "left.nt", tmp_path / "right.nt"
+        ntriples.write_ntriples(pair.ontology1, left)
+        ntriples.write_ntriples(pair.ontology2, right)
+        outputs = []
+        for seed in ("1", "2"):
+            out = tmp_path / f"out-{seed}"
+            env = dict(os.environ, PYTHONHASHSEED=seed)
+            env["PYTHONPATH"] = os.pathsep.join(
+                filter(None, [str(Path(repro.__file__).parent.parent), env.get("PYTHONPATH")])
+            )
+            subprocess.run(
+                [sys.executable, "-m", "repro", "align", str(left), str(right), "--out", str(out)],
+                env=env, check=True, capture_output=True,
+            )
+            outputs.append({path.name: path.read_bytes() for path in sorted(out.iterdir())})
+        assert outputs[0] == outputs[1]
+        assert "instances.tsv" in outputs[0] and outputs[0]["instances.tsv"].count(b"\n") > 20
+
     def test_missing_file_errors(self, tmp_path):
         with pytest.raises(SystemExit):
             main(["align", "/nonexistent.nt", "/nonexistent2.nt",

@@ -91,6 +91,16 @@ class TestStatementAccess:
         assert Relation("bornIn") in onto.relations_of(Resource("Elvis"))
         assert Relation("name") in onto.relations_of(Resource("Elvis"))
 
+    def test_relation_objects_is_relations_of_with_their_objects(self, onto):
+        for node in (Resource("Elvis"), Resource("Tupelo"), Resource("nobody")):
+            row = onto.relation_objects(node)
+            assert list(row) == list(onto.relations_of(node))
+            assert all(row[relation] == onto.objects(relation, node) for relation in row)
+        assert dict(onto.relation_objects(Resource("Tupelo"))) == {
+            Relation("bornIn").inverse: {Resource("Elvis")}
+        }
+        assert not onto.relation_objects(Resource("nobody"))
+
     def test_triples_forward_only_by_default(self, onto):
         triples = list(onto.triples())
         assert all(not t.relation.inverted for t in triples)

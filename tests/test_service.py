@@ -8,6 +8,7 @@ front-end (exercised in-process over an ephemeral port).
 
 from __future__ import annotations
 
+import gc
 
 import pytest
 
@@ -18,7 +19,7 @@ from repro.core.literal_index import LiteralIndex
 from repro.datasets.incremental import family_addition, family_pair
 from repro.literals import IdentitySimilarity
 from repro.rdf.ontology import Ontology
-from repro.rdf.terms import Literal, Relation, Resource
+from repro.rdf.terms import _RESOURCES, Literal, Relation, Resource
 from repro.rdf.triples import Triple
 from repro.service import (
     AlignmentService,
@@ -544,6 +545,19 @@ class TestServiceQueries:
         payload = service.pair("p0a", "qnope")
         assert payload["probability"] == 0.0
         assert "best_counterpart_of_right" not in payload
+
+    def test_request_names_do_not_accumulate(self, service):
+        """Each query builds a Resource per requested name; the weak
+        resource table lets an unknown name go with its request."""
+        gc.collect()
+        before = len(_RESOURCES)
+        for index in range(1000):
+            service.pair(f"unknown-left-{index}", f"unknown-right-{index}")
+        for index in range(100):
+            service.neighborhood(f"unknown-entity-{index}")
+        gc.collect()
+        assert len(_RESOURCES) == before
+        assert "unknown-left-0" not in _RESOURCES
 
     def test_alignment_threshold(self, service):
         everything = service.alignment()

@@ -1,11 +1,15 @@
 """Unit tests for the term model (repro.rdf.terms)."""
 
 import copy
+import gc
 import pickle
+import sys
+import threading
+import weakref
 
 import pytest
 
-from repro.rdf.terms import Literal, Relation, Resource
+from repro.rdf.terms import _RESOURCES, Literal, Relation, Resource
 
 
 class TestResource:
@@ -41,6 +45,87 @@ class TestResource:
     def test_is_resource_flags(self):
         assert Resource("x").is_resource
         assert not Resource("x").is_literal
+
+
+class TestResourceInterning:
+    def test_one_object_per_name(self):
+        resource = Resource("interned")
+        assert Resource("interned") is resource
+        assert _RESOURCES["interned"] is resource
+
+    def test_pickle_and_copy_return_the_interned_object(self):
+        resource = Resource("interned")
+        assert pickle.loads(pickle.dumps(resource)) is resource
+        assert copy.copy(resource) is resource
+        assert copy.deepcopy(resource) is resource
+        assert resource.__reduce__() == (Resource, ("interned",))
+
+    def test_hash_is_the_c_identity_hash(self):
+        assert Resource.__hash__ is object.__hash__
+        resource = Resource("interned")
+        assert hash(resource) == object.__hash__(resource)
+
+    @pytest.mark.parametrize(
+        "name, error, message",
+        [
+            (42, TypeError, "resource name must be a string, got int"),
+            (["x"], TypeError, "resource name must be a string, got list"),
+            ("", ValueError, "resource name must be non-empty"),
+        ],
+    )
+    def test_a_rejected_name_inserts_nothing(self, name, error, message):
+        gc.collect()
+        before = len(_RESOURCES)
+        with pytest.raises(error, match=f"^{message}$"):
+            Resource(name)
+        assert len(_RESOURCES) == before
+        assert "" not in _RESOURCES
+
+    def test_a_dropped_resource_leaves_the_table(self):
+        resource = Resource("short-lived")
+        assert "short-lived" in _RESOURCES
+        del resource
+        gc.collect()
+        assert "short-lived" not in _RESOURCES
+
+    def test_a_dead_entry_not_yet_removed_is_replaced(self):
+        # A reference whose referent died before its removal callback
+        # ran (the mapping defers removals while it is iterated) reads
+        # None; the constructor must build a fresh resource then.
+        class Referent:
+            pass
+
+        referent = Referent()
+        _RESOURCES.data["dead-entry"] = weakref.ref(referent)
+        del referent
+        gc.collect()
+        fresh = Resource("dead-entry")
+        assert fresh.name == "dead-entry" and Resource("dead-entry") is fresh
+        assert _RESOURCES["dead-entry"] is fresh
+
+    def test_racing_threads_get_one_object_per_name(self):
+        threads_count, names = 8, [f"race-{index}" for index in range(500)]
+        barrier = threading.Barrier(threads_count, timeout=30)
+        built = [None] * threads_count
+
+        def build(slot):
+            barrier.wait()
+            built[slot] = [Resource(name) for name in names]
+
+        threads = [threading.Thread(target=build, args=(slot,)) for slot in range(threads_count)]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=30)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        for column in zip(*built):
+            assert len({id(resource) for resource in column}) == 1
+        assert [resource.name for resource in built[0]] == names
 
 
 class TestLiteral:
