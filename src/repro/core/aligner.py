@@ -17,11 +17,13 @@ Every pass has one route, in the calling process.  The instance and
 relation passes run on the vectorized kernel
 (:mod:`repro.core.vectorized`) unless negative evidence (Eq. 14) is on;
 the dict passes are the Eq. 14 route and the reference the kernel is
-held bit-identical to (``tests/test_vectorized.py``).  The class pass
-(Eq. 17) runs the dict code.  The paper runs its passes "in parallel on
-all available processors" (Section 5.1); a worker pool did so here
-until it measured below 1.2x on every recorded run
-(``docs/architecture.md``).
+held bit-identical to (``tests/test_vectorized.py``).  Between passes
+the cold loop reads one pass state (:mod:`repro.core.pass_state`): on
+the kernel route the kernel's id arrays, so no dict store is built
+until the run ends.  The class pass (Eq. 17) runs the dict code.  The
+paper runs its passes "in parallel on all available processors"
+(Section 5.1); a worker pool did so here until it measured below 1.2x
+on every recorded run (``docs/architecture.md``).
 
 Incremental service mode
 ------------------------
@@ -42,7 +44,7 @@ run reaches, at a fraction of the work for small deltas.
 from __future__ import annotations
 
 import time
-from typing import Dict, Iterable, List, Optional, Set, Tuple
+from typing import Dict, Iterable, List, Optional, Set, Tuple, Union
 
 from ..obs.trace import Span, root_span, span
 from ..rdf.ontology import Ontology
@@ -57,11 +59,12 @@ from .incremental import (
 )
 from .literal_index import LiteralIndex
 from .matrix import SubsumptionMatrix
+from .pass_state import KernelPassState, StorePassState
 from .result import AlignmentResult, IterationSnapshot
 from .store import EquivalenceStore
 from .subclasses import IncrementalClassPass, subclass_pass
 from .subrelations import parallel_subrelation_pass
-from .vectorized import VectorizedKernel
+from .vectorized import KernelView, VectorizedKernel
 from .view import EquivalenceView
 
 #: Warm passes without a new minimum per-pass change before the loop
@@ -176,15 +179,6 @@ class ParisAligner:
 
     # ------------------------------------------------------------------
 
-    def _view_store(
-        self, store: EquivalenceStore, assignments: Optional[tuple] = None
-    ) -> EquivalenceStore:
-        """The store the passes actually read (Section 5.2 restriction);
-        ``assignments`` are the store's maximal assignments when known."""
-        if self.config.restrict_to_maximal_assignment:
-            return store.restricted_to_maximal(assignments)
-        return store
-
     def make_view(self, view_store: EquivalenceStore) -> EquivalenceView:
         """Wrap an (already restricted) store with the literal indexes."""
         return EquivalenceView(view_store, self.literals2, self.literals1)
@@ -192,43 +186,59 @@ class ParisAligner:
     def _view(
         self, store: EquivalenceStore, assignments: Optional[tuple] = None
     ) -> EquivalenceView:
-        return self.make_view(self._view_store(store, assignments))
+        """The view the passes read of ``store`` (Section 5.2
+        restriction); ``assignments`` are the store's maximal
+        assignments when known."""
+        if self.config.restrict_to_maximal_assignment:
+            store = store.restricted_to_maximal(assignments)
+        return self.make_view(store)
+
+    def _empty_state(self):
+        """The pass state before the first pass, on this run's route."""
+        kernel = self._kernel_for()
+        if kernel is None:
+            return StorePassState(EquivalenceStore(self.config.theta))
+        return KernelPassState.empty(kernel, self.config.theta)
+
+    def _pass_view(self, state) -> Union[EquivalenceView, KernelView]:
+        """What the next passes read of ``state``."""
+        view = state.view(self.config.restrict_to_maximal_assignment)
+        return self.make_view(view) if isinstance(view, EquivalenceStore) else view
 
     def _instance_pass(
         self,
-        view: EquivalenceView,
+        view: Union[EquivalenceView, KernelView],
         rel12: SubsumptionMatrix[Relation],
         rel21: SubsumptionMatrix[Relation],
-    ) -> EquivalenceStore:
-        """One instance pass: on the vectorized kernel
-        (:meth:`VectorizedKernel.score_ids`), which fills the store in
-        the dict pass's emission order, or on the dict reference pass
-        when the kernel is off (negative evidence)."""
+    ):
+        """One instance pass, as a pass state: on the vectorized kernel
+        (:meth:`VectorizedKernel.score_ids`), whose arrays list the
+        pairs in the dict pass's emission order, or on the dict
+        reference pass when the kernel is off (negative evidence)."""
         config = self.config
         kernel = self._kernel_for()
         if kernel is None:
-            return instance_equivalence_pass(
-                self.ontology1,
-                self.ontology2,
-                view,
-                self.fun1,
-                self.fun2,
-                rel12,
-                rel21,
-                config.theta,
-                config.use_negative_evidence,
+            return StorePassState(
+                instance_equivalence_pass(
+                    self.ontology1,
+                    self.ontology2,
+                    view,
+                    self.fun1,
+                    self.fun2,
+                    rel12,
+                    rel21,
+                    config.theta,
+                    config.use_negative_evidence,
+                )
             )
         with span("kernel.prepare"):
-            prepared = kernel.prepare_pass(view.store, rel12, rel21)
+            prepared = kernel.prepare_pass(view, rel12, rel21)
         with span("kernel.score"):
             scored = kernel.score_ids(kernel.ordered_ids, prepared, config.theta)
-        store = EquivalenceStore(config.theta)
-        with span("kernel.merge"):
-            store.update(kernel.entries_for(*scored))
-        return store
+        return KernelPassState(kernel, *scored, config.theta)
 
     def _relation_pass(
-        self, view: EquivalenceView, reverse: bool = False
+        self, view: Union[EquivalenceView, KernelView], reverse: bool = False
     ) -> SubsumptionMatrix[Relation]:
         """One direction of the relation pass: on the vectorized kernel
         wherever the instance pass uses it, on the dict reference
@@ -299,34 +309,6 @@ class ParisAligner:
         with span("kernel.merge"):
             return kernel.entries_for(*scored)
 
-    def _dampen(
-        self, old_store: EquivalenceStore, new_store: EquivalenceStore
-    ) -> EquivalenceStore:
-        """Blend successive estimates (Section 5.1's dampening remedy)."""
-        factor = self.config.dampening
-        if factor <= 0.0:
-            return new_store
-        blended = EquivalenceStore(new_store.truncation_threshold)
-        pairs = {(left, right) for left, right, _p in new_store.items()}
-        pairs |= {(left, right) for left, right, _p in old_store.items()}
-        for left, right in pairs:
-            probability = (
-                factor * old_store.get(left, right)
-                + (1.0 - factor) * new_store.get(left, right)
-            )
-            if probability >= blended.truncation_threshold:
-                blended.set(left, right, probability)
-        return blended
-
-    @staticmethod
-    def _same_targets(
-        first: "dict", second: "dict"
-    ) -> bool:
-        """Whether two maximal assignments pick the same counterparts."""
-        if first.keys() != second.keys():
-            return False
-        return all(first[key][0] == second[key][0] for key in first)
-
     def align(self) -> AlignmentResult:
         """Run the fixpoint and return the full alignment."""
         config = self.config
@@ -346,24 +328,16 @@ class ParisAligner:
         else:
             rel12 = SubsumptionMatrix.bootstrap(theta)
             rel21 = SubsumptionMatrix.bootstrap(theta)
-        store = EquivalenceStore(theta)
-        previous_store = store
-        previous_assignment = store.maximal_assignment()
-        assignment_history: list = []
         snapshots: List[IterationSnapshot] = []
-        # Running full assignments behind the snapshot delta chain
-        # (IterationSnapshot.capture diffs against these).
-        snap_prev12: Dict[Resource, Tuple[Resource, float]] = {}
-        snap_prev21: Dict[Resource, Tuple[Resource, float]] = {}
         converged = False
         with root_span(
             "align.cold", instances=len(self.ontology1.instances)
         ) as profile:
             self._last_align_span = profile
-            # One restricted view per store: the view the relation pass
-            # builds serves the next instance pass and the class pass (the
-            # store is not mutated in between).
-            view = self._view(store)
+            # The state of the previous pass and of the one before (the
+            # period-2 cycle check); all of them start empty.
+            state = previous = two_ago = self._empty_state()
+            view = self._pass_view(state)
             for iteration in range(1, config.max_iterations + 1):
                 started = time.perf_counter()
                 with span(
@@ -371,56 +345,46 @@ class ParisAligner:
                     iteration=iteration,
                     frontier=len(self.ontology1.instances),
                 ):
-                    new_store = self._instance_pass(view, rel12, rel21)
-                    store = self._dampen(store, new_store)
-                assignment12 = store.maximal_assignment()
-                assignment21 = store.maximal_assignment(reverse=True)
-                change = (
-                    EquivalenceStore.assignment_change(previous_assignment, assignment12)
-                    if iteration > 1
-                    else None
-                )
+                    state = self._instance_pass(view, rel12, rel21).dampened(
+                        state, config.dampening
+                    )
+                change = state.change_from(previous) if iteration > 1 else None
                 stationary = (
                     config.score_stationarity
                     and iteration > 1
-                    and store.max_difference(previous_store) <= config.warm_tolerance
+                    and state.max_difference(previous) <= config.warm_tolerance
                 )
-                previous_store = store
-                previous_assignment = assignment12
                 cycle = (
                     config.detect_cycles
                     and not config.score_stationarity
-                    and len(assignment_history) >= 2
-                    and self._same_targets(assignment12, assignment_history[-2])
+                    and iteration > 2
+                    and state.same_targets(two_ago)
                 )
-                assignment_history.append(assignment12)
-                if len(assignment_history) > 3:
-                    assignment_history.pop(0)
                 # Relation pass uses the fresh equivalences ("These two
                 # steps are iterated until convergence", Section 5.1).  The
                 # second round uses the computed values and no longer θ.
+                # The view it reads also serves the next instance pass.
                 with span("pass.relation", iteration=iteration):
-                    view = self._view(store, (assignment12, assignment21))
+                    view = self._pass_view(state)
                     rel12 = self._relation_pass(view)
                     rel21 = self._relation_pass(view, reverse=True)
                 duration = time.perf_counter() - started
                 if config.keep_snapshots:
+                    delta12, delta21 = state.assignment_deltas(previous)
                     snapshots.append(
-                        IterationSnapshot.capture(
+                        IterationSnapshot(
                             index=iteration,
                             duration_seconds=duration,
                             change_fraction=change,
-                            num_equivalences=len(store),
-                            assignment12=assignment12,
-                            assignment21=assignment21,
+                            num_equivalences=len(state),
+                            assignment12_delta=delta12,
+                            assignment21_delta=delta21,
                             relations12=rel12,
                             relations21=rel21,
                             previous=snapshots[-1] if snapshots else None,
-                            previous12=snap_prev12,
-                            previous21=snap_prev21,
                         )
                     )
-                    snap_prev12, snap_prev21 = assignment12, assignment21
+                two_ago, previous = previous, state
                 if config.score_stationarity:
                     # Numeric stationarity replaces both the assignment
                     # criterion and cycle detection (warm-start reference
@@ -437,9 +401,13 @@ class ParisAligner:
                     # matches: the fixpoint will not settle further.
                     converged = True
                     break
+            # The run's dict objects, built once from the last state.
+            store = state.to_store()
+            assignment12, assignment21 = state.assignments()
             # Classes are aligned once, from the final assignment
             # (Section 4.3 / 5.1: "In a last step, the equivalences between
             # classes are computed by Equation (17)").
+            view = self._view(store, (assignment12, assignment21))
             with span("pass.class"):
                 classes12 = self._class_pass(view)
                 classes21 = self._class_pass(view, reverse=True)
@@ -447,8 +415,8 @@ class ParisAligner:
                 left_name=self.ontology1.name,
                 right_name=self.ontology2.name,
                 instances=store,
-                assignment12=store.maximal_assignment(),
-                assignment21=store.maximal_assignment(reverse=True),
+                assignment12=assignment12,
+                assignment21=assignment21,
                 relations12=rel12,
                 relations21=rel21,
                 classes12=classes12,

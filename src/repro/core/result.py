@@ -161,11 +161,11 @@ class IterationSnapshot:
         """Snapshot one pass, storing only its assignment changes.
 
         ``previous12``/``previous21`` are the full assignments that
-        ``previous`` reconstructs to — the fixpoint loops track them
-        anyway for their convergence criteria, so capturing never has
-        to replay the chain.  When ``previous`` is ``None`` they become
-        the chain's base (copied, so later caller mutation cannot skew
-        reconstruction).
+        ``previous`` reconstructs to — the warm loop tracks them anyway,
+        so capturing never has to replay the chain (the cold loop builds
+        its deltas from its pass states instead).  When ``previous`` is
+        ``None`` they become the chain's base (copied, so later caller
+        mutation cannot skew reconstruction).
         """
         return cls(
             index=index,

@@ -15,20 +15,25 @@ handful of vectorized gathers:
   keeps only resource-valued "other" slots (the dict path skips literal
   ``x'`` candidates).  Functionality vectors are indexed by relation
   id.  All of this is rebuilt only when :attr:`Ontology.version` moves.
-* **Per-pass arrays** — :meth:`VectorizedKernel.prepare_pass` lowers
-  the previous iteration's view (clamped literal candidates + the
-  restricted store) into one candidate CSR and the two relation
-  matrices into dense ``[sub_id, super_id]`` grids honouring per-sub
-  defaults.
+* **Per-pass arrays** — a pass reads the previous iteration's view as
+  a :class:`KernelView`: id-array rows in both directions, which the
+  cold fixpoint builds from the previous pass's arrays
+  (:mod:`repro.core.pass_state`) and :meth:`VectorizedKernel.lower_rows`
+  builds from a dict store (the warm path's view).
+  :meth:`VectorizedKernel.prepare_pass` joins its forward rows with the
+  clamped literal candidates into one candidate CSR and lowers the two
+  relation matrices into dense ``[sub_id, super_id]`` grids honouring
+  per-sub defaults.
 * **Eq. 12** — :meth:`VectorizedKernel.relation_scores` scores one
   direction of the relation pass.  Its static arrays, built once per
   direction and ``max_pairs`` cap, are the capped statements of each
   relation in :meth:`Ontology.pairs` order and a sorted
   ``(x', y') → r'`` match table over the other ontology (``r'`` in
   ``relations_of(x')`` order, literal objects kept).  Per pass the
-  view's store rows plus the literal candidates become a candidate CSR
-  that, unlike the Eq. 13 one, keeps statement-less candidates: they
-  match nothing but still count in the Eq. 12 denominator.
+  view's rows of that direction plus the literal candidates become a
+  candidate CSR that, unlike the Eq. 13 one, keeps statement-less
+  candidates: they match nothing but still count in the Eq. 12
+  denominator.
 
 Bit-exactness with the dict path
 --------------------------------
@@ -67,8 +72,9 @@ applied per surviving candidate by the caller.
 
 from __future__ import annotations
 
+from functools import cached_property
 from itertools import islice
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -160,6 +166,52 @@ def _literal_csr(table, literals: LiteralIndex, targets: Dict[Node, int]):
 def _group_starts(sorted_keys):
     """Start index of each run of equal values in ``sorted_keys``."""
     return np.flatnonzero(np.concatenate(([True], sorted_keys[1:] != sorted_keys[:-1])))
+
+
+def _rows(owner, other, probs, entries, size):
+    """``(starts, counts, ids, probs)`` rows over ``size`` owner ids:
+    each owner's ``other``/``probs`` in ``entries`` order."""
+    owners = owner[entries]
+    order = entries[np.argsort(owners, kind="stable")]
+    counts = np.bincount(owners, minlength=size)
+    return np.cumsum(counts) - counts, counts, other[order], probs[order]
+
+
+def _name_ranks(table) -> np.ndarray:
+    """Rank of each node's name in Python ``str`` order: the tie rule
+    of :func:`~repro.core.store.best_counterpart` as an array.
+    Literals, which never enter an assignment, rank as the empty name."""
+    names = [node.name if isinstance(node, Resource) else "" for node in table]
+    ranks = np.empty(len(names), dtype=np.int64)
+    ranks[sorted(range(len(names)), key=names.__getitem__)] = np.arange(len(names))
+    return ranks
+
+
+class KernelView:
+    """One pass's view of the instance equivalences as kernel id rows.
+
+    :meth:`rows` gives ``(starts, counts, ids, probs)`` for one
+    direction: forward, over left node ids, each left's right
+    counterparts; backward, over right node ids, each right's left
+    ones.  Row ``i`` is ``ids[starts[i]:starts[i] + counts[i]]`` in the
+    order the equivalent dict view's row yields them, which is the
+    order the passes fold floats in.  A counterpart without statements
+    reads as the other side's node count.
+    """
+
+    __slots__ = ("forward", "backward")
+
+    def __init__(self, forward, backward) -> None:
+        self.forward = forward
+        self.backward = backward
+
+    def rows(self, reverse: bool = False):
+        return self.backward if reverse else self.forward
+
+
+#: What the kernel passes read: kernel rows, or a dict view or store
+#: that :meth:`VectorizedKernel.lower_rows` lowers first.
+ViewInput = Union[KernelView, EquivalenceView, EquivalenceStore]
 
 
 class PreparedPass:
@@ -310,11 +362,14 @@ class VectorizedKernel:
 
         # -- inner CSR: resource-valued statements of the right side ----
         # (the dict path skips literal x' candidates)
-        is_literal2 = np.array(
+        self.is_literal2 = np.array(
             [isinstance(node, Literal) for node in self.table2], dtype=bool
         )
-        resource = ~is_literal2[self.all_other2]
-        self.indptr2 = _csr_subset(self.all_indptr2, resource)
+        resource = ~self.is_literal2[self.all_other2]
+        indptr2 = _csr_subset(self.all_indptr2, resource)
+        # one more empty row: id n2 stands for a candidate without
+        # statements, which scores nothing
+        self.indptr2 = np.append(indptr2, indptr2[-1])
         self.stmt_rel2 = self.all_rel2[resource]
         self.stmt_other2 = self.all_other2[resource]
 
@@ -348,59 +403,91 @@ class VectorizedKernel:
             [nodes1.get(instance, -1) for instance in instances], dtype=np.int64
         )
 
+    @cached_property
+    def name_rank1(self) -> np.ndarray:
+        """Name rank of each left node (see :func:`_name_ranks`)."""
+        return _name_ranks(self.table1)
+
+    @cached_property
+    def name_rank2(self) -> np.ndarray:
+        """Name rank of each right node."""
+        return _name_ranks(self.table2)
+
+    # ------------------------------------------------------------------
+    # views
+    # ------------------------------------------------------------------
+
+    def view_of(self, x, xp, probs, entries) -> KernelView:
+        """The :class:`KernelView` of the pairs ``(x[e], xp[e], probs[e])``
+        for ``e`` in ``entries``; each row keeps ``entries`` order."""
+        return KernelView(
+            _rows(x, xp, probs, entries, self.n1), _rows(xp, x, probs, entries, self.n2)
+        )
+
+    def lower_rows(self, store: EquivalenceStore, reverse: bool = False):
+        """One direction of a dict store's rows as :meth:`KernelView.rows`
+        arrays, each row in its dict order.  Rows of nodes without
+        statements are dropped (the passes never read them);
+        counterparts without statements read as the other side's node
+        count."""
+        if reverse:
+            sub_index, super_index, size, missing = self.nodes2, self.nodes1, self.n2, self.n1
+        else:
+            sub_index, super_index, size, missing = self.nodes1, self.nodes2, self.n1, self.n2
+        subs: List[int] = []
+        lengths: List[int] = []
+        ids: List[int] = []
+        probs: List[float] = []
+        for node, row in store.rows(reverse):
+            sub = sub_index.get(node)
+            if sub is None:
+                continue
+            subs.append(sub)
+            lengths.append(len(row))
+            ids.extend([super_index.get(candidate, missing) for candidate in row])
+            probs.extend(row.values())
+        subs_a = np.array(subs, dtype=np.int64)
+        lengths_a = np.array(lengths, dtype=np.int64)
+        starts = np.zeros(size, dtype=np.int64)
+        counts = np.zeros(size, dtype=np.int64)
+        starts[subs_a] = np.cumsum(lengths_a) - lengths_a
+        counts[subs_a] = lengths_a
+        return (
+            starts,
+            counts,
+            np.array(ids, dtype=np.int64),
+            np.array(probs, dtype=np.float64),
+        )
+
+    def _view_rows(self, view: ViewInput, reverse: bool):
+        if isinstance(view, KernelView):
+            return view.rows(reverse)
+        if isinstance(view, EquivalenceView):
+            view = view.store
+        return self.lower_rows(view, reverse)
+
     # ------------------------------------------------------------------
 
     def prepare_pass(
         self,
-        view_store: EquivalenceStore,
+        view: ViewInput,
         rel12: SubsumptionMatrix[Relation],
         rel21: SubsumptionMatrix[Relation],
     ) -> PreparedPass:
-        """Lower one pass's view store + relation matrices to arrays.
+        """Lower one pass's view + relation matrices to arrays.
 
         The candidate CSR concatenates the static literal-candidate
-        arrays with this pass's store rows (kept in their row dict
-        order, so the factor fold visits candidates exactly as
+        arrays with the view's forward rows (each in its row order, so
+        the factor fold visits candidates exactly as
         ``view.equivalents`` yields them).
         """
         n1 = self.n1
-        res_counts = np.zeros(n1, dtype=np.int64)
-        rows: List[Tuple[int, List[int], List[float]]] = []
-        current_left: Optional[Resource] = None
-        current_row: Optional[Tuple[int, List[int], List[float]]] = None
-        for left, right, probability in view_store.items():
-            if left is not current_left:
-                current_left = left
-                left_id = self.nodes1.get(left)
-                current_row = None
-                if left_id is not None:
-                    current_row = (left_id, [], [])
-                    rows.append(current_row)
-            if current_row is None:
-                continue
-            right_id = self.nodes2.get(right)
-            if right_id is None:
-                continue  # no statements -> the dict path finds nothing
-            current_row[1].append(right_id)
-            current_row[2].append(probability)
-        for left_id, rights, _probs in rows:
-            res_counts[left_id] = len(rights)
-        res_indptr = np.zeros(n1 + 1, dtype=np.int64)
-        np.cumsum(res_counts, out=res_indptr[1:])
+        row_starts, row_counts, row_ids, row_probs = self._view_rows(view, False)
         offset = len(self.lit_ids)
-        total = offset + int(res_indptr[-1])
-        flat_ids = np.empty(total, dtype=np.int64)
-        flat_probs = np.empty(total, dtype=np.float64)
-        flat_ids[:offset] = self.lit_ids
-        flat_probs[:offset] = self.lit_probs
-        for left_id, rights, probs in rows:
-            start = offset + int(res_indptr[left_id])
-            flat_ids[start : start + len(rights)] = rights
-            flat_probs[start : start + len(rights)] = probs
-        view_starts = np.where(
-            self.is_literal1, self.lit_indptr[:-1], offset + res_indptr[:-1]
-        )
-        view_counts = np.where(self.is_literal1, self.lit_counts, res_counts)
+        flat_ids = np.concatenate((self.lit_ids, row_ids))
+        flat_probs = np.concatenate((self.lit_probs, row_probs))
+        view_starts = np.where(self.is_literal1, self.lit_indptr[:-1], offset + row_starts)
+        view_counts = np.where(self.is_literal1, self.lit_counts, row_counts)
 
         m12 = self._dense(rel12, self.rel_table1, self.rels2, len(self.rel_table2))
         m21 = self._dense(rel21, self.rel_table2, self.rels1, len(self.rel_table1))
@@ -542,7 +629,7 @@ class VectorizedKernel:
     # ------------------------------------------------------------------
 
     def relation_scores(
-        self, view: EquivalenceView, reverse: bool, max_pairs: int
+        self, view: ViewInput, reverse: bool, max_pairs: int
     ) -> List[Tuple[Relation, Optional[Dict[Relation, float]]]]:
         """One direction of Eq. 12: ``(r, {r': score} or None)`` per sub
         relation, in relation order with ``r'`` in first-touch order —
@@ -551,7 +638,7 @@ class VectorizedKernel:
         :func:`~repro.core.subrelations.apply_relation_scores`."""
         side = self._relation_side(reverse, max_pairs)
         starts, counts, cand_ids, cand_probs = self._relation_candidates(
-            side, view.store, reverse
+            side, view, reverse
         )
         x_start, x_count = starts[side.stmt_x], counts[side.stmt_x]
         y_start, y_count = starts[side.stmt_y], counts[side.stmt_y]
@@ -645,37 +732,19 @@ class VectorizedKernel:
             )
         ]
 
-    def _relation_candidates(self, side: RelationSide, store, reverse: bool):
+    def _relation_candidates(self, side: RelationSide, view: ViewInput, reverse: bool):
         """This pass's candidate CSR over the sub side's nodes:
         ``(starts, counts, ids, probs)``, literal nodes reading the
-        static literal candidates and resources their store row (the
-        backward rows when ``reverse``), in row dict order."""
-        sub_nodes = side.sub_nodes
-        super_nodes = side.super_nodes
-        missing = len(super_nodes)
-        row_ids: List[int] = []
-        row_counts: List[int] = []
-        ids: List[int] = []
-        probs: List[float] = []
-        for node, row in store.rows(reverse):
-            row_ids.append(sub_nodes.get(node, -1))
-            row_counts.append(len(row))
-            ids.extend([super_nodes.get(candidate, missing) for candidate in row])
-            probs.extend(row.values())
-        offset = len(side.lit_ids)
-        starts = side.lit_indptr[:-1].copy()
-        counts = np.diff(side.lit_indptr)
-        if row_ids:
-            row_ids_a = np.array(row_ids, dtype=np.int64)
-            row_counts_a = np.array(row_counts, dtype=np.int64)
-            keep = row_ids_a >= 0
-            starts[row_ids_a[keep]] = offset + (np.cumsum(row_counts_a) - row_counts_a)[keep]
-            counts[row_ids_a[keep]] = row_counts_a[keep]
+        static literal candidates and resources their view row (the
+        backward rows when ``reverse``), in row order."""
+        row_starts, row_counts, row_ids, row_probs = self._view_rows(view, reverse)
+        is_literal = self.is_literal2 if reverse else self.is_literal1
+        lit_starts = side.lit_indptr[:-1]
         return (
-            starts,
-            counts,
-            np.concatenate((side.lit_ids, np.array(ids, dtype=np.int64))),
-            np.concatenate((side.lit_probs, np.array(probs, dtype=np.float64))),
+            np.where(is_literal, lit_starts, len(side.lit_ids) + row_starts),
+            np.where(is_literal, np.diff(side.lit_indptr), row_counts),
+            np.concatenate((side.lit_ids, row_ids)),
+            np.concatenate((side.lit_probs, row_probs)),
         )
 
     def _relation_side(self, reverse: bool, max_pairs: int) -> RelationSide:

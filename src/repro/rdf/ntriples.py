@@ -52,6 +52,8 @@ _HEX_DIGITS = frozenset("0123456789abcdefABCDEF")
 
 
 def _unescape(text: str, line_number: int) -> str:
+    if "\\" not in text:
+        return text
     out = []
     i = 0
     while i < len(text):
@@ -137,17 +139,22 @@ def _parse_object(token: str, line_number: int) -> Node:
         return Resource(_parse_uri(token, line_number))
     if not token.startswith('"'):
         raise NTriplesError(f"object must be a <uri> or a literal, got {token!r}", line_number)
-    # find the closing unescaped quote
-    i = 1
-    while i < len(token):
-        if token[i] == "\\":
-            i += 2
-            continue
-        if token[i] == '"':
-            break
-        i += 1
+    # find the closing unescaped quote (without a backslash, the first quote)
+    if "\\" not in token:
+        i = token.find('"', 1)
+        if i < 0:
+            raise NTriplesError("unterminated literal", line_number)
     else:
-        raise NTriplesError("unterminated literal", line_number)
+        i = 1
+        while i < len(token):
+            if token[i] == "\\":
+                i += 2
+                continue
+            if token[i] == '"':
+                break
+            i += 1
+        else:
+            raise NTriplesError("unterminated literal", line_number)
     lexical = _unescape(token[1:i], line_number)
     suffix = token[i + 1 :].strip()
     datatype = None

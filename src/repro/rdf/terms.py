@@ -106,11 +106,15 @@ class Resource(Term):
         if not name:
             raise ValueError("resource name must be non-empty")
         with _RESOURCES_LOCK:
-            resource = _RESOURCES.get(name)
+            ref = _RESOURCE_REFS.get(name)
+            resource = None if ref is None else ref()
             if resource is None:
                 resource = object.__new__(cls)
                 object.__setattr__(resource, "name", name)
-                _RESOURCES[name] = resource
+                # What WeakValueDictionary.__setitem__ stores, without
+                # its two Python frames; a dead reference's pending
+                # removal only ever deletes a dead entry.
+                _RESOURCE_REFS[name] = weakref.KeyedRef(resource, _RESOURCES._remove, name)
         return resource
 
     def __setattr__(self, key: str, value: object) -> None:

@@ -1,6 +1,5 @@
 """Unit tests for the N-Triples and TSV codecs."""
 
-import io
 import random
 
 import pytest

@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import random
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -25,6 +26,7 @@ from repro.core.equivalence import instance_equivalence_pass, ordered_instances,
 from repro.core.functionality import FunctionalityOracle
 from repro.core.literal_index import LiteralIndex
 from repro.core.matrix import SubsumptionMatrix
+from repro.core.pass_state import KernelPassState, StorePassState
 from repro.core.store import EquivalenceStore
 from repro.core.subrelations import parallel_subrelation_pass, subrelation_pass
 from repro.core.vectorized import VectorizedKernel
@@ -364,3 +366,123 @@ class TestAlignerRoutes:
         config = ParisConfig(max_iterations=4, convergence_threshold=0.0)
         reference = dict_align(kb_pair.ontology1, kb_pair.ontology2, config)
         assert exact_snapshot(kb_result) == exact_snapshot(reference)
+
+
+def row_lists(rows):
+    """Each node's ``(counterpart ids, probabilities)`` of kernel rows."""
+    starts, counts, ids, probs = rows
+    return [
+        (ids[start : start + count].tolist(), probs[start : start + count].tolist())
+        for start, count in zip(starts.tolist(), counts.tolist())
+    ]
+
+
+def random_states(kernel, rng, size):
+    """A random kernel pass state over ``kernel``'s resources and the
+    dict store filled in the same order; probabilities come from a
+    small pool, so rows hold exact ties."""
+    lefts = [i for i, node in enumerate(kernel.table1) if isinstance(node, Resource)]
+    rights = [i for i, node in enumerate(kernel.table2) if isinstance(node, Resource)]
+    candidates = [(x, xp) for x in lefts for xp in rights]
+    pairs = rng.sample(candidates, min(size, len(candidates)))
+    probs = [rng.choice([0.2, 0.5, 0.5, 0.9, 1.0]) for _ in pairs]
+    state = KernelPassState(
+        kernel,
+        np.array([x for x, _xp in pairs], dtype=np.int64),
+        np.array([xp for _x, xp in pairs], dtype=np.int64),
+        np.array(probs, dtype=np.float64),
+        0.1,
+    )
+    store = EquivalenceStore(0.1)
+    store.update(kernel.entries_for(state.x, state.xp, state.p))
+    return state, StorePassState(store)
+
+
+class TestKernelPassState:
+    """The cold loop's array state against the dict store it replaces."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.integers(min_value=0, max_value=40_000), st.integers(0, 40), st.integers(0, 40))
+    def test_matches_the_dict_store(self, seed, size, previous_size):
+        left, right, view, fun1, fun2 = pass_inputs(random_pair(seed))[:5]
+        kernel = make_kernel(left, right, view, fun1, fun2)
+        rng = random.Random(seed)
+        state, reference = random_states(kernel, rng, size)
+        before, before_reference = random_states(kernel, rng, previous_size)
+        # Both assignments, in the order maximal_assignment lists them.
+        assert [list(a.items()) for a in state.assignments()] == [
+            list(a.items()) for a in reference.assignments()
+        ]
+        # Restricted and whole views: every row, in the dict row order.
+        for restrict in (True, False):
+            rows = state.view(restrict)
+            expected = reference.view(restrict)
+            for reverse in (False, True):
+                assert row_lists(rows.rows(reverse)) == row_lists(
+                    kernel.lower_rows(expected, reverse)
+                )
+        # The loop's checks and dampening.
+        assert state.change_from(before) == reference.change_from(before_reference)
+        assert state.same_targets(before) == reference.same_targets(before_reference)
+        assert state.same_targets(state)
+        assert state.max_difference(before) == reference.max_difference(before_reference)
+        assert [list(d.items()) for d in state.assignment_deltas(before)] == [
+            list(d.items()) for d in reference.assignment_deltas(before_reference)
+        ]
+        blended = state.dampened(before, 0.3)
+        assert list(blended.to_store().items()) == list(
+            reference.dampened(before_reference, 0.3).store.items()
+        )
+
+
+class TestColdLoopOnArrays:
+    @pytest.mark.parametrize(
+        "config",
+        [
+            ParisConfig(score_stationarity=True, max_iterations=12),
+            ParisConfig(dampening=0.3),
+            ParisConfig(dampening=0.3, restrict_to_maximal_assignment=False, max_iterations=4),
+        ],
+        ids=["stationarity", "dampening", "dampening-unrestricted"],
+    )
+    def test_kernel_route_matches_dict_route(self, config):
+        from repro.datasets.incremental import family_pair
+
+        pairs = [random_pair(seed) for seed in range(6)] + [family_pair(4, with_classes=True)]
+        for left, right in pairs:
+            vectorized = align(left, right, config)
+            reference = dict_align(left, right, config)
+            assert exact_snapshot(vectorized) == exact_snapshot(reference)
+            # The per-iteration assignments the snapshot chain rebuilds.
+            assert [
+                (s.change_fraction, s.num_equivalences, s.assignment12, s.assignment21)
+                for s in vectorized.iterations
+            ] == [
+                (s.change_fraction, s.num_equivalences, s.assignment12, s.assignment21)
+                for s in reference.iterations
+            ]
+
+    def test_store_is_built_once(self, kb_pair, monkeypatch):
+        """A kernel-route cold align writes dict stores only at the end:
+        the result's store and the class pass's restricted view."""
+        calls = {"set": 0, "update": 0}
+        original_set, original_update = EquivalenceStore.set, EquivalenceStore.update
+
+        def counting_set(self, *args):
+            calls["set"] += 1
+            return original_set(self, *args)
+
+        def counting_update(self, entries):
+            calls["update"] += 1
+            return original_update(self, entries)
+
+        monkeypatch.setattr(EquivalenceStore, "set", counting_set)
+        monkeypatch.setattr(EquivalenceStore, "update", counting_update)
+        aligner = ParisAligner(kb_pair.ontology1, kb_pair.ontology2)
+        result = aligner.align()
+        assert aligner._kernel is not None
+        assert len(result.iterations) > 1
+        assert calls["update"] == 1
+        assert calls["set"] == len(result.instances) + len(result.assignment12) + len(
+            result.assignment21
+        )

@@ -644,7 +644,7 @@ class TestScoreStationarity:
         # relation matrices, must not move a single score.
         view = aligner._view(result.instances)
         replayed = aligner._instance_pass(view, result.relations12, result.relations21)
-        assert result.instances.max_difference(replayed) == 0.0
+        assert result.instances.max_difference(replayed.to_store()) == 0.0
 
     def test_validation(self):
         with pytest.raises(ValueError):
