@@ -148,21 +148,21 @@ class ParisAligner:
             return None
         kernel = self._kernel
         if kernel is None or not kernel.fresh():
-            with span(
-                "kernel.build",
-                nodes1=len(self.ontology1.instances),
-                rebuild=kernel is not None,
-            ):
-                kernel = VectorizedKernel(
-                    self.ontology1,
-                    self.ontology2,
-                    self.fun1,
-                    self.fun2,
-                    self.literals2,
-                    self.literals1,
-                )
-            self._kernel = kernel
+            kernel = self._kernel = self.new_kernel(rebuild=kernel is not None)
         return kernel
+
+    def new_kernel(self, rebuild: bool = False) -> VectorizedKernel:
+        """A kernel over the ontologies as they are now, which this
+        aligner does not keep (``_kernel_for`` keeps its own)."""
+        with span("kernel.build", nodes1=len(self.ontology1.instances), rebuild=rebuild):
+            return VectorizedKernel(
+                self.ontology1,
+                self.ontology2,
+                self.fun1,
+                self.fun2,
+                self.literals2,
+                self.literals1,
+            )
 
     def _warm_kernel(self, frontier_size: int) -> Optional[VectorizedKernel]:
         """Kernel for a warm pass: never rebuilt for a small frontier

@@ -18,6 +18,14 @@ every statement of every relation, :class:`IncrementalRelationPass`
 caches the per-statement terms and re-aggregates only the rows a change
 actually touches.
 
+Who calls :func:`statement_terms` here: a refresh, once per statement
+it dirties, and the constructor without a kernel (the dict sweep, one
+call per statement), which the tests keep as the oracle.  A service
+attach passes a kernel instead: one
+:meth:`~repro.core.vectorized.VectorizedKernel.relation_terms` sweep per
+direction gives the sums, and each relation's statement terms stay in
+its arrays behind a :class:`StatementTerms` until a refresh pops them.
+
 The maintained matrix differs from a fresh sweep only by float
 re-association in the running sums (≈1 ulp per update), far inside the
 warm-start equality budget; relations whose statement count exceeds the
@@ -39,7 +47,10 @@ replaces the warm loop's full store diffs).
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, Optional, Set, Tuple
+from collections.abc import MutableMapping
+from typing import TYPE_CHECKING, Dict, Iterable, Iterator, Optional, Set, Tuple
+
+import numpy as np
 
 from ..rdf.ontology import Ontology
 from ..rdf.terms import Node, Relation, Resource
@@ -48,8 +59,14 @@ from .store import EquivalenceStore, OverlayStore, best_counterpart
 from .subrelations import score_relation, statement_terms
 from .view import EquivalenceView
 
+if TYPE_CHECKING:
+    from .vectorized import RelationTerms, VectorizedKernel
+
 #: A statement of the sub-side ontology, oriented along its relation.
 Statement = Tuple[Node, Node]
+
+#: One statement's Eq. 12 terms: ``(denominator term, {r': numerator term})``.
+Terms = Tuple[float, Dict[Relation, float]]
 
 #: Denominators smaller than this are rebuilt from scratch instead of
 #: trusted: subtraction drift could otherwise flip a near-empty row's
@@ -96,6 +113,107 @@ class RowChange:
         )
 
 
+class StatementTerms(MutableMapping):
+    """One relation's ``statement -> (den term, {r': term})`` cache,
+    read from a kernel sweep's arrays.
+
+    The dict sweep builds one entry per statement with a nonzero term;
+    this mapping holds the same entries as rows of the arrays and builds
+    none of them until asked.  The arrays answer for a statement until
+    its first pop (or write); a dict of written terms answers after
+    that, so a statement lives in exactly one of the two.  A refresh
+    pops each statement it dirties before writing it back, so
+    iteration, the array rows still untouched in statement order and
+    then the written terms in insertion order, is also the order of the
+    dict sweep's cache after the same refreshes.
+    """
+
+    __slots__ = ("_source", "_lo", "_hi", "_rows", "_written", "_den", "_bounds", "_sup", "_term")
+
+    def __init__(self, source: "RelationTerms", lo: int, hi: int) -> None:
+        # the relation's statements are source's lo:hi; the kernel
+        # that made source may be dropped
+        self._source = source
+        self._lo = lo
+        self._hi = hi
+        self._rows: Optional[Dict[int, int]] = None
+        self._written: Dict[Statement, Terms] = {}
+
+    def _index(self) -> Dict[int, int]:
+        """Key → row of each statement the arrays still answer for, in
+        statement order; built, with the rows' terms as lists, on the
+        relation's first touch."""
+        if self._rows is None:
+            source, lo, hi = self._source, self._lo, self._hi
+            side = source.side
+            den = source.den_terms[lo:hi]
+            # row i's numerator terms sit at bounds[i]:bounds[i + 1]
+            bounds = np.searchsorted(source.num_stmt, np.arange(lo, hi + 1))
+            live = np.flatnonzero((den != 0.0) | (bounds[1:] > bounds[:-1]))
+            keys = side.stmt_x[lo:hi][live] * len(side.sub_nodes) + side.stmt_y[lo:hi][live]
+            self._rows = dict(zip(keys.tolist(), live.tolist()))
+            self._den = den.tolist()
+            self._bounds = (bounds - bounds[0]).tolist()
+            first, last = bounds[0], bounds[-1]
+            self._sup = list(map(side.super_table.__getitem__, source.num_sup[first:last].tolist()))
+            self._term = source.num_terms[first:last].tolist()
+        return self._rows
+
+    def _row(self, statement: Statement, take: bool) -> Optional[int]:
+        """The row of ``statement`` while the arrays answer for it (and
+        no longer, when ``take``)."""
+        rows = self._rows if self._rows is not None else self._index()
+        if not rows:
+            return None
+        nodes = self._source.side.sub_nodes
+        x, y = nodes.get(statement[0]), nodes.get(statement[1])
+        if x is None or y is None:
+            return None
+        key = x * len(nodes) + y
+        return rows.pop(key, None) if take else rows.get(key)
+
+    def _row_terms(self, row: int) -> Terms:
+        lo, hi = self._bounds[row], self._bounds[row + 1]
+        return self._den[row], dict(zip(self._sup[lo:hi], self._term[lo:hi]))
+
+    def pop(self, statement: Statement, *default):
+        terms = self._written.pop(statement, None)
+        if terms is not None:
+            return terms
+        row = self._row(statement, take=True)
+        if row is not None:
+            return self._row_terms(row)
+        if default:
+            return default[0]
+        raise KeyError(statement)
+
+    def __getitem__(self, statement: Statement) -> Terms:
+        terms = self._written.get(statement)
+        if terms is not None:
+            return terms
+        row = self._row(statement, take=False)
+        if row is None:
+            raise KeyError(statement)
+        return self._row_terms(row)
+
+    def __setitem__(self, statement: Statement, terms: Terms) -> None:
+        if statement not in self._written:
+            self._row(statement, take=True)
+        self._written[statement] = terms
+
+    def __delitem__(self, statement: Statement) -> None:
+        self.pop(statement)
+
+    def __iter__(self) -> Iterator[Statement]:
+        table = self._source.side.sub_node_table
+        for key in self._index():
+            yield table[key // len(table)], table[key % len(table)]
+        yield from self._written
+
+    def __len__(self) -> int:
+        return len(self._index()) + len(self._written)
+
+
 class IncrementalRelationPass:
     """One direction of the relation pass with per-statement term cache.
 
@@ -105,6 +223,15 @@ class IncrementalRelationPass:
     fresh ``subrelation_pass`` over the current ontology state and the
     last-refreshed view would produce (modulo summation drift, and
     bit-identical right after construction).
+
+    With ``kernel`` (a fresh one over this ontology pair and the
+    view's literal indexes) the caches
+    come from one :meth:`~repro.core.vectorized.VectorizedKernel.relation_terms`
+    sweep: the sums and the rows of capped relations from its
+    reductions, each relation's statement terms as a
+    :class:`StatementTerms` over its arrays.  Without it every
+    statement goes through :func:`statement_terms`.  Both build
+    bit-equal sums, rows and terms, in the same order.
     """
 
     def __init__(
@@ -116,6 +243,7 @@ class IncrementalRelationPass:
         max_pairs: int,
         reverse: bool = False,
         bootstrap_theta: float = 0.0,
+        kernel: Optional["VectorizedKernel"] = None,
     ) -> None:
         self.ontology1 = ontology1
         self.ontology2 = ontology2
@@ -124,12 +252,44 @@ class IncrementalRelationPass:
         self.reverse = reverse
         self.bootstrap_theta = bootstrap_theta
         self.matrix: SubsumptionMatrix[Relation] = SubsumptionMatrix()
-        self._terms: Dict[Relation, Dict[Statement, Tuple[float, Dict[Relation, float]]]] = {}
+        self._terms: Dict[Relation, MutableMapping] = {}
         self._den: Dict[Relation, float] = {}
         self._num: Dict[Relation, Dict[Relation, float]] = {}
         self._capped: Set[Relation] = set()
-        for relation in ontology1.relations(include_inverses=True):
-            self._rebuild_relation(relation, view)
+        if kernel is None:
+            for relation in ontology1.relations(include_inverses=True):
+                self._rebuild_relation(relation, view)
+        else:
+            self._fill_from_kernel(kernel, view)
+
+    def _fill_from_kernel(self, kernel: "VectorizedKernel", view: EquivalenceView) -> None:
+        sub_ontology = kernel.ontology2 if self.reverse else kernel.ontology1
+        if sub_ontology is not self.ontology1 or not kernel.fresh():
+            raise ValueError("the kernel must be fresh and over this ontology pair")
+        terms = kernel.relation_terms(view, self.reverse, self.max_pairs)
+        side = terms.side
+        sums: Dict[int, Dict[Relation, float]] = {}
+        for r, r2, value in zip(
+            terms.row_sub.tolist(), terms.row_sup.tolist(), terms.numerators.tolist()
+        ):
+            sums.setdefault(r, {})[side.super_table[r2]] = value
+        indptr = side.stmt_indptr.tolist()
+        for r, (relation, den) in enumerate(zip(side.sub_table, terms.denominators.tolist())):
+            num = sums.get(r, {})
+            if self._is_capped(relation):
+                # score_relation's row over the same capped statements
+                self._capped.add(relation)
+                scores = (
+                    {r2: min(1.0, value / den) for r2, value in num.items()}
+                    if den > 0.0
+                    else None
+                )
+                self._install_row(relation, scores)
+                continue
+            self._terms[relation] = StatementTerms(terms, indptr[r], indptr[r + 1])
+            self._den[relation] = den
+            self._num[relation] = num
+            self._install_row(relation, self._row_from_sums(relation))
 
     # ------------------------------------------------------------------
 
@@ -153,7 +313,7 @@ class IncrementalRelationPass:
             )
             return self._install_row(relation, scores)
         self._capped.discard(relation)
-        terms: Dict[Statement, Tuple[float, Dict[Relation, float]]] = {}
+        terms: Dict[Statement, Terms] = {}
         den = 0.0
         num: Dict[Relation, float] = {}
         # Accumulate in the exact statement order of the sequential

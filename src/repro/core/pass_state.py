@@ -275,7 +275,9 @@ class KernelPassState:
         return self.kernel.view_of(self.x, self.xp, self.p, entries)
 
     def to_store(self) -> EquivalenceStore:
+        # Distinct pairs, each already truncated and clamped by the
+        # kernel pass or by dampened(): no set() needs to check them.
         store = EquivalenceStore(self.threshold)
         with span("kernel.merge"):
-            store.update(self.kernel.entries_for(self.x, self.xp, self.p))
+            store.fill_accepted(self.kernel.entries_for(self.x, self.xp, self.p))
         return store

@@ -146,6 +146,27 @@ class EquivalenceStore:
         for left, right, probability in entries:
             self.set(left, right, probability)
 
+    def fill_accepted(self, entries: Iterable[Tuple[Resource, Resource, float]]) -> None:
+        """:meth:`update` for entries that :func:`accepted_probability`
+        keeps unchanged and whose pairs are distinct and not yet stored,
+        such as a kernel pass's truncated scores: each goes into both
+        rows as it is, in order, with no check."""
+        forward, backward = self._forward, self._backward
+        count = 0
+        for left, right, probability in entries:
+            row = forward.get(left)
+            if row is None:
+                forward[left] = {right: probability}
+            else:
+                row[right] = probability
+            row = backward.get(right)
+            if row is None:
+                backward[right] = {left: probability}
+            else:
+                row[left] = probability
+            count += 1
+        self._count += count
+
     def clear(self) -> None:
         """Drop all stored equivalences."""
         self._forward.clear()

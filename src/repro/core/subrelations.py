@@ -28,8 +28,13 @@ vectorized kernel
 which ``tests/test_vectorized.py`` holds bit-identical to
 :func:`subrelation_pass`; the dict pass runs only under negative
 evidence, where the aligner builds no kernel.
-:func:`statement_terms` also stays the per-statement cache of the warm
-path's :class:`~repro.core.incremental.IncrementalRelationPass`.
+:func:`statement_terms` is called by :func:`score_relation` and by the
+warm path's :class:`~repro.core.incremental.IncrementalRelationPass`:
+by its refreshes, for each statement a delta dirties, and by its
+kernel-less constructor, the tests' oracle.  A service attach fills
+that cache from the kernel
+(:meth:`~repro.core.vectorized.VectorizedKernel.relation_terms`) and
+calls it for no statement.
 """
 
 from __future__ import annotations

@@ -33,7 +33,9 @@ handful of vectorized gathers:
   view's rows of that direction plus the literal candidates become a
   candidate CSR that, unlike the Eq. 13 one, keeps statement-less
   candidates: they match nothing but still count in the Eq. 12
-  denominator.
+  denominator.  :meth:`VectorizedKernel.relation_terms` stops before
+  the scores, at the per-statement terms and their sums, which a
+  service attach reads into its relation caches.
 
 Bit-exactness with the dict path
 --------------------------------
@@ -163,6 +165,25 @@ def _literal_csr(table, literals: LiteralIndex, targets: Dict[Node, int]):
     )
 
 
+def _statement_csr(ontology: Ontology, table, relations, nodes):
+    """``(indptr, rel, other)`` of every node of ``table``'s data
+    statements, in :meth:`Ontology.statements_about` order; relations
+    and nodes as their ids in ``relations`` and ``nodes``."""
+    indptr = [0]
+    rel: List[int] = []
+    other: List[int] = []
+    for node in table:
+        for relation, obj in ontology.statements_about(node):
+            rel.append(relations[relation])
+            other.append(nodes[obj])
+        indptr.append(len(rel))
+    return (
+        np.array(indptr, dtype=np.int64),
+        np.array(rel, dtype=np.int64),
+        np.array(other, dtype=np.int64),
+    )
+
+
 def _group_starts(sorted_keys):
     """Start index of each run of equal values in ``sorted_keys``."""
     return np.flatnonzero(np.concatenate(([True], sorted_keys[1:] != sorted_keys[:-1])))
@@ -244,7 +265,8 @@ class RelationSide:
 
     ``stmt_rel``/``stmt_x``/``stmt_y`` are the first ``max_pairs``
     statements of each sub relation in :meth:`Ontology.pairs` order
-    (relations in registration order); ``lit_*`` is the CSR of every
+    (relations in registration order), relation ``r``'s statements at
+    ``stmt_indptr[r]:stmt_indptr[r + 1]``; ``lit_*`` is the CSR of every
     sub-side literal's clamped candidates, ``len(super_nodes)`` standing
     in for a candidate without statements; ``match_*`` is the
     ``(x', y') → r'`` table of the super side, keys ``x'·width + y'``
@@ -254,10 +276,12 @@ class RelationSide:
     __slots__ = (
         "sub_table",
         "sub_nodes",
+        "sub_node_table",
         "super_table",
         "super_nodes",
         "width",
         "stmt_rel",
+        "stmt_indptr",
         "stmt_x",
         "stmt_y",
         "lit_indptr",
@@ -267,6 +291,34 @@ class RelationSide:
         "match_start",
         "match_count",
         "match_rel",
+    )
+
+
+class RelationTerms:
+    """One direction of Eq. 12 before its reduction to scores.
+
+    ``den_terms[s]`` is statement ``s``'s denominator term (0.0 when no
+    counterpart pair has a positive probability) over the statements of
+    ``side``; ``num_stmt``/``num_sup``/``num_terms`` are its numerator
+    terms ``(s, r', 1 − ∏)``, statement by statement, each statement's
+    ``r'`` in first-touch order — the order of the dicts
+    :func:`~repro.core.subrelations.statement_terms` returns.
+    ``denominators[r]`` sums relation ``r``'s statements in statement
+    order, and ``row_sub``/``row_sup``/``numerators`` are the ``(r, r')``
+    sums, rows in relation order and each ``r'`` in first-touch order:
+    the running sums of the dict sweep, bit for bit.
+    """
+
+    __slots__ = (
+        "side",
+        "den_terms",
+        "num_stmt",
+        "num_sup",
+        "num_terms",
+        "denominators",
+        "row_sub",
+        "row_sup",
+        "numerators",
     )
 
 
@@ -335,30 +387,14 @@ class VectorizedKernel:
         )
 
         # -- outer CSR: statements_about order, left ontology -----------
-        indptr1 = [0]
-        rel1: List[int] = []
-        other1: List[int] = []
-        for node in self.table1:
-            for relation, obj in ontology1.statements_about(node):
-                rel1.append(self.rels1[relation])
-                other1.append(self.nodes1[obj])
-            indptr1.append(len(rel1))
-        self.indptr1 = np.array(indptr1, dtype=np.int64)
-        self.stmt_rel1 = np.array(rel1, dtype=np.int64)
-        self.stmt_other1 = np.array(other1, dtype=np.int64)
+        self.indptr1, self.stmt_rel1, self.stmt_other1 = _statement_csr(
+            ontology1, self.table1, self.rels1, self.nodes1
+        )
 
         # -- the same CSR of the right side (Eq. 12 reads all of it) ----
-        indptr2 = [0]
-        rel2: List[int] = []
-        other2: List[int] = []
-        for node in self.table2:
-            for relation, obj in ontology2.statements_about(node):
-                rel2.append(self.rels2[relation])
-                other2.append(self.nodes2[obj])
-            indptr2.append(len(rel2))
-        self.all_indptr2 = np.array(indptr2, dtype=np.int64)
-        self.all_rel2 = np.array(rel2, dtype=np.int64)
-        self.all_other2 = np.array(other2, dtype=np.int64)
+        self.all_indptr2, self.all_rel2, self.all_other2 = _statement_csr(
+            ontology2, self.table2, self.rels2, self.nodes2
+        )
 
         # -- inner CSR: resource-valued statements of the right side ----
         # (the dict path skips literal x' candidates)
@@ -374,9 +410,9 @@ class VectorizedKernel:
         self.stmt_other2 = self.all_other2[resource]
 
         # -- clamped literal candidates (static for the whole run) ------
-        lit_indptr, lit_ids, lit_probs = _literal_csr(
-            self.table1, literals_of_right, self.nodes2
-        )
+        # Eq. 12's forward side keeps the statement-less ones too.
+        self._literal_csr1 = _literal_csr(self.table1, literals_of_right, self.nodes2)
+        lit_indptr, lit_ids, lit_probs = self._literal_csr1
         known = lit_ids < self.n2  # no statements -> no Eq. 13 contribution
         self.lit_indptr = _csr_subset(lit_indptr, known)
         self.lit_ids = lit_ids[known]
@@ -636,6 +672,27 @@ class VectorizedKernel:
         exactly what :func:`~repro.core.subrelations.score_relation`
         returns relation by relation, ready for
         :func:`~repro.core.subrelations.apply_relation_scores`."""
+        terms = self.relation_terms(view, reverse, max_pairs)
+        side = terms.side
+        denominator = terms.denominators[terms.row_sub]
+        keep = denominator > 0.0
+        scores = np.minimum(1.0, terms.numerators[keep] / denominator[keep])
+        super_table = side.super_table
+        rows: Dict[int, Dict[Relation, float]] = {}
+        for r, r2, score in zip(
+            terms.row_sub[keep].tolist(), terms.row_sup[keep].tolist(), scores.tolist()
+        ):
+            rows.setdefault(r, {})[super_table[r2]] = score
+        return [
+            (relation, rows.get(index, {}) if denominator > 0.0 else None)
+            for index, (relation, denominator) in enumerate(
+                zip(side.sub_table, terms.denominators.tolist())
+            )
+        ]
+
+    def relation_terms(self, view: ViewInput, reverse: bool, max_pairs: int) -> RelationTerms:
+        """One direction of Eq. 12 as per-statement terms and their sums
+        (see :class:`RelationTerms`)."""
         side = self._relation_side(reverse, max_pairs)
         starts, counts, cand_ids, cand_probs = self._relation_candidates(
             side, view, reverse
@@ -643,7 +700,7 @@ class VectorizedKernel:
         x_start, x_count = starts[side.stmt_x], counts[side.stmt_x]
         y_start, y_count = starts[side.stmt_y], counts[side.stmt_y]
         num_supers = len(side.super_table)
-        denominator_parts: List[Tuple] = []
+        den_terms = np.zeros(len(side.stmt_rel), dtype=np.float64)
         numerator_parts: List[Tuple] = []
         touched = 0
         for lo, hi in _budget_bounds(x_count * y_count):
@@ -664,9 +721,7 @@ class VectorizedKernel:
             stmt = stmt[valid] + lo
             factor = 1.0 - pair_probability[valid]
             firsts = _group_starts(stmt)
-            denominator_parts.append(
-                (stmt[firsts], 1.0 - np.multiply.reduceat(factor, firsts))
-            )
+            den_terms[stmt[firsts]] = 1.0 - np.multiply.reduceat(factor, firsts)
             # matched (x', y') pairs, each expanded to its r' list
             if len(side.match_keys) == 0:
                 continue
@@ -693,44 +748,37 @@ class VectorizedKernel:
                 )
             )
             touched += len(pos_m)
-        num_subs = len(side.sub_table)
-        if denominator_parts:
-            denominators = np.bincount(
-                side.stmt_rel[np.concatenate([part[0] for part in denominator_parts])],
-                weights=np.concatenate([part[1] for part in denominator_parts]),
-                minlength=num_subs,
-            )
-        else:
-            denominators = np.zeros(num_subs)
-        rows: Dict[int, Dict[Relation, float]] = {}
+        terms = RelationTerms()
+        terms.side = side
+        terms.den_terms = den_terms
+        # per r: statements add up in statement order (zeros change nothing)
+        terms.denominators = np.bincount(
+            side.stmt_rel, weights=den_terms, minlength=len(side.sub_table)
+        ).astype(np.float64, copy=False)
         if numerator_parts:
-            stmt, sup, terms, first_touch = (
-                np.concatenate([part[k] for part in numerator_parts]) for k in range(4)
+            # first-touch order is statement-major, so it is also the
+            # order each (r, r') sum must add its statements in
+            first_touch = np.concatenate([part[3] for part in numerator_parts])
+            order = np.argsort(first_touch, kind="stable")
+            terms.num_stmt, terms.num_sup, terms.num_terms = (
+                np.concatenate([part[k] for part in numerator_parts])[order]
+                for k in range(3)
             )
-            # per (r, r'): statements add up in statement order
             keys, first, inverse = np.unique(
-                side.stmt_rel[stmt] * num_supers + sup,
+                side.stmt_rel[terms.num_stmt] * num_supers + terms.num_sup,
                 return_index=True,
                 return_inverse=True,
             )
-            numerators = np.bincount(inverse.ravel(), weights=terms, minlength=len(keys))
-            emit = np.argsort(first_touch[first], kind="stable")
-            sub = keys[emit] // num_supers
-            denominator = denominators[sub]
-            keep = denominator > 0.0
-            emit, sub = emit[keep], sub[keep]
-            scores = np.minimum(1.0, numerators[emit] / denominator[keep])
-            super_table = side.super_table
-            for r, r2, score in zip(
-                sub.tolist(), (keys[emit] % num_supers).tolist(), scores.tolist()
-            ):
-                rows.setdefault(r, {})[super_table[r2]] = score
-        return [
-            (relation, rows.get(index, {}) if denominator > 0.0 else None)
-            for index, (relation, denominator) in enumerate(
-                zip(side.sub_table, denominators.tolist())
-            )
-        ]
+            sums = np.bincount(inverse.ravel(), weights=terms.num_terms, minlength=len(keys))
+            emit = np.argsort(first, kind="stable")
+            terms.row_sub = keys[emit] // num_supers
+            terms.row_sup = keys[emit] % num_supers
+            terms.numerators = sums[emit]
+        else:
+            empty = np.empty(0, dtype=np.int64)
+            terms.num_stmt = terms.num_sup = terms.row_sub = terms.row_sup = empty
+            terms.num_terms = terms.numerators = np.empty(0, dtype=np.float64)
+        return terms
 
     def _relation_candidates(self, side: RelationSide, view: ViewInput, reverse: bool):
         """This pass's candidate CSR over the sub side's nodes:
@@ -760,14 +808,12 @@ class VectorizedKernel:
             sub_onto = self.ontology2
             side.sub_table, side.sub_nodes = self.rel_table2, self.nodes2
             side.super_table, side.super_nodes = self.rel_table1, self.nodes1
-            sub_node_table = self.table2
-            literals = self.literals_of_left
+            side.sub_node_table = self.table2
         else:
             sub_onto = self.ontology1
             side.sub_table, side.sub_nodes = self.rel_table1, self.nodes1
             side.super_table, side.super_nodes = self.rel_table2, self.nodes2
-            sub_node_table = self.table1
-            literals = self.literals_of_right
+            side.sub_node_table = self.table1
         sub_nodes, super_nodes = side.sub_nodes, side.super_nodes
         side.width = len(super_nodes) + 1
 
@@ -780,16 +826,17 @@ class VectorizedKernel:
             xs.extend([sub_nodes[x] for x, _y in pairs])
             ys.extend([sub_nodes[y] for _x, y in pairs])
             rel_counts.append(len(pairs))
-        side.stmt_rel = np.repeat(
-            np.arange(len(side.sub_table), dtype=np.int64),
-            np.array(rel_counts, dtype=np.int64),
-        )
+        counts = np.array(rel_counts, dtype=np.int64)
+        side.stmt_rel = np.repeat(np.arange(len(side.sub_table), dtype=np.int64), counts)
+        side.stmt_indptr = np.concatenate(([0], np.cumsum(counts)))
         side.stmt_x = np.array(xs, dtype=np.int64)
         side.stmt_y = np.array(ys, dtype=np.int64)
 
         # -- clamped literal candidates, statement-less ones kept -------
-        side.lit_indptr, side.lit_ids, side.lit_probs = _literal_csr(
-            sub_node_table, literals, super_nodes
+        side.lit_indptr, side.lit_ids, side.lit_probs = (
+            _literal_csr(self.table2, self.literals_of_left, super_nodes)
+            if reverse
+            else self._literal_csr1
         )
 
         # -- the (x', y') → r' match table of the super side ------------

@@ -47,14 +47,16 @@ def triple_from_json(payload: dict, terms: Optional[dict] = None) -> Triple:
     ``terms`` is an optional dict shared across one decode batch (one
     WAL replay, one shipped ``GET /wal`` body): each distinct
     ``(value, datatype)`` literal is then built once per batch and
-    reused.  Resources need no such dict: :class:`Resource` is
-    interned, so each name is one object already.  Literals still
-    compare by value; sharing only lets the index probes of the apply
-    hit by identity and keeps the batch's allocations down.
+    reused, and each distinct relation text is parsed once, keyed by
+    the text itself (a ``str`` never equals a literal's tuple key).
+    Resources need no such dict: :class:`Resource` is interned, so
+    each name is one object already.  Literals still compare by value;
+    sharing only lets the index probes of the apply hit by identity
+    and keeps the batch's allocations down.
     """
     try:
         subject = Resource(payload["subject"])
-        relation = Relation.parse(payload["relation"])
+        relation = _relation(payload["relation"], terms)
         object_type = payload.get("object_type", "resource")
         if object_type == "literal":
             obj: Node = _literal(payload["object"], payload.get("datatype"), terms)
@@ -69,6 +71,15 @@ def triple_from_json(payload: dict, terms: Optional[dict] = None) -> Triple:
         # normalize so callers handle one exception type for bad wire data.
         raise ValueError(f"bad triple field: {bad_type}") from None
     return Triple(subject, relation, obj)
+
+
+def _relation(text, terms: Optional[dict]) -> Relation:
+    if terms is None or type(text) is not str:
+        return Relation.parse(text)
+    relation = terms.get(text)
+    if relation is None:
+        relation = terms[text] = Relation.parse(text)
+    return relation
 
 
 def _literal(value, datatype, terms: Optional[dict]) -> Literal:

@@ -172,6 +172,10 @@ class AlignmentService:
                     wal_offset=state.wal_offset,
                 )
         state.digest = self.digests.digest
+        # Both relation caches come from one kernel sweep each way over
+        # this state.  The kernel is not kept: the first delta moves the
+        # ontology versions, after which no pass could reuse it.
+        kernel = self.aligner.new_kernel()
         self._rel12 = IncrementalRelationPass(
             state.ontology1,
             state.ontology2,
@@ -179,6 +183,7 @@ class AlignmentService:
             truncation_threshold=config.theta,
             max_pairs=config.max_pairs_per_relation,
             bootstrap_theta=config.theta,
+            kernel=kernel,
         )
         self._rel21 = IncrementalRelationPass(
             state.ontology2,
@@ -188,6 +193,7 @@ class AlignmentService:
             max_pairs=config.max_pairs_per_relation,
             reverse=True,
             bootstrap_theta=config.theta,
+            kernel=kernel,
         )
         # Resident class-row caches (delta-aware Eq. 17): rows survive
         # across deltas and are invalidated by class reach, not

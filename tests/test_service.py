@@ -190,6 +190,30 @@ class TestDeltaCodec:
             triple_from_json({"subject": "a", "relation": "r", "object": None,
                               "object_type": "literal"})
 
+    def test_shared_terms_parse_each_relation_once(self, monkeypatch):
+        """A decode batch parses each relation text once; its key cannot
+        meet a literal's ``(value, datatype)`` key in the shared dict."""
+        parsed = []
+        real_parse = Relation.parse.__func__
+
+        def counting_parse(cls, text):
+            parsed.append(text)
+            return real_parse(cls, text)
+
+        monkeypatch.setattr(Relation, "parse", classmethod(counting_parse))
+        payloads = [
+            {"subject": "a", "relation": "name", "object": "name", "object_type": "literal"},
+            {"subject": "b", "relation": "name", "object": "Bo", "object_type": "literal"},
+            {"subject": "c", "relation": "knows^-1", "object": "a"},
+            {"subject": "d", "relation": "knows^-1", "object": "b"},
+        ]
+        terms: dict = {}
+        decoded = [triple_from_json(payload, terms) for payload in payloads]
+        assert parsed == ["name", "knows^-1"]
+        assert decoded == [triple_from_json(payload) for payload in payloads]
+        assert decoded[0].relation is decoded[1].relation
+        assert decoded[0].object == Literal("name")
+
     def test_inverse_oriented_literal_subject_triple(self):
         """An inverse-oriented statement with a literal subject is the
         same assertion as its canonical form and must invalidate the

@@ -87,6 +87,25 @@ class TestStoreBasics:
         store.clear()
         assert len(store) == 0
 
+    def test_fill_accepted_matches_update(self):
+        """The unchecked fill of accepted, distinct pairs builds the rows
+        ``update`` builds, in the same order, with the same count."""
+        entries = [
+            (R("b"), R("y"), 0.6),
+            (R("a"), R("x"), 0.5),
+            (R("b"), R("x"), 1.0),
+            (R("c"), R("y"), 0.1),
+            (R("a"), R("z"), 0.7),
+        ]
+        filled, updated = EquivalenceStore(0.1), EquivalenceStore(0.1)
+        filled.fill_accepted(entries)
+        updated.update(entries)
+        for reverse in (False, True):
+            assert [(node, list(row.items())) for node, row in filled.rows(reverse)] == [
+                (node, list(row.items())) for node, row in updated.rows(reverse)
+            ]
+        assert len(filled) == len(updated) == len(entries)
+
 
 class TestTruncationBoundary:
     """Regression: the Section 5.2 truncation is ``Pr < θ ⇒ 0``.

@@ -24,6 +24,7 @@ from repro import OntologyBuilder, ParisAligner, ParisConfig, align
 from repro.core import aligner as aligner_module
 from repro.core.equivalence import instance_equivalence_pass, ordered_instances, score_instances
 from repro.core.functionality import FunctionalityOracle
+from repro.core.incremental import IncrementalRelationPass, StatementTerms
 from repro.core.literal_index import LiteralIndex
 from repro.core.matrix import SubsumptionMatrix
 from repro.core.pass_state import KernelPassState, StorePassState
@@ -33,6 +34,7 @@ from repro.core.vectorized import VectorizedKernel
 from repro.core.view import EquivalenceView
 from repro.literals import EditDistanceSimilarity, IdentitySimilarity
 from repro.rdf.terms import Relation, Resource
+from repro.rdf.triples import Triple
 
 TOLERANCE = 1e-12
 
@@ -286,6 +288,159 @@ class TestRelationKernelExactness:
         )
 
 
+def relation_caches(left, right, view, reverse, max_pairs):
+    """``(kernel-built, dict-built)`` relation caches of one direction."""
+    kernel = make_kernel(left, right, view, FunctionalityOracle(left), FunctionalityOracle(right))
+    first, second = (right, left) if reverse else (left, right)
+    kwargs = dict(
+        truncation_threshold=0.1, max_pairs=max_pairs, reverse=reverse, bootstrap_theta=0.1
+    )
+    return (
+        IncrementalRelationPass(first, second, view, kernel=kernel, **kwargs),
+        IncrementalRelationPass(first, second, view, **kwargs),
+    )
+
+
+def cache_snapshot(cache):
+    """A relation cache in full, each part in order, floats with ``==``."""
+    return (
+        list(cache._den.items()),
+        [(relation, list(num.items())) for relation, num in cache._num.items()],
+        [
+            (relation, [(s, den, list(num.items())) for s, (den, num) in terms.items()])
+            for relation, terms in cache._terms.items()
+        ],
+        relation_snapshot(cache.matrix),
+        cache._capped,
+    )
+
+
+def change_snapshot(changes):
+    return [
+        (relation, change.max_delta, change.changed_supers, change.default_changed)
+        for relation, change in changes.items()
+    ]
+
+
+def random_refresh(rng, cache, store, sub_nodes, super_nodes):
+    """One random change to the view or the sub side's graph, applied,
+    and the ``refresh`` arguments that report it."""
+    ontology = cache.ontology1
+    kind = rng.choice(["view", "view", "remove", "add"])
+    if kind == "view":
+        node, other = rng.choice(sub_nodes), rng.choice(super_nodes)
+        left, right = (other, node) if cache.reverse else (node, other)
+        if rng.random() < 0.3:
+            store.discard(left, right)
+        else:
+            store.set(left, right, rng.choice([0.2, 0.5, 0.9, 1.0]))
+        return dict(changed_nodes=[node])
+    relations = ontology.relations(include_inverses=False)
+    if kind == "remove":
+        statements = [(r, x, y) for r in relations for x, y in ontology.pairs(r)]
+        if not statements:
+            return {}
+        relation, subject, obj = rng.choice(statements)
+        assert ontology.remove_triple(Triple(subject, relation, obj))
+    else:
+        relation = rng.choice(relations)
+        subject, obj = rng.choice(sub_nodes), rng.choice(sub_nodes)
+        if subject == obj or not ontology.add(subject, relation, obj):
+            return {}
+    return dict(changed_statements=[(relation, subject, obj)])
+
+
+class TestRelationCacheFromKernel:
+    """``IncrementalRelationPass(kernel=...)`` builds the caches the dict
+    sweep builds, and stays bit-equal to it through refreshes."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        st.integers(min_value=0, max_value=40_000),
+        st.booleans(),
+        st.booleans(),
+        st.sampled_from([1, 2, 10_000]),
+    )
+    def test_matches_the_dict_sweep(self, seed, reverse, restricted, max_pairs):
+        left, right = random_pair(seed)
+        inputs = pass_inputs((left, right))
+        store = instance_equivalence_pass(*inputs)
+        if restricted:
+            store = store.restricted_to_maximal()
+        view = EquivalenceView(store, inputs[2]._right_index, inputs[2]._left_index)
+        got, expected = relation_caches(left, right, view, reverse, max_pairs)
+        assert cache_snapshot(got) == cache_snapshot(expected)
+        if max_pairs == 10_000:
+            assert all(isinstance(terms, StatementTerms) for terms in got._terms.values())
+        # the same refreshes keep both bit-equal
+        first, second = (right, left) if reverse else (left, right)
+        sub_nodes = sorted(first.instances, key=str)
+        super_nodes = sorted(second.instances, key=str)
+        rng = random.Random(seed)
+        for _ in range(rng.randint(1, 8)):
+            changes = random_refresh(rng, got, store, sub_nodes, super_nodes)
+            assert change_snapshot(got.refresh(view, **changes)) == change_snapshot(
+                expected.refresh(view, **changes)
+            )
+            assert cache_snapshot(got) == cache_snapshot(expected)
+
+    def test_literal_statements_read_from_the_arrays(self, kb_pass_inputs):
+        """Literal-valued statements keep their terms in the arrays until
+        popped, and pop the dict sweep's terms."""
+        left, right, view = kb_pass_inputs[:3]
+        filled = EquivalenceView(
+            instance_equivalence_pass(*kb_pass_inputs).restricted_to_maximal(),
+            view._right_index,
+            view._left_index,
+        )
+        got, expected = relation_caches(left, right, filled, False, 10_000)
+        literal = [
+            (relation, statement)
+            for relation, terms in expected._terms.items()
+            for statement in terms
+            if not isinstance(statement[1], Resource)
+        ]
+        assert literal
+        for relation, statement in literal:
+            terms = got._terms[relation]
+            assert isinstance(terms, StatementTerms)
+            assert terms[statement] == expected._terms[relation][statement]
+            assert terms.pop(statement) == expected._terms[relation].pop(statement)
+            assert statement not in terms
+            assert terms.pop(statement, None) is None
+        assert cache_snapshot(got) == cache_snapshot(expected)
+        # a write to a statement the arrays still hold replaces it
+        relation, statement = literal[0]
+        terms = relation_caches(left, right, filled, False, 10_000)[0]._terms[relation]
+        size = len(terms)
+        terms[statement] = (0.5, {})
+        assert len(terms) == size and list(terms).count(statement) == 1
+        assert terms[statement] == (0.5, {})
+
+    def test_matched_statement_with_zero_terms_is_kept(self):
+        """A pair probability too small to move ``1 − p`` off 1.0 gives a
+        statement zero terms, yet its matched ``r'`` makes the dict sweep
+        keep it; the arrays keep it too."""
+        left = OntologyBuilder("left").value("p0", "name", "Ann").build()
+        right = OntologyBuilder("right").value("x0", "label", "Ann").build()
+        store = EquivalenceStore()
+        store.set(Resource("p0"), Resource("x0"), 1e-17)
+        view = pass_inputs((left, right))[2]
+        view = EquivalenceView(store, view._right_index, view._left_index)
+        for reverse in (False, True):
+            got, expected = relation_caches(left, right, view, reverse, 10_000)
+            assert cache_snapshot(got) == cache_snapshot(expected)
+            kept = [terms for t in expected._terms.values() for terms in t.values()]
+            assert kept and all(den == 0.0 and list(num.values()) == [0.0] for den, num in kept)
+
+    def test_stale_kernel_is_refused(self):
+        left, right, view, fun1, fun2 = pass_inputs(random_pair(3))[:5]
+        kernel = make_kernel(left, right, view, fun1, fun2)
+        assert left.add(Resource("p0"), Relation("knows"), Resource("newcomer"))
+        with pytest.raises(ValueError):
+            IncrementalRelationPass(left, right, view, 0.1, 10_000, kernel=kernel)
+
+
 class TestEngineSelection:
     def test_default_config_runs_on_the_kernel(self):
         """The switch the dict-route tests use really takes the kernel
@@ -464,9 +619,11 @@ class TestColdLoopOnArrays:
 
     def test_store_is_built_once(self, kb_pair, monkeypatch):
         """A kernel-route cold align writes dict stores only at the end:
-        the result's store and the class pass's restricted view."""
-        calls = {"set": 0, "update": 0}
+        the result's store, in one unchecked fill, and the class pass's
+        restricted view."""
+        calls = {"set": 0, "update": 0, "fill": 0}
         original_set, original_update = EquivalenceStore.set, EquivalenceStore.update
+        original_fill = EquivalenceStore.fill_accepted
 
         def counting_set(self, *args):
             calls["set"] += 1
@@ -476,13 +633,17 @@ class TestColdLoopOnArrays:
             calls["update"] += 1
             return original_update(self, entries)
 
+        def counting_fill(self, entries):
+            calls["fill"] += 1
+            return original_fill(self, entries)
+
         monkeypatch.setattr(EquivalenceStore, "set", counting_set)
         monkeypatch.setattr(EquivalenceStore, "update", counting_update)
+        monkeypatch.setattr(EquivalenceStore, "fill_accepted", counting_fill)
         aligner = ParisAligner(kb_pair.ontology1, kb_pair.ontology2)
         result = aligner.align()
         assert aligner._kernel is not None
         assert len(result.iterations) > 1
-        assert calls["update"] == 1
-        assert calls["set"] == len(result.instances) + len(result.assignment12) + len(
-            result.assignment21
-        )
+        assert calls["update"] == 0
+        assert calls["fill"] == 1
+        assert calls["set"] == len(result.assignment12) + len(result.assignment21)

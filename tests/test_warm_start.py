@@ -444,6 +444,33 @@ class TestIncrementalRelationPass:
             )
         assert change.keys() <= {relation}
 
+    def test_attach_builds_one_kernel_and_no_statement_terms(self, setup, monkeypatch):
+        """Attach fills both relation caches from one kernel sweep: no
+        statement goes through the dict code, and the caches match the
+        dict sweep's."""
+        from repro.core import incremental, subrelations
+        from repro.core.vectorized import VectorizedKernel
+
+        calls = {"statement_terms": 0, "kernels": 0}
+        original_terms = subrelations.statement_terms
+        original_init = VectorizedKernel.__init__
+
+        def counting_terms(*args, **kwargs):
+            calls["statement_terms"] += 1
+            return original_terms(*args, **kwargs)
+
+        def counting_init(self, *args, **kwargs):
+            calls["kernels"] += 1
+            original_init(self, *args, **kwargs)
+
+        monkeypatch.setattr(incremental, "statement_terms", counting_terms)
+        monkeypatch.setattr(subrelations, "statement_terms", counting_terms)
+        monkeypatch.setattr(VectorizedKernel, "__init__", counting_init)
+        service = AlignmentService(setup.state)
+        assert calls == {"statement_terms": 0, "kernels": 1}
+        assert matrix_entries(service._rel12.matrix) == matrix_entries(setup._rel12.matrix)
+        assert matrix_entries(service._rel21.matrix) == matrix_entries(setup._rel21.matrix)
+
     def test_capped_relation_falls_back_to_full_recompute(self, setup):
         aligner = setup.aligner
         state = setup.state
