@@ -44,7 +44,7 @@ run reaches, at a fraction of the work for small deltas.
 from __future__ import annotations
 
 import time
-from typing import Dict, Iterable, List, Optional, Set, Tuple, Union
+from typing import Iterable, List, Optional, Set, Tuple, Union
 
 from ..obs.trace import Span, root_span, span
 from ..rdf.ontology import Ontology
@@ -52,14 +52,10 @@ from ..rdf.terms import Node, Relation, Resource
 from .config import ParisConfig
 from .equivalence import instance_equivalence_pass, ordered_instances, score_instances
 from .functionality import FunctionalityOracle
-from .incremental import (
-    IncrementalRelationPass,
-    RestrictedViewMaintainer,
-    current_assignments,
-)
+from .incremental import IncrementalRelationPass, RestrictedViewMaintainer
 from .literal_index import LiteralIndex
 from .matrix import SubsumptionMatrix
-from .pass_state import KernelPassState, StorePassState
+from .pass_state import FrontierPassState, KernelPassState, StorePassState
 from .result import AlignmentResult, IterationSnapshot
 from .store import EquivalenceStore
 from .subclasses import IncrementalClassPass, subclass_pass
@@ -309,6 +305,91 @@ class ParisAligner:
         with span("kernel.merge"):
             return kernel.entries_for(*scored)
 
+    def _fixpoint(self, state, passes, relations, warm: bool = False):
+        """Iterate the passes from ``state`` to the fixpoint (Section 5.1).
+
+        One iteration runs each ``(name, step)`` of ``passes`` in a
+        ``name`` span; a step maps the pass state (and its span) to the
+        next.  ``relations()`` gives the relation matrices a snapshot
+        records.  The stop decision comes from the config:
+
+        * the paper's rule: fewer than ``convergence_threshold`` of the
+          left instances changed their maximal assignment, or, under
+          ``detect_cycles``, the assignment repeats the one two passes
+          earlier (a period-2 oscillation between equally plausible
+          matches);
+        * numeric stationarity, under ``score_stationarity`` and always
+          on the warm route: no score moved by more than
+          ``warm_tolerance``.  Cold runs suspend the cycle checks here.
+          Warm runs under ``detect_cycles`` also stop when the scores
+          return to where they stood two passes earlier, or when the
+          largest change sets no new minimum for
+          :data:`WARM_STALL_WINDOW` passes (longer-period and
+          intermittent limit cycles); a converging run trips neither.
+
+        Returns ``(last state, converged, snapshots)``.
+        """
+        config = self.config
+        stationarity = warm or config.score_stationarity
+        limit = config.warm_max_iterations if warm else config.max_iterations
+        # The snapshot chain's base: empty for a cold run, the pre-delta
+        # assignments for a warm one.
+        base12, base21 = state.assignments() if config.keep_snapshots else ({}, {})
+        snapshots: List[IterationSnapshot] = []
+        previous = two_ago = state
+        best_change, stalled_passes = float("inf"), 0
+        converged = False
+        for iteration in range(1, limit + 1):
+            started = time.perf_counter()
+            for name, step in passes:
+                with span(name, iteration=iteration) as pass_span:
+                    state = step(state, pass_span)
+            # A cold run's first pass has no estimate before it to compare.
+            compared = warm or iteration > 1
+            change = state.change_from(previous) if compared and not warm else None
+            if not stationarity:
+                stop = (change is not None and change < config.convergence_threshold) or (
+                    config.detect_cycles and iteration > 2 and state.same_targets(two_ago)
+                )
+            elif compared:
+                difference = state.max_difference(previous)
+                stop = difference <= config.warm_tolerance
+                if warm and config.detect_cycles and not stop:
+                    if difference < best_change:
+                        best_change, stalled_passes = difference, 0
+                    else:
+                        stalled_passes += 1
+                    stop = stalled_passes >= WARM_STALL_WINDOW or state.scores_cycled(
+                        previous, config.warm_tolerance
+                    )
+            else:
+                stop = False
+            duration = time.perf_counter() - started
+            if config.keep_snapshots:
+                delta12, delta21 = state.assignment_deltas(previous)
+                relations12, relations21 = relations()
+                head = not snapshots
+                snapshots.append(
+                    IterationSnapshot(
+                        index=iteration,
+                        duration_seconds=duration,
+                        change_fraction=change,
+                        num_equivalences=len(state),
+                        assignment12_delta=delta12,
+                        assignment21_delta=delta21,
+                        relations12=relations12,
+                        relations21=relations21,
+                        previous=None if head else snapshots[-1],
+                        base12=base12 if head else {},
+                        base21=base21 if head else {},
+                    )
+                )
+            two_ago, previous = previous, state
+            if stop:
+                converged = True
+                break
+        return state, converged, snapshots
+
     def align(self) -> AlignmentResult:
         """Run the fixpoint and return the full alignment."""
         config = self.config
@@ -328,79 +409,35 @@ class ParisAligner:
         else:
             rel12 = SubsumptionMatrix.bootstrap(theta)
             rel21 = SubsumptionMatrix.bootstrap(theta)
-        snapshots: List[IterationSnapshot] = []
-        converged = False
         with root_span(
             "align.cold", instances=len(self.ontology1.instances)
         ) as profile:
             self._last_align_span = profile
-            # The state of the previous pass and of the one before (the
-            # period-2 cycle check); all of them start empty.
-            state = previous = two_ago = self._empty_state()
+            state = self._empty_state()
             view = self._pass_view(state)
-            for iteration in range(1, config.max_iterations + 1):
-                started = time.perf_counter()
-                with span(
-                    "pass.instance",
-                    iteration=iteration,
-                    frontier=len(self.ontology1.instances),
-                ):
-                    state = self._instance_pass(view, rel12, rel21).dampened(
-                        state, config.dampening
-                    )
-                change = state.change_from(previous) if iteration > 1 else None
-                stationary = (
-                    config.score_stationarity
-                    and iteration > 1
-                    and state.max_difference(previous) <= config.warm_tolerance
+
+            def instance_pass(state, pass_span):
+                pass_span.annotate(frontier=len(self.ontology1.instances))
+                return self._instance_pass(view, rel12, rel21).dampened(
+                    state, config.dampening
                 )
-                cycle = (
-                    config.detect_cycles
-                    and not config.score_stationarity
-                    and iteration > 2
-                    and state.same_targets(two_ago)
-                )
+
+            def relation_pass(state, _pass_span):
                 # Relation pass uses the fresh equivalences ("These two
-                # steps are iterated until convergence", Section 5.1).  The
-                # second round uses the computed values and no longer θ.
-                # The view it reads also serves the next instance pass.
-                with span("pass.relation", iteration=iteration):
-                    view = self._pass_view(state)
-                    rel12 = self._relation_pass(view)
-                    rel21 = self._relation_pass(view, reverse=True)
-                duration = time.perf_counter() - started
-                if config.keep_snapshots:
-                    delta12, delta21 = state.assignment_deltas(previous)
-                    snapshots.append(
-                        IterationSnapshot(
-                            index=iteration,
-                            duration_seconds=duration,
-                            change_fraction=change,
-                            num_equivalences=len(state),
-                            assignment12_delta=delta12,
-                            assignment21_delta=delta21,
-                            relations12=rel12,
-                            relations21=rel21,
-                            previous=snapshots[-1] if snapshots else None,
-                        )
-                    )
-                two_ago, previous = previous, state
-                if config.score_stationarity:
-                    # Numeric stationarity replaces both the assignment
-                    # criterion and cycle detection (warm-start reference
-                    # mode; see the config docstring).
-                    if stationary:
-                        converged = True
-                        break
-                    continue
-                if change is not None and change < config.convergence_threshold:
-                    converged = True
-                    break
-                if cycle:
-                    # Period-2 oscillation between equally plausible
-                    # matches: the fixpoint will not settle further.
-                    converged = True
-                    break
+                # steps are iterated until convergence", Section 5.1).
+                # The second round uses the computed values and no longer
+                # θ.  The view it reads also serves the next instance pass.
+                nonlocal view, rel12, rel21
+                view = self._pass_view(state)
+                rel12 = self._relation_pass(view)
+                rel21 = self._relation_pass(view, reverse=True)
+                return state
+
+            state, converged, snapshots = self._fixpoint(
+                state,
+                (("pass.instance", instance_pass), ("pass.relation", relation_pass)),
+                lambda: (rel12, rel21),
+            )
             # The run's dict objects, built once from the last state.
             store = state.to_store()
             assignment12, assignment21 = state.assignments()
@@ -451,7 +488,6 @@ class ParisAligner:
         view_maintainer: Optional[RestrictedViewMaintainer] = None,
         class12_cache: Optional[IncrementalClassPass] = None,
         class21_cache: Optional[IncrementalClassPass] = None,
-        mutate_store: bool = False,
     ) -> AlignmentResult:
         """Resume the fixpoint from a previous run's state after a delta.
 
@@ -459,8 +495,10 @@ class ParisAligner:
         ----------
         store:
             The previous run's instance equivalences (iteration-0
-            state).  Copied up front unless ``mutate_store`` is set; the
-            result's ``instances`` is the working store either way.
+            state).  Each pass folds its touched rows back into it, in
+            place (O(frontier) per pass, no O(store) copy), and the
+            result's ``instances`` is this store.  Pass a copy to keep
+            the original.
         rel12_cache, rel21_cache:
             Incremental relation matrices built over the previous state
             (see :class:`repro.core.incremental.IncrementalRelationPass`);
@@ -481,214 +519,115 @@ class ParisAligner:
             Applied data-statement changes ``(relation, subject,
             object)`` per ontology, for targeted relation-row updates.
         view_maintainer:
-            A resident :class:`RestrictedViewMaintainer` over ``store``
-            (requires ``mutate_store=True``): the restricted view is
-            then *updated* from the touched rows instead of rebuilt
-            from all pairs each pass.  ``None`` builds a fresh one.
+            A resident :class:`RestrictedViewMaintainer` over ``store``:
+            the restricted view and both maximal assignments are then
+            *updated* from the touched rows instead of rebuilt from all
+            pairs.  ``None`` builds a fresh one.
         class12_cache, class21_cache:
             Resident :class:`~repro.core.subclasses.IncrementalClassPass`
             caches; when given, only class rows whose member rows moved
             are recomputed after the fixpoint.  ``None`` falls back to
             a full :func:`subclass_pass` per direction.
-        mutate_store:
-            Fold each pass's touched rows back into ``store`` itself
-            (O(frontier) per pass, no O(store) copy).  The resident
-            service sets this; one-shot callers keep the default, which
-            copies once up front.
 
-        Each pass re-scores the dirty frontier against the current
-        view and replaces exactly those rows **through a copy-on-write
-        overlay** (:class:`~repro.core.store.OverlayStore`): the store
-        copy, the restricted-view rebuild and the store diff of earlier
-        revisions are all replaced by O(frontier) work on the touched
-        rows.  The relation matrices refresh incrementally, then the
-        frontier expands to the 1-hop neighbourhood of whatever changed
-        beyond ``config.warm_tolerance``.  Convergence is numeric
-        stationarity, i.e. the same criterion as a cold
-        ``score_stationarity`` run — which is the reference this method
-        is equality-tested against (``tests/test_warm_start.py``).
+        Each pass refreshes the relation matrices incrementally, expands
+        the frontier to the instances whose relation rows moved beyond
+        ``config.warm_tolerance``, re-scores the frontier against the
+        current view and commits exactly those rows as one
+        :class:`~repro.core.pass_state.FrontierPassState` (through a
+        copy-on-write :class:`~repro.core.store.OverlayStore`).  The
+        next frontier is the 1-hop neighbourhood of whatever the pass
+        moved.  The loop (:meth:`_fixpoint`) is the cold one, stopping
+        at numeric stationarity, i.e. the criterion of a cold
+        ``score_stationarity`` run — the reference this method is
+        equality-tested against (``tests/test_warm_start.py``) — or on
+        the score-level cycle checks under ``config.detect_cycles``.
         Falls back to full passes when the frontier exceeds
         ``config.warm_full_pass_fraction`` of the instances, when
         negative evidence is enabled (its penalty term reads arbitrary
         statements, defeating frontier tracking), or when a relation
         row's *default* flipped (which re-prices every unmatched
         relation pair at once).
-
-        On noisy inputs whose fixpoint oscillates (the case the batch
-        path's cycle detection handles), stationarity never arrives;
-        with ``config.detect_cycles`` the warm loop stops early on two
-        signals, both at the *score* level (scores can oscillate under
-        a perfectly stable maximal assignment, so the batch path's
-        assignment check is not enough):
-
-        * a period-2 cycle — the view store returns to where it stood
-          two passes earlier (within ``warm_tolerance``), checked over
-          the last two passes' change logs instead of a full diff;
-        * a stall — the per-pass maximum change fails to set a new
-          minimum for :data:`WARM_STALL_WINDOW` consecutive passes,
-          which catches longer-period and intermittent limit cycles.
-
-        A genuinely converging run trips neither: its changes shrink
-        (near-)geometrically until the stationarity criterion fires.
         """
         with root_span("align.warm") as profile:
             self._last_align_span = profile
             config = self.config
-            theta = config.theta
             tolerance = config.warm_tolerance
-            force_full = config.use_negative_evidence
+            restrict = config.restrict_to_maximal_assignment
+            maintainer = view_maintainer or RestrictedViewMaintainer(store)
+            if maintainer.store is not store:
+                raise ValueError("view_maintainer must maintain the store being warmed")
+            view_store = maintainer.view_store if restrict else store
             dirty: Set[Resource] = set(dirty_instances)
             changed_left: Set[Node] = set(seed_nodes1)
             changed_right: Set[Node] = set(seed_nodes2)
             pending12: Iterable[Tuple[Relation, Node, Node]] = list(delta_statements1)
             pending21: Iterable[Tuple[Relation, Node, Node]] = list(delta_statements2)
-            working = store if mutate_store else store.copy()
-            maintainer: Optional[RestrictedViewMaintainer] = None
-            if config.restrict_to_maximal_assignment:
-                maintainer = view_maintainer or RestrictedViewMaintainer(working)
-                if maintainer.store is not working:
-                    raise ValueError(
-                        "view_maintainer must maintain the store being warmed "
-                        "(pass mutate_store=True for a resident maintainer)"
-                    )
-                view_store = maintainer.view_store
-            else:
-                view_store = working
-            snapshots: List[IterationSnapshot] = []
-            # Snapshot chain base: the pre-delta assignments.  Each pass's
-            # snapshot then stores only its assignment delta, so a resident
-            # service with keep_snapshots on pays O(frontier) per pass, not
-            # O(matched) copies.
-            snap_prev12: Dict[Resource, Tuple[Resource, float]] = {}
-            snap_prev21: Dict[Resource, Tuple[Resource, float]] = {}
-            if config.keep_snapshots:
-                snap_prev12, snap_prev21 = current_assignments(maintainer, working)
-            previous_log: Optional[Dict[Tuple[Resource, Resource], Tuple[float, float]]] = None
             # Members whose view rows moved at all (any non-zero change):
             # the exact invalidation set of the class-row caches.
             changed_members1: Set[Resource] = set()
             changed_members2: Set[Resource] = set()
             pairs_touched = 0
-            best_change = float("inf")
-            stalled_passes = 0
-            converged = False
-            for iteration in range(1, config.warm_max_iterations + 1):
-                started = time.perf_counter()
-                with span("pass.warm", iteration=iteration) as pass_span:
-                    view = self.make_view(view_store)
-                    changes12 = rel12_cache.refresh(view, changed_left, pending12)
-                    changes21 = rel21_cache.refresh(view, changed_right, pending21)
-                    pending12 = pending21 = ()
-                    full_pass = force_full
-                    for relation, row_change in changes12.items():
-                        # A left relation's row prices statements of exactly its
-                        # subjects (Eq. 13 reads rel12[r, ·] and rel21[·, r]
-                        # only for relations r of the instance being scored).
-                        if row_change.max_delta > tolerance:
-                            dirty.update(self._instance_subjects(relation))
-                    for _relation2, row_change in changes21.items():
-                        if row_change.max_delta <= tolerance:
-                            continue
-                        if row_change.default_changed:
-                            full_pass = True
-                            continue
-                        for relation in row_change.changed_supers:
-                            dirty.update(self._instance_subjects(relation))
-                    instances = self.ontology1.instances
-                    if full_pass or len(dirty) >= config.warm_full_pass_fraction * len(
-                        instances
-                    ):
-                        dirty |= instances
-                    ordered_dirty = ordered_instances(dirty)
-                    # The frontier is only known after expansion — annotate
-                    # late so the span line still carries it.
-                    pass_span.annotate(frontier=len(ordered_dirty))
-                    entries = self._score_frontier(
-                        ordered_dirty, view, rel12_cache.matrix, rel21_cache.matrix
-                    )
-                    overlay = working.overlay()
-                    for x in ordered_dirty:
-                        overlay.clear_left(x)
-                    if config.dampening > 0.0:
-                        self._blend_rows(working, overlay, ordered_dirty, entries)
-                    else:
-                        overlay.update(entries)
-                    # View maintenance replaces the old full restricted-view
-                    # rebuild + full store diff: only the touched rows (and the
-                    # rights they mention) are reconsidered.
-                    if maintainer is not None:
-                        view_changes = maintainer.apply(overlay)
-                    else:
-                        view_changes = {
-                            (left, right): (old, new)
-                            for left, right, old, new in overlay.row_changes()
-                        }
-                    pairs_touched += overlay.pairs_touched + len(view_changes)
-                    max_change = 0.0
-                    changed_left = set()
-                    changed_right = set()
-                    for (left, right), (old_p, new_p) in view_changes.items():
-                        delta = abs(new_p - old_p)
-                        max_change = max(max_change, delta)
-                        changed_members1.add(left)
-                        changed_members2.add(right)
-                        if delta > tolerance:
-                            changed_left.add(left)
-                            changed_right.add(right)
-                    # Next frontier: 1-hop neighbourhood of every node whose
-                    # view row moved — their Eq. 13 inputs are now stale.
-                    dirty = set()
-                    for node in changed_left:
-                        for _relation, other in self.ontology1.statements_about(node):
-                            if isinstance(other, Resource):
-                                dirty.add(other)
-                    working = overlay.commit()
-                    pass_span.annotate(max_change=round(max_change, 9))
-                duration = time.perf_counter() - started
-                if max_change < best_change:
-                    best_change = max_change
-                    stalled_passes = 0
-                else:
-                    stalled_passes += 1
-                cycle = config.detect_cycles and (
-                    stalled_passes >= WARM_STALL_WINDOW
-                    or (
-                        previous_log is not None
-                        and self._view_cycled(
-                            previous_log, view_changes, view_store, tolerance
-                        )
-                    )
+
+            def warm_pass(previous, pass_span):
+                nonlocal dirty, changed_left, changed_right, pending12, pending21
+                nonlocal pairs_touched
+                view = self.make_view(view_store)
+                changes12 = rel12_cache.refresh(view, changed_left, pending12)
+                changes21 = rel21_cache.refresh(view, changed_right, pending21)
+                pending12 = pending21 = ()
+                full_pass = config.use_negative_evidence
+                for relation, row_change in changes12.items():
+                    # A left relation's row prices statements of exactly its
+                    # subjects (Eq. 13 reads rel12[r, ·] and rel21[·, r]
+                    # only for relations r of the instance being scored).
+                    if row_change.max_delta > tolerance:
+                        dirty.update(self._instance_subjects(relation))
+                for _relation2, row_change in changes21.items():
+                    if row_change.max_delta <= tolerance:
+                        continue
+                    if row_change.default_changed:
+                        full_pass = True
+                        continue
+                    for relation in row_change.changed_supers:
+                        dirty.update(self._instance_subjects(relation))
+                instances = self.ontology1.instances
+                if full_pass or len(dirty) >= config.warm_full_pass_fraction * len(instances):
+                    dirty |= instances
+                ordered_dirty = ordered_instances(dirty)
+                pass_span.annotate(frontier=len(ordered_dirty))
+                entries = self._score_frontier(
+                    ordered_dirty, view, rel12_cache.matrix, rel21_cache.matrix
                 )
-                previous_log = view_changes
-                if config.keep_snapshots:
-                    assignment12, assignment21 = current_assignments(maintainer, working)
-                    snapshots.append(
-                        IterationSnapshot.capture(
-                            index=iteration,
-                            duration_seconds=duration,
-                            change_fraction=None,
-                            num_equivalences=len(working),
-                            assignment12=assignment12,
-                            assignment21=assignment21,
-                            # Copies: the cache matrices keep mutating in
-                            # place on later passes (and later deltas).
-                            relations12=rel12_cache.matrix.copy(),
-                            relations21=rel21_cache.matrix.copy(),
-                            previous=snapshots[-1] if snapshots else None,
-                            previous12=snap_prev12,
-                            previous21=snap_prev21,
-                        )
-                    )
-                    snap_prev12, snap_prev21 = assignment12, assignment21
-                if max_change <= tolerance:
-                    converged = True
-                    break
-                if cycle:
-                    # Oscillation between equally plausible states:
-                    # stationarity will never arrive (the same situation
-                    # the batch path's cycle detection stops).
-                    converged = True
-                    break
+                state = FrontierPassState(store, maintainer, restrict, ordered_dirty, entries)
+                state = state.dampened(previous, config.dampening).commit()
+                pairs_touched += state.pairs_touched
+                changed_left = set()
+                changed_right = set()
+                for (left, right), (old_p, new_p) in state.log.items():
+                    changed_members1.add(left)
+                    changed_members2.add(right)
+                    if abs(new_p - old_p) > tolerance:
+                        changed_left.add(left)
+                        changed_right.add(right)
+                # Next frontier: 1-hop neighbourhood of every node whose
+                # view row moved — their Eq. 13 inputs are now stale.
+                dirty = {
+                    other
+                    for node in changed_left
+                    for _relation, other in self.ontology1.statements_about(node)
+                    if isinstance(other, Resource)
+                }
+                pass_span.annotate(max_change=round(state.max_difference(previous), 9))
+                return state
+
+            state, converged, snapshots = self._fixpoint(
+                FrontierPassState(store, maintainer, restrict),
+                (("pass.warm", warm_pass),),
+                # Copies: the cache matrices keep mutating in place on
+                # later passes (and later deltas).
+                lambda: (rel12_cache.matrix.copy(), rel21_cache.matrix.copy()),
+                warm=True,
+            )
             final_view = self.make_view(view_store)
             if changed_left or changed_right:
                 # Non-stationary exit (cycle break or iteration cap): the
@@ -711,13 +650,13 @@ class ParisAligner:
                     classes21 = class21_cache.matrix(final_view)
                 else:
                     classes21 = self._class_pass(final_view, reverse=True)
-            final_assignment12, final_assignment21 = current_assignments(maintainer, working)
+            assignment12, assignment21 = state.assignments()
             return AlignmentResult(
                 left_name=self.ontology1.name,
                 right_name=self.ontology2.name,
-                instances=working,
-                assignment12=final_assignment12,
-                assignment21=final_assignment21,
+                instances=store,
+                assignment12=assignment12,
+                assignment21=assignment21,
                 relations12=rel12_cache.matrix,
                 relations21=rel21_cache.matrix,
                 classes12=classes12,
@@ -726,55 +665,6 @@ class ParisAligner:
                 iterations=snapshots,
                 pairs_touched=pairs_touched,
             )
-
-    @staticmethod
-    def _view_cycled(
-        previous_log: Dict[Tuple[Resource, Resource], Tuple[float, float]],
-        current_log: Dict[Tuple[Resource, Resource], Tuple[float, float]],
-        view_store: EquivalenceStore,
-        tolerance: float,
-    ) -> bool:
-        """Period-2 check from change logs: is the (already updated)
-        view within ``tolerance`` of where it stood two passes ago?
-        Entries outside both logs did not move in either pass, so the
-        union of logged keys carries the whole difference."""
-        for key in previous_log.keys() | current_log.keys():
-            if key in previous_log:
-                two_ago = previous_log[key][0]
-            else:
-                two_ago = current_log[key][0]
-            left, right = key
-            if abs(view_store.get(left, right) - two_ago) > tolerance:
-                return False
-        return True
-
-    def _blend_rows(
-        self,
-        old_store: EquivalenceStore,
-        new_store,
-        dirty: List[Resource],
-        entries: List[Tuple[Resource, Resource, float]],
-    ) -> None:
-        """Dampening for re-scored rows only.
-
-        An untouched row blends to itself (``f·p + (1−f)·p = p``), so
-        the warm pass only needs to blend the rows it replaced.
-        ``new_store`` is the pass's working store — an
-        :class:`~repro.core.store.OverlayStore` in the warm loop.
-        """
-        factor = self.config.dampening
-        fresh: Dict[Resource, Dict[Resource, float]] = {}
-        for left, right, probability in entries:
-            fresh.setdefault(left, {})[right] = probability
-        for left in dirty:
-            old_row = old_store.equals_of(left)
-            new_row = fresh.get(left, {})
-            for right in old_row.keys() | new_row.keys():
-                blended = factor * old_row.get(right, 0.0) + (1.0 - factor) * new_row.get(
-                    right, 0.0
-                )
-                if blended >= new_store.truncation_threshold:
-                    new_store.set(left, right, blended)
 
 
 def align(

@@ -55,6 +55,7 @@ import numpy as np
 from ..rdf.ontology import Ontology
 from ..rdf.terms import Node, Relation, Resource
 from .matrix import SubsumptionMatrix
+from .result import AssignmentDelta
 from .store import EquivalenceStore, OverlayStore, best_counterpart
 from .subrelations import score_relation, statement_terms
 from .view import EquivalenceView
@@ -457,19 +458,6 @@ class IncrementalRelationPass:
         return self._install_row(relation, self._row_from_sums(relation))
 
 
-def current_assignments(
-    maintainer: Optional["RestrictedViewMaintainer"], store: EquivalenceStore
-) -> Tuple[Dict[Resource, Tuple[Resource, float]], Dict[Resource, Tuple[Resource, float]]]:
-    """Both maximal assignments of ``store`` — copied from a resident
-    maintainer when one exists (O(matched) dict copies; the live dicts
-    keep mutating on later passes/deltas), computed fresh otherwise.
-    The single definition behind warm-align snapshots, warm-align
-    results and service attach, so they can never disagree."""
-    if maintainer is not None:
-        return dict(maintainer.assignment12), dict(maintainer.assignment21)
-    return store.maximal_assignment(), store.maximal_assignment(reverse=True)
-
-
 class RestrictedViewMaintainer:
     """Keeps ``store.restricted_to_maximal()`` live under row replacements.
 
@@ -488,12 +476,18 @@ class RestrictedViewMaintainer:
         The maintained maximal assignments, equal to
         ``store.maximal_assignment()`` / ``(reverse=True)``.  Mutated in
         place by :meth:`apply`; copy before handing out.
+    moved12, moved21:
+        What the last :meth:`apply` changed in each assignment, as an
+        :data:`~repro.core.result.AssignmentDelta` (owner → new best
+        match, or ``None`` when the owner dropped out).
     """
 
     def __init__(self, store: EquivalenceStore) -> None:
         self.store = store
         self.assignment12 = store.maximal_assignment()
         self.assignment21 = store.maximal_assignment(reverse=True)
+        self.moved12: AssignmentDelta = {}
+        self.moved21: AssignmentDelta = {}
         self.view_store = EquivalenceStore(store.truncation_threshold)
         for left, (right, probability) in self.assignment12.items():
             self.view_store.set(left, right, probability)
@@ -515,6 +509,8 @@ class RestrictedViewMaintainer:
             raise ValueError("overlay must be layered over the maintained store")
         assignment12 = self.assignment12
         assignment21 = self.assignment21
+        moved12: AssignmentDelta = {}
+        moved21: AssignmentDelta = {}
         affected_rights: Set[Resource] = set()
         candidates: Set[Tuple[Resource, Resource]] = set()
         for left in overlay.touched_lefts:
@@ -526,6 +522,8 @@ class RestrictedViewMaintainer:
             if old_best is not None:
                 candidates.add((left, old_best[0]))
             new_best = best_counterpart(new_row)
+            if new_best != old_best:
+                moved12[left] = new_best
             if new_best is None:
                 assignment12.pop(left, None)
             else:
@@ -536,11 +534,14 @@ class RestrictedViewMaintainer:
             if old_best is not None:
                 candidates.add((old_best[0], right))
             new_best = best_counterpart(overlay.equals_of_right(right))
+            if new_best != old_best:
+                moved21[right] = new_best
             if new_best is None:
                 assignment21.pop(right, None)
             else:
                 assignment21[right] = new_best
                 candidates.add((new_best[0], right))
+        self.moved12, self.moved21 = moved12, moved21
         changes: Dict[Tuple[Resource, Resource], Tuple[float, float]] = {}
         view = self.view_store
         for left, right in candidates:

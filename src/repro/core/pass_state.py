@@ -1,12 +1,12 @@
-"""What one cold pass hands the next (Sections 4.2, 5.1 and 5.2).
+"""What one fixpoint pass hands the next (Sections 4.2, 5.1 and 5.2).
 
-:meth:`repro.core.aligner.ParisAligner.align` alternates instance and
-relation passes.  Between them it asks the fresh instance equivalences
-for the two maximal assignments (Section 4.2), the change fraction of
-the convergence test (Section 6.1), the period-2 cycle check, the
-stationarity difference, dampening, and the restricted view the next
-pass reads (Section 5.2).  One loop asks these questions of a *pass
-state*, on either route:
+The fixpoint loop (:meth:`repro.core.aligner.ParisAligner._fixpoint`)
+alternates instance and relation passes.  Between them it asks the
+fresh instance equivalences for the two maximal assignments
+(Section 4.2), the change fraction of the convergence test
+(Section 6.1), the period-2 cycle check, the stationarity difference,
+dampening, and the restricted view the next pass reads (Section 5.2).
+It asks these questions of a *pass state*, on one of three routes:
 
 * :class:`KernelPassState` — the kernel route.  The state is the
   ``(x, x', p)`` id arrays :meth:`VectorizedKernel.score_ids` emits, in
@@ -18,8 +18,15 @@ state*, on either route:
 * :class:`StorePassState` — the dict route (negative evidence), an
   :class:`EquivalenceStore`.  It is the reference the kernel route is
   held bit-identical to (``tests/test_vectorized.py``).
+* :class:`FrontierPassState` — the warm route
+  (:meth:`~repro.core.aligner.ParisAligner.warm_align`), which
+  re-scores only a dirty frontier of rows.  The working store is folded
+  in place each pass, so the state keeps what its pass moved: the view
+  change log and the assignment owners the
+  :class:`~repro.core.incremental.RestrictedViewMaintainer` moved.
+  Every answer comes from those logs, in O(frontier).
 
-Both routes order everything as the dict store orders it: entries in
+The cold routes order everything as the dict store orders it: entries in
 the order the store receives them, assignments in the order
 :meth:`EquivalenceStore.maximal_assignment` lists them (owners by first
 appearance), and view rows in the insertion order of
@@ -29,11 +36,13 @@ floats in candidate order, so these orders decide the scores.
 
 from __future__ import annotations
 
-from typing import Tuple
+from typing import Dict, Optional, Sequence, Tuple
 
 import numpy as np
 
 from ..obs.trace import span
+from ..rdf.terms import Resource
+from .incremental import RestrictedViewMaintainer
 from .result import Assignment, AssignmentDelta, assignment_delta
 from .store import EquivalenceStore
 from .vectorized import KernelView, VectorizedKernel, _group_starts
@@ -281,3 +290,110 @@ class KernelPassState:
         with span("kernel.merge"):
             store.fill_accepted(self.kernel.entries_for(self.x, self.xp, self.p))
         return store
+
+
+class FrontierPassState:
+    """One warm pass's equivalences: the working ``store`` with the
+    pass's re-scored ``rows`` replaced by ``entries``.
+
+    :meth:`commit` folds the rows into the store through an
+    :class:`~repro.core.store.OverlayStore` and the ``maintainer``, and
+    keeps what moved: the entries of the view the passes read (the
+    restricted view, or the whole store when ``restrict`` is off) and
+    the owners of both maximal assignments.  Before the first pass the
+    state is the store as the warm run found it, with no log.
+    """
+
+    def __init__(
+        self,
+        store: EquivalenceStore,
+        maintainer: RestrictedViewMaintainer,
+        restrict: bool,
+        rows: Sequence[Resource] = (),
+        entries: Sequence[Tuple[Resource, Resource, float]] = (),
+    ) -> None:
+        self.store = store
+        self.maintainer = maintainer
+        self.restrict = restrict
+        self.rows = rows
+        self.entries = entries
+        #: The view entries this pass moved, ``(left, right) -> (old,
+        #: new)``; ``None`` until committed.
+        self.log: Optional[Dict[Tuple[Resource, Resource], Tuple[float, float]]] = None
+        self.moved: Tuple[AssignmentDelta, AssignmentDelta] = ({}, {})
+        #: Store and view entries this pass wrote or cleared.
+        self.pairs_touched = 0
+
+    def __len__(self) -> int:
+        return len(self.store)
+
+    def assignments(self) -> Tuple[Assignment, Assignment]:
+        """Copies of both maximal assignments as they stand now."""
+        return dict(self.maintainer.assignment12), dict(self.maintainer.assignment21)
+
+    def dampened(self, previous: "FrontierPassState", factor: float) -> "FrontierPassState":
+        """:meth:`StorePassState.dampened` on the re-scored rows, in its
+        order: this pass's pairs, then the old rows' other pairs.  An
+        untouched row blends to itself (``f·p + (1−f)·p = p``)."""
+        if factor <= 0.0:
+            return self
+        old = previous.store
+        fresh = {(left, right) for left, right, _probability in self.entries}
+        blended = [
+            (left, right, factor * old.get(left, right) + (1.0 - factor) * probability)
+            for left, right, probability in self.entries
+        ]
+        for left in self.rows:
+            blended.extend(
+                (left, right, factor * probability)
+                for right, probability in old.equals_of(left).items()
+                if (left, right) not in fresh
+            )
+        threshold = self.store.truncation_threshold
+        kept = [entry for entry in blended if entry[2] >= threshold]
+        return FrontierPassState(self.store, self.maintainer, self.restrict, self.rows, kept)
+
+    def commit(self) -> "FrontierPassState":
+        """Replace the rows in the store and log what moved (once)."""
+        overlay = self.store.overlay()
+        for left in self.rows:
+            overlay.clear_left(left)
+        overlay.update(self.entries)
+        # The maintainer must see the overlay before it commits (old
+        # rows are read from the base).
+        log = self.maintainer.apply(overlay)
+        if not self.restrict:
+            log = {(left, right): (old, new) for left, right, old, new in overlay.row_changes()}
+        self.log = log
+        self.moved = (self.maintainer.moved12, self.maintainer.moved21)
+        self.pairs_touched = overlay.pairs_touched + len(log)
+        overlay.commit()
+        return self
+
+    def max_difference(self, previous: "FrontierPassState") -> float:
+        """The largest logged change: every entry the pass did not log
+        kept its value."""
+        return max((abs(new - old) for old, new in self.log.values()), default=0.0)
+
+    def scores_cycled(self, previous: "FrontierPassState", tolerance: float) -> bool:
+        """Score-level period-2 check: is the view within ``tolerance``
+        of where it stood before ``previous``'s pass?  Entries outside
+        both logs moved in neither pass, so the two logs carry the whole
+        difference.  (Scores can oscillate under a stable assignment, so
+        :meth:`StorePassState.same_targets` is not enough here.)"""
+        if previous.log is None:
+            return False
+        two_ago = {key: old for key, (old, _new) in self.log.items()}
+        two_ago.update((key, old) for key, (old, _new) in previous.log.items())
+        view = self.maintainer.view_store if self.restrict else self.store
+        return all(
+            abs(view.get(left, right) - probability) <= tolerance
+            for (left, right), probability in two_ago.items()
+        )
+
+    def assignment_deltas(
+        self, previous: "FrontierPassState"
+    ) -> Tuple[AssignmentDelta, AssignmentDelta]:
+        """Both assignments' changes in this pass: only the owners the
+        maintainer moved."""
+        return self.moved

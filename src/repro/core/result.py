@@ -109,11 +109,10 @@ def merge_assignment_deltas(
 class IterationSnapshot:
     """State captured at the end of one fixpoint iteration.
 
-    Construct via :meth:`capture` (which computes the assignment deltas
-    from the caller's running full assignments) and read the full
-    per-pass assignments back through the ``assignment12`` /
-    ``assignment21`` properties; the raw delta fields exist for
-    introspection and for tests asserting the O(changed) storage bound.
+    Read the full per-pass assignments back through the
+    ``assignment12`` / ``assignment21`` properties; the raw delta fields
+    exist for introspection and for tests asserting the O(changed)
+    storage bound.
     """
 
     #: 1-based iteration number.
@@ -141,45 +140,6 @@ class IterationSnapshot:
     #: (empty for cold runs, the pre-delta assignment for warm runs).
     base12: Assignment = field(default_factory=dict, repr=False)
     base21: Assignment = field(default_factory=dict, repr=False)
-
-    @classmethod
-    def capture(
-        cls,
-        *,
-        index: int,
-        duration_seconds: float,
-        change_fraction: Optional[float],
-        num_equivalences: int,
-        assignment12: Assignment,
-        assignment21: Assignment,
-        relations12: SubsumptionMatrix[Relation],
-        relations21: SubsumptionMatrix[Relation],
-        previous: Optional["IterationSnapshot"],
-        previous12: Assignment,
-        previous21: Assignment,
-    ) -> "IterationSnapshot":
-        """Snapshot one pass, storing only its assignment changes.
-
-        ``previous12``/``previous21`` are the full assignments that
-        ``previous`` reconstructs to — the warm loop tracks them anyway,
-        so capturing never has to replay the chain (the cold loop builds
-        its deltas from its pass states instead).  When ``previous`` is
-        ``None`` they become the chain's base (copied, so later caller
-        mutation cannot skew reconstruction).
-        """
-        return cls(
-            index=index,
-            duration_seconds=duration_seconds,
-            change_fraction=change_fraction,
-            num_equivalences=num_equivalences,
-            assignment12_delta=assignment_delta(previous12, assignment12),
-            assignment21_delta=assignment_delta(previous21, assignment21),
-            relations12=relations12,
-            relations21=relations21,
-            previous=previous,
-            base12=dict(previous12) if previous is None else {},
-            base21=dict(previous21) if previous is None else {},
-        )
 
     def _reconstruct(self, forward: bool) -> Assignment:
         chain: List["IterationSnapshot"] = []

@@ -38,11 +38,7 @@ from typing import Dict, Iterable, List, Optional, Set, Tuple, Union
 
 from ..core.aligner import ParisAligner
 from ..core.config import ParisConfig
-from ..core.incremental import (
-    IncrementalRelationPass,
-    RestrictedViewMaintainer,
-    current_assignments,
-)
+from ..core.incremental import IncrementalRelationPass, RestrictedViewMaintainer
 from ..core.result import Assignment, AssignmentDelta, assignment_delta
 from ..core.subclasses import IncrementalClassPass
 from ..obs import get_event_logger
@@ -141,21 +137,15 @@ class AlignmentService:
         self.total_pairs_touched = 0
         self.aligner = ParisAligner(state.ontology1, state.ontology2, state.config)
         config = state.config
-        # Resident restricted-view maintainer: built once (O(store)) at
-        # attach, then warm passes fold their touched rows into it in
-        # O(frontier) instead of rebuilding the Section 5.2 restriction
-        # from all pairs.
-        if config.restrict_to_maximal_assignment:
-            self._view_maintainer: Optional[RestrictedViewMaintainer] = (
-                RestrictedViewMaintainer(state.store)
-            )
-            view = self.aligner.make_view(self._view_maintainer.view_store)
-        else:
-            self._view_maintainer = None
-            view = self.aligner.make_view(state.store)
-        self._assignment12, self._assignment21 = current_assignments(
-            self._view_maintainer, state.store
-        )
+        # Resident maintainer of both maximal assignments and the
+        # restricted view: built once (O(store)) at attach, then warm
+        # passes fold their touched rows into it in O(frontier) instead
+        # of rebuilding the Section 5.2 restriction from all pairs.
+        maintainer = self._view_maintainer = RestrictedViewMaintainer(state.store)
+        restricted = config.restrict_to_maximal_assignment
+        view = self.aligner.make_view(maintainer.view_store if restricted else state.store)
+        self._assignment12 = dict(maintainer.assignment12)
+        self._assignment21 = dict(maintainer.assignment21)
         # Order-insensitive state digest (PR 10): recomputed in full at
         # attach, then maintained O(changes) per delta.  A snapshot that
         # carried a digest is integrity-checked here — the bootstrap
@@ -249,11 +239,17 @@ class AlignmentService:
         The cold run is forced into ``score_stationarity`` mode: the
         warm-start fixpoint converges to numeric stationarity, so the
         baseline it extends must sit at the same kind of fixpoint for
-        the incremental-equals-cold guarantee to hold.
+        the incremental-equals-cold guarantee to hold.  Stationarity
+        takes more passes than the paper's assignment rule (dampening
+        slows it further), so the cold run may use as many as a warm
+        run, ``max(max_iterations, warm_max_iterations)``.
         """
         config = replace(config or ParisConfig(), score_stationarity=True)
-        cold_aligner = ParisAligner(ontology1, ontology2, config)
+        cap = max(config.max_iterations, config.warm_max_iterations)
+        cold_aligner = ParisAligner(ontology1, ontology2, replace(config, max_iterations=cap))
         result = cold_aligner.align()
+        if not result.converged:
+            _log.warning("cold start stopped short of stationarity", max_iterations=cap)
         service = cls(AlignmentState.from_result(ontology1, ontology2, config, result))
         # The service builds its own resident aligner; carry the cold
         # run's span tree over so /stats serves it until the first delta.
@@ -366,9 +362,6 @@ class AlignmentService:
             view_maintainer=self._view_maintainer,
             class12_cache=self._classes12,
             class21_cache=self._classes21,
-            # The engine owns the store: touched rows fold back in
-            # place, so a warm pass never copies the full store.
-            mutate_store=True,
         )
         state.absorb(result)
         # Net change log of this batch, O(frontier): the snapshot-delta

@@ -213,7 +213,7 @@ class TestSnapshots:
         from known full assignments must hand back exactly those
         assignments through the reconstruction properties."""
         from repro.core.matrix import SubsumptionMatrix
-        from repro.core.result import IterationSnapshot
+        from repro.core.result import IterationSnapshot, assignment_delta
 
         a, b, c = Resource("a"), Resource("b"), Resource("c")
         x, y = Resource("x"), Resource("y")
@@ -226,18 +226,16 @@ class TestSnapshots:
         previous12, previous21 = {}, {}
         for index, (assignment12, assignment21) in enumerate(passes, start=1):
             snapshots.append(
-                IterationSnapshot.capture(
+                IterationSnapshot(
                     index=index,
                     duration_seconds=0.0,
                     change_fraction=None,
                     num_equivalences=len(assignment12),
-                    assignment12=assignment12,
-                    assignment21=assignment21,
+                    assignment12_delta=assignment_delta(previous12, assignment12),
+                    assignment21_delta=assignment_delta(previous21, assignment21),
                     relations12=SubsumptionMatrix(),
                     relations21=SubsumptionMatrix(),
                     previous=snapshots[-1] if snapshots else None,
-                    previous12=previous12,
-                    previous21=previous21,
                 )
             )
             previous12, previous21 = assignment12, assignment21
@@ -253,24 +251,23 @@ class TestSnapshots:
         """A warm chain starts from the pre-delta assignment: the head
         carries it as base and reconstruction includes it."""
         from repro.core.matrix import SubsumptionMatrix
-        from repro.core.result import IterationSnapshot
+        from repro.core.result import IterationSnapshot, assignment_delta
 
         base12 = {Resource("a"): (Resource("x"), 0.7)}
         base21 = {Resource("x"): (Resource("a"), 0.7)}
         current12 = {**base12, Resource("b"): (Resource("y"), 0.6)}
         current21 = {**base21, Resource("y"): (Resource("b"), 0.6)}
-        head = IterationSnapshot.capture(
+        head = IterationSnapshot(
             index=1,
             duration_seconds=0.0,
             change_fraction=None,
             num_equivalences=2,
-            assignment12=current12,
-            assignment21=current21,
+            assignment12_delta=assignment_delta(base12, current12),
+            assignment21_delta=assignment_delta(base21, current21),
             relations12=SubsumptionMatrix(),
             relations21=SubsumptionMatrix(),
-            previous=None,
-            previous12=base12,
-            previous21=base21,
+            base12=base12,
+            base21=base21,
         )
         assert head.assignment12 == current12
         assert head.assignment21 == current21
@@ -305,3 +302,99 @@ class TestSnapshots:
                 {(l.name, r.name) for l, (r, _p) in result.assignment12.items()}
             )
         assert all(a == assignments[0] for a in assignments)
+
+
+class ScriptedState:
+    """A pass state whose answers are scripted: the largest score
+    change, the assignment change fraction, an assignment label (equal
+    labels mean equal targets) and the score-level cycle verdict."""
+
+    def __init__(self, difference=1.0, change=1.0, targets=None, cycled=False):
+        self.difference = difference
+        self.change = change
+        self.targets = targets if targets is not None else object()
+        self.cycled = cycled
+
+    def __len__(self):
+        return 0
+
+    def assignments(self):
+        return {}, {}
+
+    def assignment_deltas(self, previous):
+        return {}, {}
+
+    def max_difference(self, previous):
+        return self.difference
+
+    def change_from(self, previous):
+        return self.change
+
+    def same_targets(self, other):
+        return self.targets is other.targets
+
+    def scores_cycled(self, previous, tolerance):
+        return self.cycled
+
+
+class TestStopPolicy:
+    """The shared fixpoint loop stops where the config says, on scripted
+    pass states: one exit per test, at the expected iteration."""
+
+    @staticmethod
+    def run(config, script, warm=False):
+        from repro.rdf.ontology import Ontology
+
+        aligner = ParisAligner(Ontology("left"), Ontology("right"), config)
+        states = iter(script)
+        _state, converged, snapshots = aligner._fixpoint(
+            ScriptedState(),
+            (("pass.scripted", lambda state, _span: next(states)),),
+            lambda: (None, None),
+            warm=warm,
+        )
+        return len(snapshots), converged
+
+    def test_change_fraction_under_threshold(self):
+        # the first pass has nothing to compare with, whatever it reads
+        script = [ScriptedState(change=0.0), ScriptedState(change=0.5), ScriptedState(change=0.005)]
+        assert self.run(ParisConfig(), script) == (3, True)
+
+    def test_assignment_period_two(self):
+        first, second = object(), object()
+        script = [ScriptedState(targets=t) for t in (first, second, first, second)]
+        assert self.run(ParisConfig(max_iterations=4), script) == (3, True)
+        script = [ScriptedState(targets=t) for t in (first, second, first, second)]
+        assert self.run(ParisConfig(max_iterations=4, detect_cycles=False), script) == (4, False)
+
+    def test_stationarity_suspends_cycle_checks(self):
+        first, second = object(), object()
+        script = [
+            ScriptedState(difference=0.0, change=0.0, targets=first),
+            ScriptedState(difference=0.5, change=0.0, targets=second),
+            ScriptedState(difference=0.2, change=0.0, targets=first),
+            ScriptedState(difference=1e-13, change=0.0, targets=second),
+        ]
+        config = ParisConfig(score_stationarity=True, max_iterations=5)
+        assert self.run(config, script) == (4, True)
+
+    def test_warm_stationarity(self):
+        script = [ScriptedState(difference=0.5), ScriptedState(difference=0.0)]
+        assert self.run(ParisConfig(), script, warm=True) == (2, True)
+
+    def test_warm_score_period_two(self):
+        script = [ScriptedState(difference=0.5)] + [ScriptedState(difference=0.1, cycled=True)] * 3
+        assert self.run(ParisConfig(), script, warm=True) == (2, True)
+        config = ParisConfig(detect_cycles=False, warm_max_iterations=4)
+        script = [ScriptedState(difference=0.5)] + [ScriptedState(difference=0.1, cycled=True)] * 3
+        assert self.run(config, script, warm=True) == (4, False)
+
+    def test_warm_stall_window(self):
+        from repro.core.aligner import WARM_STALL_WINDOW
+
+        script = [ScriptedState(difference=0.5), ScriptedState(difference=0.2)] + [
+            ScriptedState(difference=d) for d in [0.3, 0.2] * WARM_STALL_WINDOW
+        ]
+        # the minimum 0.2 of pass 2 is never beaten: no new minimum for
+        # WARM_STALL_WINDOW passes after it
+        assert self.run(ParisConfig(), script, warm=True) == (2 + WARM_STALL_WINDOW, True)

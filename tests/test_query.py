@@ -172,18 +172,19 @@ class TestChangeLogExposure:
         previous_assignment = dict(base)
         chain = []
         for index, assignment in enumerate(passes, start=1):
-            snapshot = IterationSnapshot.capture(
+            delta = assignment_delta(previous_assignment, assignment)
+            snapshot = IterationSnapshot(
                 index=index,
                 duration_seconds=0.0,
                 change_fraction=None,
                 num_equivalences=len(assignment),
-                assignment12=assignment,
-                assignment21=assignment,
+                assignment12_delta=delta,
+                assignment21_delta=delta,
                 relations12=None,
                 relations21=None,
                 previous=previous,
-                previous12=previous_assignment,
-                previous21=previous_assignment,
+                base12=dict(base) if previous is None else {},
+                base21=dict(base) if previous is None else {},
             )
             chain.append(snapshot)
             previous = snapshot

@@ -72,13 +72,13 @@ class TestFamilyFixtureEquality:
         left, right = family_pair(self.BASE)
         return AlignmentService.cold_start(left, right, ParisConfig())
 
-    def cold_reference(self, num_families, removals=((), ())):
+    def cold_reference(self, num_families, removals=((), ()), **config):
         left, right = family_pair(num_families)
         for triple in removals[0]:
             left.remove_triple(triple)
         for triple in removals[1]:
             right.remove_triple(triple)
-        return align(left, right, ParisConfig(score_stationarity=True))
+        return align(left, right, ParisConfig(score_stationarity=True, **config))
 
     def test_add_only_delta_matches_cold_run(self, service):
         add1, add2 = family_addition(self.BASE, 1)
@@ -106,6 +106,30 @@ class TestFamilyFixtureEquality:
         assert report.converged
         assert report.applied_remove == len(rem1) + len(rem2)
         reference = self.cold_reference(self.BASE + 1, removals=(rem1, rem2))
+        assert_stores_match(service.state.store, reference.instances)
+
+    def test_dampened_delta_matches_cold_run(self):
+        """Dampening slows stationarity past the paper's 10-pass cap:
+        the service must still start from a stationary baseline, and
+        the warm run's dampened rows must land on the cold fixpoint."""
+        left, right = family_pair(self.BASE)
+        service = AlignmentService.cold_start(left, right, ParisConfig(dampening=0.3))
+        assert service.state.converged
+        add1, add2 = family_addition(self.BASE, 1)
+        rem1, rem2 = family_removal([4, 17])
+        report = service.apply_delta(
+            Delta(
+                add1=tuple(add1),
+                add2=tuple(add2),
+                remove1=tuple(rem1),
+                remove2=tuple(rem2),
+            )
+        )
+        assert report.converged
+        reference = self.cold_reference(
+            self.BASE + 1, removals=(rem1, rem2), dampening=0.3, max_iterations=100
+        )
+        assert reference.converged
         assert_stores_match(service.state.store, reference.instances)
 
     def test_successive_deltas_stay_equal(self, service):
@@ -142,7 +166,7 @@ class TestFamilyFixtureEquality:
         ))
         dirty, seed1, seed2, full = service._invalidate(effect, 1e-12)
         result = service.aligner.warm_align(
-            state.store,
+            state.store.copy(),
             service._rel12,
             service._rel21,
             dirty_instances=dirty,
@@ -176,7 +200,7 @@ class TestFamilyFixtureEquality:
         ))
         dirty, seed1, seed2, _full = service._invalidate(effect, 1e-12)
         result = service.aligner.warm_align(
-            state.store,
+            state.store.copy(),
             service._rel12,
             service._rel21,
             dirty_instances=dirty,
