@@ -17,13 +17,17 @@ Every pass has one route, in the calling process.  The instance and
 relation passes run on the vectorized kernel
 (:mod:`repro.core.vectorized`) unless negative evidence (Eq. 14) is on;
 the dict passes are the Eq. 14 route and the reference the kernel is
-held bit-identical to (``tests/test_vectorized.py``).  Between passes
-the cold loop reads one pass state (:mod:`repro.core.pass_state`): on
-the kernel route the kernel's id arrays, so no dict store is built
-until the run ends.  The class pass (Eq. 17) runs the dict code.  The
-paper runs its passes "in parallel on all available processors"
-(Section 5.1); a worker pool did so here until it measured below 1.2x
-on every recorded run (``docs/architecture.md``).
+held bit-identical to (``tests/test_vectorized.py``).  The class pass
+(Eq. 17) runs the dict code.  The paper runs its passes "in parallel on
+all available processors" (Section 5.1); a worker pool did so here
+until it measured below 1.2x on every recorded run
+(``docs/architecture.md``).
+
+One loop, :meth:`ParisAligner._fixpoint`, drives every run: it owns the
+iteration count, timing, the ``pass.*`` spans, the snapshots and the
+stop decision, and reads one pass state (:mod:`repro.core.pass_state`)
+between passes.  On the kernel route that state is the kernel's id
+arrays, so no dict store is built until the run ends.
 
 Incremental service mode
 ------------------------
@@ -38,13 +42,16 @@ functionalities, literal candidates) changed — while every other row
 keeps its previous value.  The frontier expands along 1-hop
 neighbourhoods of whatever each pass actually changed, so the warm run
 converges to the same numeric fixpoint a cold ``score_stationarity``
-run reaches, at a fraction of the work for small deltas.
+run reaches, at a fraction of the work for small deltas.  Its passes
+run in the same loop as the cold ones, over a
+:class:`~repro.core.pass_state.FrontierPassState` that answers from
+each pass's change log in O(frontier).
 """
 
 from __future__ import annotations
 
 import time
-from typing import Iterable, List, Optional, Set, Tuple, Union
+from typing import Dict, Iterable, List, Optional, Set, Tuple, Union
 
 from ..obs.trace import Span, root_span, span
 from ..rdf.ontology import Ontology
@@ -64,7 +71,7 @@ from .vectorized import KernelView, VectorizedKernel
 from .view import EquivalenceView
 
 #: Warm passes without a new minimum per-pass change before the loop
-#: declares a limit cycle (see :meth:`ParisAligner.warm_align`).  A
+#: declares a limit cycle (see :meth:`ParisAligner._fixpoint`).  A
 #: converging run improves its minimum (near-)every pass, so the window
 #: only triggers on genuinely stuck dynamics.
 WARM_STALL_WINDOW = 10
@@ -558,8 +565,10 @@ class ParisAligner:
                 raise ValueError("view_maintainer must maintain the store being warmed")
             view_store = maintainer.view_store if restrict else store
             dirty: Set[Resource] = set(dirty_instances)
-            changed_left: Set[Node] = set(seed_nodes1)
-            changed_right: Set[Node] = set(seed_nodes2)
+            # Nodes whose view rows moved, in change-log order (dicts used
+            # as sets): the order the relation caches refresh them in.
+            changed_left: Dict[Node, None] = dict.fromkeys(seed_nodes1)
+            changed_right: Dict[Node, None] = dict.fromkeys(seed_nodes2)
             pending12: Iterable[Tuple[Relation, Node, Node]] = list(delta_statements1)
             pending21: Iterable[Tuple[Relation, Node, Node]] = list(delta_statements2)
             # Members whose view rows moved at all (any non-zero change):
@@ -601,14 +610,14 @@ class ParisAligner:
                 state = FrontierPassState(store, maintainer, restrict, ordered_dirty, entries)
                 state = state.dampened(previous, config.dampening).commit()
                 pairs_touched += state.pairs_touched
-                changed_left = set()
-                changed_right = set()
+                changed_left = {}
+                changed_right = {}
                 for (left, right), (old_p, new_p) in state.log.items():
                     changed_members1.add(left)
                     changed_members2.add(right)
                     if abs(new_p - old_p) > tolerance:
-                        changed_left.add(left)
-                        changed_right.add(right)
+                        changed_left[left] = None
+                        changed_right[right] = None
                 # Next frontier: 1-hop neighbourhood of every node whose
                 # view row moved — their Eq. 13 inputs are now stale.
                 dirty = {

@@ -74,7 +74,13 @@ class ParisConfig:
         Declare convergence when the maximal assignment exactly
         repeats an assignment seen two iterations earlier (a period-2
         oscillation between equally plausible matches).  The current
-        iteration's assignment is kept.
+        iteration's assignment is kept.  Suspended on cold
+        ``score_stationarity`` runs.  Warm runs check at the score
+        level instead, since scores can oscillate under a stable
+        assignment: they stop when every score is back within
+        ``warm_tolerance`` of where it stood two passes earlier, or
+        after ``WARM_STALL_WINDOW`` (:mod:`repro.core.aligner`) passes
+        whose largest change sets no new minimum.
     keep_snapshots:
         Record per-iteration maximal assignments for Table-3/5 style
         per-iteration evaluation (costs memory proportional to the

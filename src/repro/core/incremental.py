@@ -393,14 +393,16 @@ class IncrementalRelationPass:
 
         Returns the rows that changed, for frontier expansion.
         """
-        dirty: Dict[Relation, Set[Statement]] = {}
+        # Statements in first-touch order (dicts used as sets): the
+        # order _update_relation folds their terms into the sums.
+        dirty: Dict[Relation, Dict[Statement, None]] = {}
         for node in changed_nodes:
             for relation, other in self.ontology1.statements_about(node):
-                dirty.setdefault(relation, set()).add((node, other))
-                dirty.setdefault(relation.inverse, set()).add((other, node))
+                dirty.setdefault(relation, {})[(node, other)] = None
+                dirty.setdefault(relation.inverse, {})[(other, node)] = None
         for relation, subject, obj in changed_statements:
-            dirty.setdefault(relation, set()).add((subject, obj))
-            dirty.setdefault(relation.inverse, set()).add((obj, subject))
+            dirty.setdefault(relation, {})[(subject, obj)] = None
+            dirty.setdefault(relation.inverse, {})[(obj, subject)] = None
         changes: Dict[Relation, RowChange] = {}
         for relation, statements in dirty.items():
             if (
@@ -418,7 +420,7 @@ class IncrementalRelationPass:
     def _update_relation(
         self,
         relation: Relation,
-        statements: Set[Statement],
+        statements: Iterable[Statement],
         view: EquivalenceView,
     ) -> RowChange:
         terms = self._terms[relation]
@@ -511,16 +513,18 @@ class RestrictedViewMaintainer:
         assignment21 = self.assignment21
         moved12: AssignmentDelta = {}
         moved21: AssignmentDelta = {}
-        affected_rights: Set[Resource] = set()
-        candidates: Set[Tuple[Resource, Resource]] = set()
+        # First-touch order (dicts used as sets): the order of the
+        # returned log and of the view entries it writes.
+        affected_rights: Dict[Resource, None] = {}
+        candidates: Dict[Tuple[Resource, Resource], None] = {}
         for left in overlay.touched_lefts:
             old_row = self.store.equals_of(left)
             new_row = overlay.equals_of(left)
-            affected_rights.update(old_row.keys())
-            affected_rights.update(new_row.keys())
+            affected_rights.update(dict.fromkeys(old_row))
+            affected_rights.update(dict.fromkeys(new_row))
             old_best = assignment12.get(left)
             if old_best is not None:
-                candidates.add((left, old_best[0]))
+                candidates[(left, old_best[0])] = None
             new_best = best_counterpart(new_row)
             if new_best != old_best:
                 moved12[left] = new_best
@@ -528,11 +532,11 @@ class RestrictedViewMaintainer:
                 assignment12.pop(left, None)
             else:
                 assignment12[left] = new_best
-                candidates.add((left, new_best[0]))
+                candidates[(left, new_best[0])] = None
         for right in affected_rights:
             old_best = assignment21.get(right)
             if old_best is not None:
-                candidates.add((old_best[0], right))
+                candidates[(old_best[0], right)] = None
             new_best = best_counterpart(overlay.equals_of_right(right))
             if new_best != old_best:
                 moved21[right] = new_best
@@ -540,7 +544,7 @@ class RestrictedViewMaintainer:
                 assignment21.pop(right, None)
             else:
                 assignment21[right] = new_best
-                candidates.add((new_best[0], right))
+                candidates[(new_best[0], right)] = None
         self.moved12, self.moved21 = moved12, moved21
         changes: Dict[Tuple[Resource, Resource], Tuple[float, float]] = {}
         view = self.view_store

@@ -443,14 +443,17 @@ class OverlayStore:
         return self._rows.keys()
 
     def row_changes(self) -> Iterator[Tuple[Resource, Resource, float, float]]:
-        """``(left, right, old, new)`` over touched rows where old ≠ new."""
+        """``(left, right, old, new)`` over touched rows where old ≠ new,
+        in row order: each new row's pairs, then its old row's others."""
         for left, new_row in self._rows.items():
             old_row = self.base.equals_of(left)
-            for right in old_row.keys() | new_row.keys():
+            for right, new in new_row.items():
                 old = old_row.get(right, 0.0)
-                new = new_row.get(right, 0.0)
                 if old != new:
                     yield left, right, old, new
+            for right, old in old_row.items():
+                if right not in new_row:
+                    yield left, right, old, 0.0
 
     # -- commit --------------------------------------------------------
 
