@@ -354,6 +354,7 @@ class ParisAligner:
             # A cold run's first pass has no estimate before it to compare.
             compared = warm or iteration > 1
             change = state.change_from(previous) if compared and not warm else None
+            stop = False
             if not stationarity:
                 stop = (change is not None and change < config.convergence_threshold) or (
                     config.detect_cycles and iteration > 2 and state.same_targets(two_ago)
@@ -369,8 +370,6 @@ class ParisAligner:
                     stop = stalled_passes >= WARM_STALL_WINDOW or state.scores_cycled(
                         previous, config.warm_tolerance
                     )
-            else:
-                stop = False
             duration = time.perf_counter() - started
             if config.keep_snapshots:
                 delta12, delta21 = state.assignment_deltas(previous)

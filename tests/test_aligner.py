@@ -342,13 +342,13 @@ class TestStopPolicy:
     pass states: one exit per test, at the expected iteration."""
 
     @staticmethod
-    def run(config, script, warm=False):
+    def run(config, script, warm=False, start=None):
         from repro.rdf.ontology import Ontology
 
         aligner = ParisAligner(Ontology("left"), Ontology("right"), config)
         states = iter(script)
         _state, converged, snapshots = aligner._fixpoint(
-            ScriptedState(),
+            ScriptedState() if start is None else start,
             (("pass.scripted", lambda state, _span: next(states)),),
             lambda: (None, None),
             warm=warm,
@@ -366,6 +366,10 @@ class TestStopPolicy:
         assert self.run(ParisConfig(max_iterations=4), script) == (3, True)
         script = [ScriptedState(targets=t) for t in (first, second, first, second)]
         assert self.run(ParisConfig(max_iterations=4, detect_cycles=False), script) == (4, False)
+        # the second pass is never compared with the state before the first
+        script = [ScriptedState(targets=t) for t in (first, second, object())]
+        start = ScriptedState(targets=second)
+        assert self.run(ParisConfig(max_iterations=3), script, start=start) == (3, False)
 
     def test_stationarity_suspends_cycle_checks(self):
         first, second = object(), object()
